@@ -2,9 +2,11 @@
 
 The graph is an append-only tape: every primitive that touches a tracked
 input appends one node, so append order is already a topological order and
-backward is a single reverse sweep.  A fresh Graph is built per training
-step (routing unrolls a data-independent but iteration-count-dependent
-chain, so a static graph buys nothing here).
+backward is a single reverse sweep.  The sweep consumes the tape, popping
+each node as its vjp runs, so intermediates are freed by refcounting during
+the step rather than left to the cyclic collector.  A fresh Graph is built
+per training step (routing unrolls a data-independent but
+iteration-count-dependent chain, so a static graph buys nothing here).
 
 Conventions:
   - all data is float64; scalars are tensors of shape (1,)
@@ -108,12 +110,14 @@ class Graph:
 
     nodes[i] = (op name, output node id, input node ids, vjp callable).
     Inputs always precede their node, so reverse iteration is a valid
-    backward order.
+    backward order.  backward empties nodes and sets swept; a graph
+    supports one backward.
     """
 
     def __init__(self):
         self.nodes: list[tuple] = []
         self.leaves: list[Tensor] = []
+        self.swept = False
         self._next_id = 0
 
     def __enter__(self) -> "Graph":
@@ -177,7 +181,9 @@ def backward(loss: Tensor) -> dict:
     """Gradients of a scalar loss w.r.t. every requires_grad leaf.
 
     Returns {node_id: Tensor}; also sets .grad (a numpy array) on each leaf.
-    Leaves never reached by the sweep get zeros of their own shape.
+    Leaves never reached by the sweep get zeros of their own shape.  Each
+    node is popped as its vjp runs, so a second backward on the same graph
+    raises ValueError.
     """
     if loss.shape != (1,):
         raise ShapeError(f"backward needs a scalar loss of shape [1], got "
@@ -185,8 +191,13 @@ def backward(loss: Tensor) -> dict:
     g = loss.graph
     if g is None or loss.node_id is None:
         raise ValueError("loss is not attached to any graph")
+    if g.swept:
+        raise ValueError("graph tape already consumed by backward; build a "
+                         "new Graph for another pass")
+    g.swept = True
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones(1)}
-    for op, out_id, input_ids, vjp in reversed(g.nodes):
+    while g.nodes:
+        _, out_id, input_ids, vjp = g.nodes.pop()
         gout = grads.pop(out_id, None)
         if gout is None:
             continue
@@ -473,26 +484,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
                  lambda g: (g.transpose(inv),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat: need at least one tensor")
-    axis = axis % tensors[0].data.ndim
-    for t in tensors[1:]:
-        if len(t.shape) != len(tensors[0].shape) or any(
-                i != axis and d != tensors[0].shape[i]
-                for i, d in enumerate(t.shape)):
-            raise ShapeError(f"concat: incompatible shapes "
-                             f"{list(tensors[0].shape)} and {list(t.shape)}")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _emit("concat", np.concatenate([t.data for t in tensors], axis),
-                 list(tensors), vjp)
-
-
 def slice_(a: Tensor, key: Sequence[slice]) -> Tensor:
     """Basic slicing (non-negative start/stop/step); gradient scatters back."""
     key = tuple(key)
@@ -566,7 +557,7 @@ PRIMITIVES: dict[str, Callable] = {
     "sum": sum_, "mean": mean, "max": max_,
     "exp": exp, "log": log, "sqrt": sqrt, "square": square,
     "abs": absolute, "negate": negate,
-    "reshape": reshape, "transpose": transpose, "concat": concat,
+    "reshape": reshape, "transpose": transpose,
     "slice": slice_,
     "tanh": tanh, "sigmoid": sigmoid, "relu": relu,
     "softmax": softmax, "l2norm": l2norm,
@@ -577,11 +568,7 @@ PRIMITIVES: dict[str, Callable] = {
 def apply_primitive(op: str, inputs: Sequence[Tensor], attrs: dict = None):
     if op not in PRIMITIVES:
         raise KeyError(f"unknown primitive {op!r}")
-    fn = PRIMITIVES[op]
-    attrs = attrs or {}
-    if op == "concat":
-        return fn(list(inputs), **attrs)
-    return fn(*inputs, **attrs)
+    return PRIMITIVES[op](*inputs, **(attrs or {}))
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,14 @@ class CapsuleGrid:
 
 
 class PrimaryCapsuleParams:
-    """One convolution per pose dimension, run in parallel and stacked.
+    """All pose dimensions of all capsule types as one convolution.
 
-    Full width is d=8 parallel 9x9 stride-3 convolutions of 256 -> 32
-    channels (663,552 weights + 32 biases each, 5,308,672 parameters total);
-    in_ch and n_types are configurable so tests can shrink the stack.
+    The kernel is dim-major [d*n_types, in_ch, k, k]: output channel
+    dim*n_types + type is pose dimension dim of capsule type type.  Block dim
+    is drawn exactly as a standalone in_ch -> n_types conv2d_init with seed
+    derive_seed(seed, dim), and the bias starts at zero.  Full width is
+    256 -> 8*32 channels, 9x9 stride 3 (256*256*81 + 256 = 5,308,672
+    parameters); in_ch and n_types are configurable so tests can shrink it.
     """
 
     def __init__(self, in_ch: int = 256, n_types: int = 32, d: int = 8,
@@ -146,42 +149,42 @@ class PrimaryCapsuleParams:
         self.in_ch = in_ch
         self.n_types = n_types
         self.d = d
-        self.convs = [
-            conv2d_init(in_ch, n_types, ksize, stride, 0,
-                        derive_seed(seed, dim), name=f"primary/{dim}")
-            for dim in range(d)
-        ]
+        blocks = [conv2d_init(in_ch, n_types, ksize, stride, 0,
+                              derive_seed(seed, dim)).kernel.data
+                  for dim in range(d)]
+        self.conv = Conv2dParams(
+            Tensor(np.concatenate(blocks), requires_grad=True,
+                   name="primary/kernel"),
+            ad.zeros([d * n_types], requires_grad=True, name="primary/bias"),
+            stride)
 
     def parameter_count(self) -> int:
-        return sum(c.parameter_count() for c in self.convs)
+        return self.conv.parameter_count()
 
     def named_parameters(self, prefix: str) -> list:
-        out = []
-        for dim, c in enumerate(self.convs):
-            out.extend(c.named_parameters(f"{prefix}/{dim}"))
-        return out
+        return self.conv.named_parameters(prefix)
 
 
 def primary_capsules_forward(features: Tensor,
                              params: PrimaryCapsuleParams) -> CapsuleGrid:
-    """Stack per-dimension conv maps into pose vectors and squash them."""
+    """One convolution, regrouped into [N, gh*gw*n_types, d] poses, squashed.
+
+    Capsule (gh, gw, type) takes pose dimension dim from output channel
+    dim*n_types + type at that grid position.
+    """
     if features.data.ndim != 4:
         raise ShapeError(f"features must be rank 4, got "
                          f"{list(features.shape)}")
     if features.shape[1] != params.in_ch:
         raise ShapeError(f"primary capsules expect {params.in_ch} input "
                          f"channels, got {features.shape[1]}")
-    n = features.shape[0]
-    planes = []
-    grid_h = grid_w = None
-    for conv in params.convs:
-        m = conv2d_forward(features, conv)  # [N, n_types, gh, gw]
-        grid_h, grid_w = m.shape[2], m.shape[3]
-        m = ad.transpose(m, (0, 2, 3, 1))  # [N, gh, gw, n_types]
-        planes.append(ad.reshape(m, [n, grid_h * grid_w * params.n_types, 1]))
-    poses = ad.concat(planes, axis=2)  # [N, n_caps, d]
-    poses = squash(poses, axis=2)
-    return CapsuleGrid(poses, grid_h, grid_w, params.n_types)
+    n, t, d = features.shape[0], params.n_types, params.d
+    m = conv2d_forward(features, params.conv)  # [N, d*n_types, gh, gw]
+    grid_h, grid_w = m.shape[2], m.shape[3]
+    m = ad.transpose(ad.reshape(m, [n, d, t, grid_h, grid_w]),
+                     (0, 3, 4, 2, 1))  # [N, gh, gw, n_types, d]
+    poses = squash(ad.reshape(m, [n, grid_h * grid_w * t, d]), axis=2)
+    return CapsuleGrid(poses, grid_h, grid_w, t)
 
 
 class CapsuleLayerParams:

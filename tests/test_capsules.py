@@ -6,7 +6,8 @@ import pytest
 from siamcaps import autodiff as ad
 from siamcaps import capsules as caps
 from siamcaps.autodiff import ShapeError, Tensor, grad_check
-from siamcaps.rng import SplitMix64
+from siamcaps.layers import Conv2dParams, conv2d_forward, conv2d_init
+from siamcaps.rng import SplitMix64, derive_seed
 
 
 def route_reference(u_hat: np.ndarray, iterations: int, act: str):
@@ -210,8 +211,8 @@ def test_primary_parameter_count_full_width():
 def test_primary_zero_features_zero_poses():
     p = caps.PrimaryCapsuleParams(in_ch=4, n_types=3, d=2, ksize=3, stride=1,
                                   seed=2)
-    for conv in p.convs:  # zero bias already; zero input then maps to zero
-        conv.bias.data[:] = 0.0
+    # zero bias already; zero input then maps to zero
+    p.conv.bias.data[:] = 0.0
     grid = caps.primary_capsules_forward(Tensor(np.zeros((1, 4, 5, 5))), p)
     assert np.all(grid.poses.data == 0.0)
 
@@ -246,12 +247,14 @@ def test_capsule_grid_count_invariant():
 
 
 def test_primary_pose_stacking_order():
-    # pose dimension k of capsule (gh, gw, type) comes from conv k's map
+    # pose dimension k of capsule (gh, gw, type) comes from output channel
+    # k * n_types + type
     p = caps.PrimaryCapsuleParams(in_ch=1, n_types=2, d=3, ksize=1, stride=1,
                                   seed=7)
-    for dim, conv in enumerate(p.convs):
-        conv.kernel.data[:] = 0.0
-        conv.bias.data[:] = [10.0 * dim + 1.0, 10.0 * dim + 2.0]
+    p.conv.kernel.data[:] = 0.0
+    for dim in range(3):
+        p.conv.bias.data[2 * dim:2 * dim + 2] = [10.0 * dim + 1.0,
+                                                 10.0 * dim + 2.0]
     grid = caps.primary_capsules_forward(Tensor(np.zeros((1, 1, 2, 2))), p)
     # undo squash by checking direction ratios instead of magnitudes
     pose_type0 = grid.poses.data[0, 0]  # (h=0,w=0,type=0)
@@ -260,6 +263,56 @@ def test_primary_pose_stacking_order():
                                np.array([1.0, 11.0, 21.0]), rtol=1e-12)
     np.testing.assert_allclose(pose_type1 / pose_type1[0],
                                np.array([2.0, 12.0, 22.0]) / 2.0, rtol=1e-12)
+
+
+def test_primary_matches_per_dimension_convolutions():
+    # oracle: d separate convolutions on kernel/bias slices, stacked by numpy
+    n, in_ch, t, d = 2, 3, 2, 4
+    p = caps.PrimaryCapsuleParams(in_ch=in_ch, n_types=t, d=d, ksize=3,
+                                  stride=2, seed=11)
+    p.conv.bias.data[:] = SplitMix64(12).uniform(d * t, -0.5, 0.5)
+    x = Tensor(SplitMix64(13).uniform(n * in_ch * 9 * 9, -1.0, 1.0)
+               .reshape(n, in_ch, 9, 9))
+    grid = caps.primary_capsules_forward(x, p)
+    planes = []
+    for dim in range(d):
+        block = slice(dim * t, (dim + 1) * t)
+        conv = Conv2dParams(Tensor(p.conv.kernel.data[block]),
+                            Tensor(p.conv.bias.data[block]), stride=2)
+        m = conv2d_forward(x, conv).data  # [N, t, gh, gw]
+        planes.append(m.transpose(0, 2, 3, 1).reshape(n, -1))
+    want = caps.squash(Tensor(np.stack(planes, axis=2)), axis=2).data
+    assert grid.meta == (4, 4, t)
+    np.testing.assert_allclose(grid.poses.data, want, rtol=0, atol=1e-10)
+
+
+def test_primary_grad_check_input_kernel_bias():
+    p = caps.PrimaryCapsuleParams(in_ch=2, n_types=2, d=3, ksize=3, stride=2,
+                                  seed=14)
+    p.conv.bias.data[:] = SplitMix64(15).uniform(6, -0.5, 0.5)
+    x = Tensor(SplitMix64(16).uniform(2 * 7 * 7, -1.0, 1.0)
+               .reshape(1, 2, 7, 7))
+    weights = Tensor(SplitMix64(17).uniform(3 * 3 * 2 * 3, -1.0, 1.0)
+                     .reshape(1, 18, 3))
+
+    def f(x_, k_, b_):
+        p.conv.kernel, p.conv.bias = k_, b_
+        grid = caps.primary_capsules_forward(x_, p)
+        return ad.sum_(ad.mul(grid.poses, weights))
+
+    assert grad_check(f, [x, p.conv.kernel, p.conv.bias]) < 1e-7
+
+
+def test_primary_kernel_blocks_match_per_dimension_init():
+    in_ch, t, d, seed = 4, 3, 5, 18
+    p = caps.PrimaryCapsuleParams(in_ch=in_ch, n_types=t, d=d, ksize=3,
+                                  seed=seed)
+    assert p.conv.kernel.shape == (d * t, in_ch, 3, 3)
+    for dim in range(d):
+        ref = conv2d_init(in_ch, t, 3, 3, 0, derive_seed(seed, dim))
+        assert np.array_equal(p.conv.kernel.data[dim * t:(dim + 1) * t],
+                              ref.kernel.data)
+    assert np.array_equal(p.conv.bias.data, np.zeros(d * t))
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,26 @@ def test_restore_missing_tensor_named(tmp_path):
         ckpt.restore_checkpoint(enc, None, path)
 
 
+def test_restore_per_dimension_primary_names_refused(tmp_path):
+    # older checkpoints stored one primary conv per pose dimension
+    enc = ScnEncoder(seed=3, **TINY)
+    t = enc.primary.n_types
+    entries = []
+    for n, p in enc.named_parameters():
+        if n.startswith("primary/"):
+            part = n.split("/")[1]
+            entries += [(f"model/primary/{dim}/{part}",
+                         p.data[dim * t:(dim + 1) * t])
+                        for dim in range(enc.primary.d)]
+        else:
+            entries.append(("model/" + n, p.data))
+    path = str(tmp_path / "per_dim.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(ckpt.encode_tensors(entries))
+    with pytest.raises(ckpt.CheckpointError, match="'model/primary/kernel'"):
+        ckpt.restore_checkpoint(enc, None, path)
+
+
 def test_file_round_trip_bitwise(tmp_path):
     entries = _sample_entries()
     path = str(tmp_path / "t.ckpt")
