@@ -7,8 +7,7 @@ PGM data loading with subject-holdout splits, and a training harness with
 binary checkpoints and deterministic artifacts.
 """
 
-from .autodiff import (Graph, ShapeError, Tensor, apply_primitive, backward,
-                       grad_check)
+from .autodiff import Graph, ShapeError, Tensor, backward, grad_check
 from .capsules import (CapsuleGrid, CapsuleLayerParams, PrimaryCapsuleParams,
                        RoutingState, capsule_layer_forward,
                        concrete_dropout_mask, dynamic_route,
@@ -24,19 +23,17 @@ from .harness import (RunConfig, emit_plot, eval_run, evaluate,
 from .layers import (BatchNormParams, Conv2dParams, DenseParams,
                      batchnorm_forward, conv2d_forward, conv2d_init,
                      dense_forward, dense_init, glorot_uniform)
-from .models import (METRICS, Embedding, ScnEncoder, StandardEncoder,
-                     build_encoder, contrastive_loss, distance,
-                     double_margin_loss, effective_distance, margin_loss,
-                     predict_match, spread_loss, spread_margin,
-                     sweep_threshold, valid_margin)
-from .optim import OptimState, amsgrad_step, sgd_step
+from .models import (METRICS, ScnEncoder, StandardEncoder, build_encoder,
+                     contrastive_loss, distance, double_margin_loss,
+                     effective_distance, predict_match, sweep_threshold,
+                     valid_margin)
+from .optim import OptimState, amsgrad_step
 from .rng import SplitMix64, derive_seed, mix64
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "ShapeError", "Tensor", "apply_primitive", "backward",
-    "grad_check",
+    "Graph", "ShapeError", "Tensor", "backward", "grad_check",
     "CapsuleGrid", "CapsuleLayerParams", "PrimaryCapsuleParams",
     "RoutingState", "capsule_layer_forward", "concrete_dropout_mask",
     "dynamic_route", "primary_capsules_forward", "squash",
@@ -50,10 +47,9 @@ __all__ = [
     "BatchNormParams", "Conv2dParams", "DenseParams", "batchnorm_forward",
     "conv2d_forward", "conv2d_init", "dense_forward", "dense_init",
     "glorot_uniform",
-    "METRICS", "Embedding", "ScnEncoder", "StandardEncoder", "build_encoder",
+    "METRICS", "ScnEncoder", "StandardEncoder", "build_encoder",
     "contrastive_loss", "distance", "double_margin_loss",
-    "effective_distance", "margin_loss", "predict_match", "spread_loss",
-    "spread_margin", "sweep_threshold", "valid_margin",
-    "OptimState", "amsgrad_step", "sgd_step",
+    "effective_distance", "predict_match", "sweep_threshold", "valid_margin",
+    "OptimState", "amsgrad_step",
     "SplitMix64", "derive_seed", "mix64",
 ]

@@ -445,23 +445,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _emit("mean", out, [a], vjp)
 
 
-def max_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axis, a.data.ndim)
-    kept = a.data.max(axis=axes, keepdims=True)
-    out = _reduce_out(kept if keepdims else kept.reshape(
-        tuple(d for i, d in enumerate(a.shape) if i not in axes)))
-    # ties share the cotangent equally, which keeps the vjp deterministic
-    mask = (a.data == kept).astype(np.float64)
-    mask /= mask.sum(axis=axes, keepdims=True)
-
-    def vjp(g):
-        gk = g if keepdims else np.expand_dims(g.reshape(
-            tuple(d for i, d in enumerate(a.shape) if i not in axes)), axes)
-        return (mask * gk,)
-
-    return _emit("max", out, [a], vjp)
-
-
 # ---------------------------------------------------------------------------
 # shape primitives
 
@@ -547,28 +530,6 @@ def l2norm(a: Tensor, axis: int, eps: float = 1e-12) -> Tensor:
         return ((g - out * dot) / n,)
 
     return _emit("l2norm", out, [a], vjp)
-
-
-# ---------------------------------------------------------------------------
-# generic dispatch, used by tests and anything driving ops by name
-
-PRIMITIVES: dict[str, Callable] = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "matmul": matmul,
-    "sum": sum_, "mean": mean, "max": max_,
-    "exp": exp, "log": log, "sqrt": sqrt, "square": square,
-    "abs": absolute, "negate": negate,
-    "reshape": reshape, "transpose": transpose,
-    "slice": slice_,
-    "tanh": tanh, "sigmoid": sigmoid, "relu": relu,
-    "softmax": softmax, "l2norm": l2norm,
-    "add_scalar": add_scalar, "mul_scalar": mul_scalar,
-}
-
-
-def apply_primitive(op: str, inputs: Sequence[Tensor], attrs: dict = None):
-    if op not in PRIMITIVES:
-        raise KeyError(f"unknown primitive {op!r}")
-    return PRIMITIVES[op](*inputs, **(attrs or {}))
 
 
 # ---------------------------------------------------------------------------

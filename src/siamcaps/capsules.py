@@ -9,7 +9,6 @@ priors updated with prediction/output dot products.
 from __future__ import annotations
 
 import logging
-from typing import Optional
 
 import numpy as np
 
@@ -67,8 +66,9 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     last iteration) adds the agreement dot product v_j . u_hat_ij back onto
     the priors.  Returns (v [N, n_upper, d], RoutingState).
 
-    With detach_routing the couplings are treated as constants: gradients
-    flow only through the coupled sum, not through the softmax chain.
+    With detach_routing the agreement is built from detached v and u_hat,
+    so the log priors and couplings stay graph constants: gradients flow
+    only through the coupled sum, not through the softmax chain.
     """
     if iterations < 1:
         raise ValueError(f"routing iterations must be >= 1, got {iterations}")
@@ -77,24 +77,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
                          f"{list(u_hat.shape)}")
     n, n_lower, n_upper, d = u_hat.shape
     c_history: list[np.ndarray] = []
-
-    if detach_routing:
-        b = np.zeros((n, n_lower, n_upper))
-        uh = u_hat.data
-        c_np = None
-        v = None
-        for it in range(iterations):
-            bs = b - b.max(axis=2, keepdims=True)
-            e = np.exp(bs)
-            c_np = e / e.sum(axis=2, keepdims=True)
-            c_history.append(c_np.copy())
-            c = Tensor(c_np.reshape(n, n_lower, n_upper, 1))
-            s = ad.sum_(ad.mul(c, u_hat), axis=1)
-            v = _route_activation(activation_kind, s)
-            if it < iterations - 1:
-                b = b + (v.data[:, None, :, :] * uh).sum(axis=3)
-        return v, RoutingState(b, c_np, iterations, c_history)
-
+    u_agree = u_hat.detach() if detach_routing else u_hat
     b = ad.zeros([n, n_lower, n_upper])
     c = None
     v = None
@@ -105,8 +88,9 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
         s = ad.sum_(ad.mul(cc, u_hat), axis=1)
         v = _route_activation(activation_kind, s)
         if it < iterations - 1:
-            vv = ad.reshape(v, [n, 1, n_upper, d])
-            agree = ad.sum_(ad.mul(vv, u_hat), axis=3)
+            v_agree = v.detach() if detach_routing else v
+            vv = ad.reshape(v_agree, [n, 1, n_upper, d])
+            agree = ad.sum_(ad.mul(vv, u_agree), axis=3)
             b = ad.add(b, agree)
     return v, RoutingState(b.data, c.data, iterations, c_history)
 

@@ -14,6 +14,7 @@ Order is preserved; loading a saved file reproduces every tensor bitwise.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
@@ -83,7 +84,12 @@ def decode_tensors(raw: bytes) -> list:
 
 
 def save_checkpoint(encoder, optim_state, path: str) -> None:
-    """Write model parameters, batchnorm buffers, and optimizer moments."""
+    """Write model parameters, batchnorm buffers, and optimizer moments.
+
+    The bytes go to path + ".tmp" in the same directory, which then
+    replaces path in one rename, so a failed save leaves the previous file
+    intact and no temp file behind.  No fsync: power loss is out of scope.
+    """
     entries = [("model/" + n, t.data) for n, t in encoder.named_parameters()]
     entries += [("buffer/" + n, b) for n, b in encoder.named_buffers()]
     if optim_state is not None:
@@ -93,8 +99,14 @@ def save_checkpoint(encoder, optim_state, path: str) -> None:
                 entries.append((f"optim/m/{n}", optim_state.m[n]))
                 entries.append((f"optim/v/{n}", optim_state.v[n]))
                 entries.append((f"optim/vhat/{n}", optim_state.v_hat[n]))
-    with open(path, "wb") as fh:
-        fh.write(encode_tensors(entries))
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(encode_tensors(entries))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> dict:

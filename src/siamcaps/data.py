@@ -178,13 +178,17 @@ class FaceDataset:
 
 
 class SplitSpec:
-    """Disjoint train/test subject-id sets (zero-shot at test time)."""
+    """Train/test subject-id sets: disjoint (zero-shot at test time), or
+    identical for the no-holdout protocol that tests on the training
+    subjects.  A partial overlap is refused.
+    """
 
     def __init__(self, train_subjects, test_subjects, seed: int):
         self.train_subjects = frozenset(train_subjects)
         self.test_subjects = frozenset(test_subjects)
         self.seed = seed
-        if self.train_subjects & self.test_subjects:
+        if self.train_subjects & self.test_subjects and \
+                self.train_subjects != self.test_subjects:
             raise ValueError("train and test subjects overlap")
 
 
@@ -428,47 +432,6 @@ def synth_dataset(n_subjects: int, n_per_subject: int, seed: int,
     for s in range(n_subjects):
         for i in range(n_per_subject):
             records.append((s, synth_instance(seed, s, i, size, jitter)))
-    return FaceDataset(records, "synthetic")
-
-
-def synth_constellation_instance(seed: int, subject: int, instance: int,
-                                 size: int = 100, n_parts: int = 6,
-                                 jitter: float = 1.0) -> Tensor:
-    """A constellation of identical-looking parts; identity is geometry.
-
-    Every part renders with the same width and brightness, so two subjects
-    differ only in where their parts sit relative to each other — the
-    configural analogue of faces, where everyone has the same features and
-    identity lies in their arrangement.  Per-instance pose jitter matches
-    synth_instance (<=3*jitter px shift, <=10*jitter deg rotation).
-    """
-    rng = SplitMix64(derive_seed(seed, 31, subject))
-    lo, hi = 0.22 * size, 0.78 * size
-    centers = rng.uniform(2 * n_parts, lo, hi).reshape(n_parts, 2)
-    sigma = 0.07 * size
-    inst = SplitMix64(derive_seed(seed, 37, subject, instance))
-    if instance > 0:
-        dy, dx = inst.uniform(2, -3.0 * jitter, 3.0 * jitter)
-        theta = inst.uniform(1, -np.deg2rad(10.0 * jitter),
-                             np.deg2rad(10.0 * jitter))[0]
-        mid = (size - 1) / 2.0
-        rel = centers - mid
-        rot = np.array([[np.cos(theta), -np.sin(theta)],
-                        [np.sin(theta), np.cos(theta)]])
-        centers = rel @ rot.T + mid + np.array([dy, dx])
-    img = _render_blobs(size, centers, [sigma] * n_parts, [0.8] * n_parts)
-    return Tensor(img[None])
-
-
-def synth_constellation_dataset(n_subjects: int, n_per_subject: int,
-                                seed: int, size: int = 100,
-                                n_parts: int = 6,
-                                jitter: float = 1.0) -> FaceDataset:
-    records = []
-    for s in range(n_subjects):
-        for i in range(n_per_subject):
-            records.append((s, synth_constellation_instance(
-                seed, s, i, size, n_parts, jitter)))
     return FaceDataset(records, "synthetic")
 
 

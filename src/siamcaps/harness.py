@@ -226,12 +226,8 @@ def load_dataset(cfg: RunConfig) -> FaceDataset:
 def make_split(ds: FaceDataset, cfg: RunConfig) -> SplitSpec:
     if cfg.holdout > 0:
         return split_subjects(ds, cfg.holdout, cfg.seed)
-    subjects = ds.subjects()
-    spec = SplitSpec.__new__(SplitSpec)
-    spec.train_subjects = frozenset(subjects)
-    spec.test_subjects = frozenset(subjects)  # no holdout: test on train
-    spec.seed = cfg.seed
-    return spec
+    # no holdout: test on train
+    return SplitSpec(ds.subjects(), ds.subjects(), cfg.seed)
 
 
 def _encoder_kwargs(cfg: RunConfig) -> dict:
@@ -265,7 +261,7 @@ def pair_distances(encoder, batch, cfg: RunConfig, training: bool,
     """Tied-weight distances: both sides share one encoder pass."""
     b = len(batch)
     stacked = Tensor(np.concatenate([batch.left.data, batch.right.data]))
-    emb = encoder.encode(stacked, training, rng).vec
+    emb = encoder.encode(stacked, training, rng)
     e1 = ad.slice_(emb, (slice(0, b),))
     e2 = ad.slice_(emb, (slice(b, 2 * b),))
     return distance(e1, e2, cfg.metric)
@@ -362,7 +358,6 @@ def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
     test_subjects = sorted(split.test_subjects)
     test_pairs = sample_pairs(ds, test_subjects, cfg.eval_pairs,
                               cfg.pos_ratio, derive_seed(cfg.seed, 200))
-    d_test0 = None  # filled lazily for audits/debugging if ever needed
 
     rows = []
     best_test = np.inf

@@ -26,16 +26,6 @@ from .rng import SplitMix64, derive_seed
 METRICS = ("euclidean_sq", "manhattan_exp", "cosine")
 
 
-class Embedding:
-    def __init__(self, vec: Tensor, normalized: bool):
-        self.vec = vec
-        self.normalized = normalized
-
-    @property
-    def shape(self) -> tuple:
-        return self.vec.shape
-
-
 def _conv_out(size: int, k: int, stride: int) -> int:
     return (size - k) // stride + 1
 
@@ -127,7 +117,7 @@ class ScnEncoder:
             np.clip(self.dropout_p.data, lo, hi, out=self.dropout_p.data)
 
     def encode(self, images: Tensor, training: bool,
-               rng: Optional[SplitMix64] = None) -> Embedding:
+               rng: Optional[SplitMix64] = None) -> Tensor:
         s = self.input_size
         if images.data.ndim != 4 or images.shape[1] != 1 or \
                 images.shape[2] != s or images.shape[3] != s:
@@ -163,7 +153,7 @@ class ScnEncoder:
         out = dense_forward(flat, self.fc)
         if self.normalize_at == "embedding":
             out = ad.l2norm(out, axis=1, eps=1e-18)
-        return Embedding(out, normalized=True)
+        return out
 
 
 class StandardEncoder:
@@ -208,7 +198,7 @@ class StandardEncoder:
         pass
 
     def encode(self, images: Tensor, training: bool,
-               rng: Optional[SplitMix64] = None) -> Embedding:
+               rng: Optional[SplitMix64] = None) -> Tensor:
         s = self.input_size
         if images.data.ndim != 4 or images.shape[1] != 1 or \
                 images.shape[2] != s or images.shape[3] != s:
@@ -228,7 +218,7 @@ class StandardEncoder:
                                        rng.spawn(2)))
         flat = ad.reshape(x, [images.shape[0], self.flat_dim])
         out = dense_forward(flat, self.fc)
-        return Embedding(ad.l2norm(out, axis=1, eps=1e-18), normalized=True)
+        return ad.l2norm(out, axis=1, eps=1e-18)
 
 
 def build_encoder(kind: str, seed: int, **cfg):
@@ -246,13 +236,8 @@ def build_encoder(kind: str, seed: int, **cfg):
 # ---------------------------------------------------------------------------
 # distances
 
-def _vec(e) -> Tensor:
-    return e.vec if isinstance(e, Embedding) else e
-
-
-def distance(e1, e2, metric: str) -> Tensor:
+def distance(a: Tensor, b: Tensor, metric: str) -> Tensor:
     """Per-pair distance [N]; manhattan_exp is a similarity in (0, 1]."""
-    a, b = _vec(e1), _vec(e2)
     if a.shape != b.shape:
         raise ShapeError(f"distance: embeddings {list(a.shape)} vs "
                          f"{list(b.shape)}")
@@ -313,49 +298,6 @@ def double_margin_loss(d: Tensor, y, m_n: float = 0.2,
     push = ad.square(ad.relu(ad.add_scalar(ad.negate(d), m_p)))
     return ad.mean(ad.add(ad.mul(ad.add_scalar(ad.negate(yt), 1.0), pull),
                           ad.mul(yt, push)))
-
-
-def margin_loss(v: Tensor, targets, m_plus: float = 0.9,
-                lam: float = 0.5) -> Tensor:
-    """Per-class capsule-presence loss for an optional classification head.
-
-    v is [N, n_class, d]; the class capsule's norm should exceed m_plus for
-    the target and stay below 1-m_plus for the rest (down-weighted by lam).
-    """
-    n, n_class, _ = v.shape
-    m_minus = 1.0 - m_plus
-    t = np.zeros((n, n_class))
-    t[np.arange(n), np.asarray(targets, dtype=int)] = 1.0
-    tt = Tensor(t)
-    norms = ad.sqrt(ad.add_scalar(ad.sum_(ad.square(v), axis=2), 1e-24))
-    present = ad.square(ad.relu(ad.add_scalar(ad.negate(norms), m_plus)))
-    absent = ad.square(ad.relu(ad.add_scalar(norms, -m_minus)))
-    per_class = ad.add(ad.mul(tt, present),
-                       ad.mul_scalar(ad.mul(ad.add_scalar(ad.negate(tt), 1.0),
-                                            absent), lam))
-    return ad.mean(ad.sum_(per_class, axis=1))
-
-
-def spread_loss(a: Tensor, targets, m: float) -> Tensor:
-    """sum_{i != t} max(0, m - (a_t - a_i))^2, averaged over the batch."""
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"spread margin must be in (0, 1], got {m}")
-    n, n_class = a.shape
-    idx = np.asarray(targets, dtype=int)
-    onehot = np.zeros((n, n_class))
-    onehot[np.arange(n), idx] = 1.0
-    at = ad.sum_(ad.mul(a, Tensor(onehot)), axis=1, keepdims=True)  # [N,1]
-    gap = ad.relu(ad.add_scalar(ad.sub(a, at), m))  # m - (a_t - a_i)
-    hinge = ad.square(gap)
-    # the target column contributes max(0, m)^2 = m^2; subtract it exactly
-    per_row = ad.add_scalar(ad.sum_(hinge, axis=1), -(m * m))
-    return ad.mean(per_row)
-
-
-def spread_margin(progress: float, lo: float = 0.2, hi: float = 0.9) -> float:
-    """Linear margin schedule over training progress in [0, 1]."""
-    p = min(1.0, max(0.0, progress))
-    return lo * (1.0 - p) + hi * p
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""AMSGrad and SGD updates.
+"""AMSGrad updates.
 
 AMSGrad keeps the running elementwise maximum of the second moment, so the
 per-coordinate effective rate alpha/sqrt(v_hat) never increases.  No bias
@@ -10,8 +10,6 @@ plain numpy arrays keyed by parameter name.
 from __future__ import annotations
 
 import numpy as np
-
-from .autodiff import Tensor
 
 
 class OptimState:
@@ -60,13 +58,3 @@ def amsgrad_step(params: list, state: OptimState, alpha: float,
         np.maximum(v_hat, v, out=v_hat)
         p.data -= alpha_t * m / (np.sqrt(v_hat) + eps)
 
-
-def sgd_step(params: list, lr: float) -> None:
-    """Plain w <- w - lr*g over [(name, Tensor)] pairs."""
-    for name, p in params:
-        if p.grad is None:
-            continue
-        if p.grad.shape != p.data.shape:
-            raise ValueError(f"gradient shape {p.grad.shape} does not match "
-                             f"parameter {name!r} shape {p.data.shape}")
-        p.data -= lr * p.grad

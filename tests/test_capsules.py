@@ -200,6 +200,40 @@ def test_detached_routing_multi_iteration_grads_differ():
     assert np.abs(grad_of(False) - grad_of(True)).max() > 1e-8
 
 
+def activation_vjp(s: np.ndarray, g: np.ndarray, act: str) -> np.ndarray:
+    """Cotangent of s given the cotangent g of act(s), in plain numpy."""
+    if act == "tanh":
+        return g * (1.0 - np.tanh(s) ** 2)
+    n2 = (s * s).sum(axis=-1, keepdims=True)
+    root = np.sqrt(n2 + 1e-18)
+    f = root / (1.0 + n2)
+    df = (0.5 / root * (1.0 + n2) - root) / (1.0 + n2) ** 2
+    return f * g + 2.0 * s * df * (s * g).sum(axis=-1, keepdims=True)
+
+
+def test_detached_routing_matches_frozen_coupling_oracle():
+    # detached routing must route like the reference, and its gradient must
+    # be that of act(sum_i C * u_hat_i) with the last couplings C frozen:
+    # nothing may leak back through the log priors
+    u_np = rand_uhat((2, 5, 4, 3), 91)
+    w = rand_uhat((2, 4, 3), 92)
+    for act in ("squash", "tanh"):
+        u = Tensor(u_np.copy(), requires_grad=True)
+        with ad.Graph():
+            v, state = caps.dynamic_route(u, 3, act, detach_routing=True)
+            ad.backward(ad.sum_(ad.mul(v, Tensor(w))))
+        v_ref, hist_ref = route_reference(u_np, 3, act)
+        np.testing.assert_allclose(v.data, v_ref, rtol=0, atol=1e-12)
+        assert len(state.c_history) == len(hist_ref) == 3
+        for c_got, c_ref in zip(state.c_history, hist_ref):
+            np.testing.assert_allclose(c_got, c_ref, rtol=0, atol=1e-12)
+        c = hist_ref[-1]
+        s = np.einsum("nlu,nlud->nud", c, u_np)
+        g_s = activation_vjp(s, w, act)
+        want = c[..., None] * g_s[:, None, :, :]
+        np.testing.assert_allclose(u.grad, want, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # primary capsules
 

@@ -95,7 +95,7 @@ def test_trailing_garbage_in_payload_rejected():
 def _train_one_step(enc, state, images):
     with ad.Graph():
         emb = enc.encode(ad.constant(images), training=True)
-        loss = ad.mean(ad.square(emb.vec))
+        loss = ad.mean(ad.square(emb))
         ad.backward(loss)
         amsgrad_step(list(enc.named_parameters()), state, alpha=0.01)
 
@@ -125,8 +125,8 @@ def test_encoder_state_round_trip(tmp_path):
         assert state2.m[name].tobytes() == state.m[name].tobytes()
         assert state2.v_hat[name].tobytes() == state.v_hat[name].tobytes()
 
-    out1 = enc.encode(ad.constant(images), training=False).vec.data
-    out2 = enc2.encode(ad.constant(images), training=False).vec.data
+    out1 = enc.encode(ad.constant(images), training=False).data
+    out2 = enc2.encode(ad.constant(images), training=False).data
     assert out1.tobytes() == out2.tobytes()
 
 
@@ -178,3 +178,36 @@ def test_file_round_trip_bitwise(tmp_path):
     loaded = ckpt.load_checkpoint(path)
     for name, arr in entries:
         assert loaded[name].tobytes() == arr.tobytes()
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    # a save that fails while writing or renaming must leave the last good
+    # checkpoint loadable bitwise and no temp file behind
+    r = SplitMix64(6)
+    images = r.uniform(2 * TINY["input_size"] ** 2).reshape(
+        2, 1, TINY["input_size"], TINY["input_size"])
+    enc = ScnEncoder(seed=3, **TINY)
+    state = OptimState()
+    _train_one_step(enc, state, images)
+    path = str(tmp_path / "model.ckpt")
+    ckpt.save_checkpoint(enc, state, path)
+    with open(path, "rb") as fh:
+        good = fh.read()
+    before = ckpt.load_checkpoint(path)
+    _train_one_step(enc, state, images)  # the next save would differ
+
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    for target, name in ((ckpt, "encode_tensors"), (ckpt.os, "replace")):
+        with monkeypatch.context() as m:
+            m.setattr(target, name, boom)
+            with pytest.raises(OSError, match="disk full"):
+                ckpt.save_checkpoint(enc, state, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        with open(path, "rb") as fh:
+            assert fh.read() == good
+        after = ckpt.load_checkpoint(path)
+        assert list(after) == list(before)
+        for key, arr in before.items():
+            assert after[key].tobytes() == arr.tobytes()

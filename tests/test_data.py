@@ -197,6 +197,16 @@ def test_split_subjects_zero_holdout_and_error():
         split_subjects(ds, 6, seed=1)
 
 
+def test_split_spec_identical_sets_are_the_no_holdout_protocol():
+    spec = data.SplitSpec([3, 1, 2], [1, 2, 3], 0)
+    assert spec.train_subjects == spec.test_subjects == frozenset({1, 2, 3})
+
+
+def test_split_spec_partial_overlap_rejected():
+    with pytest.raises(ValueError, match="overlap"):
+        data.SplitSpec([1, 2], [2, 3], 0)
+
+
 def test_sample_pairs_label_ratio_exact():
     ds = small_ds()
     spec = split_subjects(ds, 2, seed=9)

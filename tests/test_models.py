@@ -30,8 +30,7 @@ def test_embedding_shape_and_row_norms():
     enc = tiny_encoder()
     emb = enc.encode(tiny_images(3), training=False)
     assert emb.shape == (3, 5)
-    assert emb.normalized
-    norms = np.linalg.norm(emb.vec.data, axis=1)
+    norms = np.linalg.norm(emb.data, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-9
 
 
@@ -39,15 +38,15 @@ def test_identical_images_identical_embeddings():
     enc = tiny_encoder()
     x = tiny_images(2)
     dup = Tensor(np.concatenate([x.data, x.data], axis=0))
-    out = enc.encode(dup, training=True).vec.data
+    out = enc.encode(dup, training=True).data
     np.testing.assert_array_equal(out[:2], out[2:])
 
 
 def test_eval_encode_deterministic():
     enc = tiny_encoder()
     x = tiny_images(2)
-    a = enc.encode(x, training=False).vec.data
-    b = enc.encode(x, training=False).vec.data
+    a = enc.encode(x, training=False).data
+    b = enc.encode(x, training=False).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -84,8 +83,8 @@ def test_sdropcapnet_mask_applied_in_training():
     enc.dropout_p.data[:] = 0.5  # keep masks away from saturation
     x = tiny_images(2)
     rng = SplitMix64(7)
-    train_out = enc.encode(x, training=True, rng=rng).vec.data
-    eval_out = enc.encode(x, training=False).vec.data
+    train_out = enc.encode(x, training=True, rng=rng).data
+    eval_out = enc.encode(x, training=False).data
     assert np.abs(train_out - eval_out).max() > 1e-6
 
 
@@ -106,10 +105,10 @@ def test_clamp_dropout_p():
 def test_standard_dropout_changes_training_output():
     enc = tiny_encoder(dropout_rate=0.5)
     x = tiny_images(4)
-    a = enc.encode(x, training=True, rng=SplitMix64(1)).vec.data
-    b = enc.encode(x, training=True, rng=SplitMix64(2)).vec.data
+    a = enc.encode(x, training=True, rng=SplitMix64(1)).data
+    b = enc.encode(x, training=True, rng=SplitMix64(2)).data
     assert np.abs(a - b).max() > 1e-9
-    c = enc.encode(x, training=True, rng=SplitMix64(1)).vec.data
+    c = enc.encode(x, training=True, rng=SplitMix64(1)).data
     np.testing.assert_array_equal(a, c)
 
 
@@ -137,7 +136,7 @@ def test_standard_encoder_shape_and_norms():
                                ch1=4, ch2=6)
     emb = enc.encode(tiny_images(3), training=False)
     assert emb.shape == (3, 5)
-    assert np.abs(np.linalg.norm(emb.vec.data, axis=1) - 1.0).max() < 1e-9
+    assert np.abs(np.linalg.norm(emb.data, axis=1) - 1.0).max() < 1e-9
 
 
 def test_standard_encoder_default_flat_dim():
@@ -276,59 +275,6 @@ def test_pair_loss_grad_checks():
 
 
 # ---------------------------------------------------------------------------
-# auxiliary classification losses
-
-def caps_with_norms(norms):
-    # each class capsule points along its first coordinate with given norm
-    n_class = len(norms)
-    v = np.zeros((1, n_class, 3))
-    for i, m in enumerate(norms):
-        v[0, i, 0] = m
-    return Tensor(v)
-
-
-def test_margin_loss_spec_points():
-    both_ok = caps_with_norms([0.9, 0.1])
-    assert models.margin_loss(both_ok, [0]).item() < 1e-20
-    dead_target = caps_with_norms([0.0, 0.1])
-    np.testing.assert_allclose(models.margin_loss(dead_target, [0]).item(),
-                               0.81, atol=1e-9)
-    loud_other = caps_with_norms([0.9, 1.0])
-    np.testing.assert_allclose(models.margin_loss(loud_other, [0]).item(),
-                               0.405, atol=1e-9)
-
-
-def test_margin_loss_grad_check():
-    rng = SplitMix64(26)
-    v = Tensor(rng.uniform(2 * 3 * 4, 0.1, 0.8).reshape(2, 3, 4))
-    assert ad.grad_check(lambda v: models.margin_loss(v, [0, 2]), v) < 1e-4
-
-
-def test_spread_loss_spec_points():
-    a = Tensor([[2.0, 0.5, 0.3]])
-    assert models.spread_loss(a, [0], 1.0).item() == 0.0  # gaps >= m
-    tied = Tensor([[0.5, 0.5]])
-    np.testing.assert_allclose(models.spread_loss(tied, [0], 1.0).item(), 1.0,
-                               atol=1e-15)
-    with pytest.raises(ValueError, match="spread margin"):
-        models.spread_loss(a, [0], 0.0)
-
-
-def test_spread_margin_schedule():
-    assert models.spread_margin(0.0) == 0.2
-    assert models.spread_margin(1.0) == 0.9
-    np.testing.assert_allclose(models.spread_margin(0.5), 0.55)
-    assert models.spread_margin(2.0) == 0.9  # clamped
-
-
-def test_spread_loss_grad_check():
-    rng = SplitMix64(27)
-    a = Tensor(rng.uniform(3 * 4, -1.0, 1.0).reshape(3, 4))
-    assert ad.grad_check(lambda a: models.spread_loss(a, [1, 0, 3], 0.5),
-                         a) < 1e-4
-
-
-# ---------------------------------------------------------------------------
 # decision rule
 
 def test_predict_match_directions():
@@ -378,8 +324,8 @@ def test_tied_weight_gradient_matches_fd():
 
     def loss_value():
         emb = enc.encode(stacked, training=True)
-        e1 = ad.slice_(emb.vec, (slice(0, 2), slice(0, 5)))
-        e2 = ad.slice_(emb.vec, (slice(2, 4), slice(0, 5)))
+        e1 = ad.slice_(emb, (slice(0, 2), slice(0, 5)))
+        e2 = ad.slice_(emb, (slice(2, 4), slice(0, 5)))
         d = models.distance(e1, e2, "euclidean_sq")
         return models.contrastive_loss(d, y, 1.0)
 
