@@ -5,8 +5,11 @@ input appends one node, so append order is already a topological order and
 backward is a single reverse sweep.  The sweep consumes the tape, popping
 each node as its vjp runs, so intermediates are freed by refcounting during
 the step rather than left to the cyclic collector.  A fresh Graph is built
-per training step (routing unrolls a data-independent but
-iteration-count-dependent chain, so a static graph buys nothing here).
+per training step.  Layers with an iterated or windowed forward
+(convolution, routing-by-agreement) are single nodes with a hand-written
+vjp rather than unrolled chains of primitives; routing's vjp still takes
+its activation and softmax derivatives from these primitives, through
+private graphs of its own.
 
 Conventions:
   - all data is float64; scalars are tensors of shape (1,)
@@ -146,6 +149,13 @@ _STACK: list[Graph] = []
 
 def active_graph() -> Optional[Graph]:
     return _STACK[-1] if _STACK else None
+
+
+def tracked(t: Tensor) -> bool:
+    """True if the active graph gives t a node id: the rule of _live_id."""
+    g = active_graph()
+    return g is not None and (
+        (t.graph is g and t.node_id is not None) or t.requires_grad)
 
 
 def _live_id(t: Tensor, g: Graph) -> Optional[int]:

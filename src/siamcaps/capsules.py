@@ -57,42 +57,105 @@ def _route_activation(kind: str, s: Tensor) -> Tensor:
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
+def _pullback(fn, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cotangent of x given the cotangent g of fn(Tensor(x)).
+
+    fn runs on a private graph whose backward pulls g through fn's own tape
+    nodes, so no derivative is written here a second time.
+    """
+    xt = Tensor(x, requires_grad=True)
+    with ad.Graph():
+        ad.backward(ad.sum_(ad.mul(fn(xt), Tensor(g))))
+    xt.graph = None  # a leaf and its graph point at each other; unlink them
+    return xt.grad
+
+
 def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
                   detach_routing: bool = False):
     """Route predictions u_hat [N, n_lower, n_upper, d] to parent capsules.
 
     Log priors start at zero; each iteration softmaxes them over the parent
-    axis, forms the coupled sum s_j, activates it, and (except after the
-    last iteration) adds the agreement dot product v_j . u_hat_ij back onto
-    the priors.  Returns (v [N, n_upper, d], RoutingState).
+    axis, forms the coupled sum s_j = sum_i c_ij u_hat_ij, activates it, and
+    (except after the last iteration) adds the agreement v_j . u_hat_ij back
+    onto the priors.  Returns (v [N, n_upper, d], RoutingState).
+
+    The whole recurrence is one tape node.  Its forward works on the
+    [N, n_upper, n_lower, d] view of u_hat, so the coupled sum and the
+    agreement are batched matrix-vector products and no [N, lower, upper, d]
+    temporary is made.  The vjp replays the iterations in reverse: the
+    cotangent of each s_j pulls back through the couplings' softmax into
+    the log priors, whose cotangent is the agreement's cotangent one
+    iteration earlier.  Every term of the cotangent of u_hat is a coupling-
+    like coefficient [N, n_upper, n_lower] times a vector [N, n_upper, d];
+    all 2*iterations - 1 of them are summed by one batched matmul.  The
+    activation and softmax derivatives come from their own tape nodes on
+    private graphs (see _pullback), built only when the vjp runs.
 
     With detach_routing the agreement is built from detached v and u_hat,
-    so the log priors and couplings stay graph constants: gradients flow
-    only through the coupled sum, not through the softmax chain.
+    so the log priors and couplings stay constants: the vjp propagates no
+    cotangent into them, and only the last coupled sum reaches u_hat.
     """
     if iterations < 1:
         raise ValueError(f"routing iterations must be >= 1, got {iterations}")
     if u_hat.data.ndim != 4:
         raise ShapeError(f"u_hat must be rank 4 [N, lower, upper, d], got "
                          f"{list(u_hat.shape)}")
-    n, n_lower, n_upper, d = u_hat.shape
+    n, n_lower, n_upper, _ = u_hat.shape
+
+    def act(s):
+        return _route_activation(activation_kind, s)
+
+    def couple(b):
+        return ad.softmax(b, axis=1)
+
+    ut = u_hat.data.transpose(0, 2, 1, 3)  # [N, upper, lower, d] view
+    saved = [] if ad.tracked(u_hat) else None  # (b, c, s, v) per iteration
+    if saved is not None:
+        # the vjp reads ut 2*(iterations-1) more times, and the products
+        # run about twice as fast on a contiguous copy; eval keeps the view
+        ut = np.ascontiguousarray(ut)
     c_history: list[np.ndarray] = []
-    u_agree = u_hat.detach() if detach_routing else u_hat
-    b = ad.zeros([n, n_lower, n_upper])
-    c = None
-    v = None
-    for it in range(iterations):
-        c = ad.softmax(b, axis=2)
-        c_history.append(c.data.copy())
-        cc = ad.reshape(c, [n, n_lower, n_upper, 1])
-        s = ad.sum_(ad.mul(cc, u_hat), axis=1)
-        v = _route_activation(activation_kind, s)
-        if it < iterations - 1:
-            v_agree = v.detach() if detach_routing else v
-            vv = ad.reshape(v_agree, [n, 1, n_upper, d])
-            agree = ad.sum_(ad.mul(vv, u_agree), axis=3)
-            b = ad.add(b, agree)
-    return v, RoutingState(b.data, c.data, iterations, c_history)
+    b = np.zeros((n, n_upper, n_lower))
+    # the ops below see only constants and add no node; under an empty graph
+    # of their own, nothing that inspects the active tape (an instrumented
+    # op, say) can reach the caller's
+    with ad.Graph():
+        for it in range(iterations):
+            c = couple(Tensor(b)).data
+            c_history.append(c.transpose(0, 2, 1).copy())
+            s = np.matmul(c[:, :, None, :], ut)[:, :, 0, :]
+            v = act(Tensor(s)).data
+            if saved is not None:
+                saved.append((b, c, s, v))
+            if it < iterations - 1:
+                b = b + np.matmul(ut, v[:, :, :, None])[:, :, :, 0]
+
+    def vjp(g):
+        coefs, vecs = [], []
+        gv, gb = g, None  # gb: cotangent of the next iteration's log priors
+        for it in reversed(range(iterations)):
+            b_it, c_it, s_it, v_it = saved[it]
+            if it < iterations - 1:
+                # the agreement v . u_hat was added to b, so its cotangent is gb
+                gv = np.matmul(gb[:, :, None, :], ut)[:, :, 0, :]
+                coefs.append(gb)
+                vecs.append(v_it)
+            gs = _pullback(act, s_it, gv)
+            coefs.append(c_it)
+            vecs.append(gs)
+            if detach_routing or it == 0:
+                break
+            gc = np.matmul(ut, gs[:, :, :, None])[:, :, :, 0]
+            gsoft = _pullback(couple, b_it, gc)
+            gb = gsoft if gb is None else gb + gsoft
+        gu = np.empty_like(u_hat.data)  # same memory order as u_hat
+        np.matmul(np.stack(coefs, axis=2).swapaxes(2, 3),
+                  np.stack(vecs, axis=2), out=gu.transpose(0, 2, 1, 3))
+        return (gu,)
+
+    out = ad._emit("dynamic_route", v, [u_hat], vjp)
+    return out, RoutingState(b.transpose(0, 2, 1), c_history[-1], iterations,
+                             c_history)
 
 
 class CapsuleGrid:

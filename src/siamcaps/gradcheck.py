@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import autodiff as ad
 from .capsules import (concrete_dropout_mask, dynamic_route, squash,
-                       CapsuleLayerParams, capsule_layer_forward)
+                       CapsuleGrid, CapsuleLayerParams, capsule_layer_forward)
 from .layers import (BatchNormParams, batchnorm_forward, conv2d_init,
                      conv2d_forward, dense_init, dense_forward)
 from .models import contrastive_loss, double_margin_loss, distance
@@ -85,14 +85,12 @@ def _check_routing(seed):
 
 def _check_capsule_layer(seed):
     rng = SplitMix64(seed)
-    from .capsules import CapsuleGrid
     w = _rand(rng, 5, 3, 4, 4, scale=0.5)
     u = _rand(rng, 2, 5, 4)
+    p = CapsuleLayerParams(5, 3, 4, 4, activation_kind="tanh")
 
     def f(u_, w_):
-        p = CapsuleLayerParams.__new__(CapsuleLayerParams)
         p.W = w_
-        p.activation_kind = "tanh"
         grid = CapsuleGrid(u_, grid_h=5, grid_w=1, n_types=1)
         return ad.mean(ad.square(capsule_layer_forward(grid, p, iterations=2)))
 

@@ -96,10 +96,14 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
     out = out.transpose(1, 0, 2, 3) + p.bias.data[None, :, None, None]
 
     kdata = p.kernel.data
+    # a graph-constant input (raw images) needs no cotangent and no scatter
+    need_gx = ad.tracked(x)
 
     def vjp(g):
         gk = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
         gb = g.sum(axis=(0, 2, 3))
+        if not need_gx:
+            return (None, gk, gb)
         gxp = np.zeros_like(xp)
         # scatter: for a fixed kernel offset the strided targets are disjoint
         for ki in range(kh):

@@ -1,5 +1,7 @@
 """Capsule primitives against analytic values and hand-rolled references."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,110 @@ def test_detached_routing_matches_frozen_coupling_oracle():
         np.testing.assert_allclose(u.grad, want, rtol=0, atol=1e-12)
 
 
+def route_tape_reference(u_hat: Tensor, iterations: int, act: str,
+                         detach_routing: bool = False):
+    """The routing recurrence as an unrolled chain of tape primitives.
+
+    Built from softmax, mul, sum_ and add nodes, it is the oracle for
+    dynamic_route's single node and its hand-written vjp.  Returns (v, b,
+    c, c_history).
+    """
+    n, n_lower, n_upper, d = u_hat.shape
+    c_history = []
+    u_agree = u_hat.detach() if detach_routing else u_hat
+    b = ad.zeros([n, n_lower, n_upper])
+    c = v = None
+    for it in range(iterations):
+        c = ad.softmax(b, axis=2)
+        c_history.append(c.data.copy())
+        cc = ad.reshape(c, [n, n_lower, n_upper, 1])
+        s = ad.sum_(ad.mul(cc, u_hat), axis=1)
+        v = caps._route_activation(act, s)
+        if it < iterations - 1:
+            v_agree = v.detach() if detach_routing else v
+            vv = ad.reshape(v_agree, [n, 1, n_upper, d])
+            b = ad.add(b, ad.sum_(ad.mul(vv, u_agree), axis=3))
+    return v, b.data, c.data, c_history
+
+
+def test_fused_route_matches_tape_reference():
+    # 50 random shapes, 1-4 iterations, every activation/detach combination
+    rng = SplitMix64(99)
+    for trial in range(50):
+        n, n_lower, n_upper, d = (int(k) for k in
+                                  1 + rng.uniform(4, 0.0, 5.0).astype(int))
+        iterations = 1 + trial % 4
+        act = ("squash", "tanh")[trial // 4 % 2]
+        detach = trial // 8 % 2 == 1
+        shape = (n, n_lower, n_upper, d)
+        u_np = rng.uniform(n * n_lower * n_upper * d, -1.5, 1.5).reshape(shape)
+        w = Tensor(rng.normal(n * n_upper * d).reshape(n, n_upper, d))
+        got = []
+        for route in (caps.dynamic_route, route_tape_reference):
+            u = Tensor(u_np.copy(), requires_grad=True)
+            with ad.Graph():
+                out = route(u, iterations, act, detach)
+                ad.backward(ad.sum_(ad.mul(out[0], w)))
+            if route is caps.dynamic_route:
+                v, state = out
+                out = (v, state.b, state.c, state.c_history)
+            got.append((out, u.grad))
+        ((v, b, c, hist), gu), ((v_ref, b_ref, c_ref, hist_ref), gu_ref) = got
+        tag = (shape, iterations, act, detach)
+        for a, want in ((v.data, v_ref.data), (b, b_ref), (c, c_ref),
+                        (gu, gu_ref)):
+            assert a.shape == want.shape, tag
+            np.testing.assert_allclose(a, want, rtol=0, atol=1e-10,
+                                       err_msg=str(tag))
+        assert len(hist) == len(hist_ref) == iterations
+        for c_got, c_want in zip(hist, hist_ref):
+            np.testing.assert_allclose(c_got, c_want, rtol=0, atol=1e-10,
+                                       err_msg=str(tag))
+
+
+def test_route_appends_one_tape_node():
+    u_np = rand_uhat((2, 5, 3, 4), 94)
+    for act in ("squash", "tanh"):
+        for detach in (False, True):
+            leaf = Tensor(u_np.copy(), requires_grad=True)
+            with ad.Graph() as g:
+                u_hat = ad.mul_scalar(leaf, 1.0)
+                assert len(g.nodes) == 1
+                v, _ = caps.dynamic_route(u_hat, 3, act, detach)
+                assert len(g.nodes) == 2
+                assert v.graph is g and g.nodes[-1][1] == v.node_id
+
+
+def test_route_backward_frees_its_private_graphs():
+    # the vjp's private graphs must go by refcounting, not wait for the
+    # cyclic collector with their arrays
+    def live_graphs():
+        return sum(isinstance(o, ad.Graph) for o in gc.get_objects())
+
+    u = Tensor(rand_uhat((2, 5, 3, 4), 96), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_graphs()
+        with ad.Graph():
+            v, _ = caps.dynamic_route(u, 3, "squash")
+            ad.backward(ad.sum_(ad.square(v)))
+        del v
+        u.graph = None
+        assert live_graphs() == before
+    finally:
+        gc.enable()
+
+
+def test_route_of_constant_appends_no_tape_node():
+    u_hat = Tensor(rand_uhat((2, 5, 3, 4), 95))
+    for act in ("squash", "tanh"):
+        with ad.Graph() as g:
+            v, _ = caps.dynamic_route(u_hat, 3, act)
+            assert g.nodes == [] and g.leaves == []
+            assert v.node_id is None
+
+
 # ---------------------------------------------------------------------------
 # primary capsules
 
@@ -393,11 +499,9 @@ def test_capsule_layer_grad_check_tiny():
     p = caps.CapsuleLayerParams(6, 3, 4, 4, activation_kind="tanh", seed=12)
 
     def f(poses, w):
-        q = caps.CapsuleLayerParams.__new__(caps.CapsuleLayerParams)
-        q.W = w
-        q.activation_kind = "tanh"
+        p.W = w
         grid = caps.CapsuleGrid(poses, 2, 3, 1)
-        return ad.sum_(ad.square(caps.capsule_layer_forward(grid, q, 2)))
+        return ad.sum_(ad.square(caps.capsule_layer_forward(grid, p, 2)))
 
     assert grad_check(f, [poses, p.W], eps=1e-5) < 1e-4
 

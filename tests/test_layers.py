@@ -143,6 +143,29 @@ def test_conv_grad_check():
     assert err < 1e-4
 
 
+def test_conv_constant_input_gets_no_cotangent():
+    # raw images are graph constants: the vjp returns no input cotangent,
+    # and the kernel and bias gradients are those of a tracked input
+    x_np = SplitMix64(9).uniform(2 * 2 * 7 * 7, -1, 1).reshape(2, 2, 7, 7)
+    g = SplitMix64(10).uniform(2 * 3 * 3 * 3, -1, 1).reshape(2, 3, 3, 3)
+
+    def cotangents(tracked):
+        p = make_conv(2, 3, 3, 2, 0, 11)
+        p.kernel.requires_grad = p.bias.requires_grad = True
+        x = Tensor(x_np.copy(), requires_grad=tracked)
+        with ad.Graph() as graph:
+            layers.conv2d_forward(x, p)
+            _, _, ids, vjp = graph.nodes[-1]
+        assert (ids[0] is not None) == tracked
+        return vjp(g)
+
+    gx_const, gk_const, gb_const = cotangents(False)
+    gx, gk, gb = cotangents(True)
+    assert gx_const is None and gx.shape == x_np.shape
+    assert np.array_equal(gk_const, gk)
+    assert np.array_equal(gb_const, gb)
+
+
 def test_conv_parameter_count():
     p = make_conv(1, 256, 9, 3, 0, 8)
     assert p.parameter_count() == 256 * 1 * 9 * 9 + 256 == 20992
