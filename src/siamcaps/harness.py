@@ -299,11 +299,16 @@ def _train_step(encoder, state, batch, cfg: RunConfig,
         d = pair_distances(encoder, batch, cfg, training=True, rng=rng)
         loss = _loss_of(effective_distance(d, cfg.metric),
                         batch.labels, cfg)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise FloatingPointError(
+                f"non-finite training loss {value!r}; weights and optimizer "
+                f"state left unchanged")
         ad.backward(loss)
         amsgrad_step(encoder.named_parameters(), state, alpha=cfg.alpha,
                      flat_lr=cfg.flat_lr)
     encoder.clamp_dropout_p()
-    return loss.item()
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,24 @@ per-coordinate effective rate alpha/sqrt(v_hat) never increases.  No bias
 correction is applied, and the base rate decays as alpha/sqrt(t) unless
 flat_lr is set.  Updates mutate parameter data in place; state tensors are
 plain numpy arrays keyed by parameter name.
+
+The update is memory-bound, so each parameter is processed in blocks of
+BLOCK elements (whole rows of the leading axis when the gradient is a
+strided view): every update of a block (m, v, v_hat, w) runs while the
+block sits in cache, with two preallocated scratch buffers and no
+whole-array temporaries.  The elementwise operations are those of the
+whole-array formula in the same order, so the result is bitwise the same.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# elements per block: m, v, v_hat, w, g and two scratch buffers of this
+# size (1.8 MB of float64) stay in a typical L2 cache
+BLOCK = 32768
 
 
 class OptimState:
@@ -42,6 +55,8 @@ def amsgrad_step(params: list, state: OptimState, alpha: float,
                          f"({theta1}, {theta2})")
     state.t += 1
     alpha_t = alpha if flat_lr else alpha / np.sqrt(state.t)
+    buf = np.empty(BLOCK)
+    buf2 = np.empty(BLOCK)
     for name, p in params:
         g = p.grad
         if g is None:
@@ -50,11 +65,37 @@ def amsgrad_step(params: list, state: OptimState, alpha: float,
             raise ValueError(f"gradient shape {g.shape} does not match "
                              f"parameter {name!r} shape {p.data.shape}")
         state.ensure(name, p.data.shape)
-        m, v, v_hat = state.m[name], state.v[name], state.v_hat[name]
-        m *= theta1
-        m += (1.0 - theta1) * g
-        v *= theta2
-        v += (1.0 - theta2) * (g * g)
-        np.maximum(v_hat, v, out=v_hat)
-        p.data -= alpha_t * m / (np.sqrt(v_hat) + eps)
-
+        arrays = (p.data, state.m[name], state.v[name], state.v_hat[name])
+        # the update writes through reshaped views; reshaping a
+        # non-contiguous array can copy it, and the update would be lost
+        if not all(a.flags.c_contiguous for a in arrays):
+            raise ValueError(f"parameter {name!r}: weights and AMSGrad "
+                             f"moments must be C-contiguous")
+        # a block is a run along the leading axis: of the flat arrays when g
+        # is contiguous, else of g's own shape, so that a strided g (face/W's
+        # is a transposed view) is read in place instead of copied whole, a
+        # 67 MB temporary at full size
+        shape = (g.size,) if g.flags.c_contiguous else g.shape
+        w, m, v, v_hat, g = (a.reshape(shape) for a in arrays + (g,))
+        row = math.prod(shape[1:])
+        rows = max(1, BLOCK // row)
+        if buf.size < rows * row:
+            buf, buf2 = np.empty(rows * row), np.empty(rows * row)
+        for lo in range(0, shape[0], rows):
+            blk = slice(lo, lo + rows)
+            gb, mb, vb, vhb = g[blk], m[blk], v[blk], v_hat[blk]
+            tmp = buf[:gb.size].reshape(gb.shape)
+            den = buf2[:gb.size].reshape(gb.shape)
+            np.multiply(gb, 1.0 - theta1, out=tmp)
+            mb *= theta1
+            mb += tmp
+            np.multiply(gb, gb, out=tmp)
+            tmp *= 1.0 - theta2
+            vb *= theta2
+            vb += tmp
+            np.maximum(vhb, vb, out=vhb)
+            np.multiply(mb, alpha_t, out=tmp)
+            np.sqrt(vhb, out=den)
+            den += eps
+            tmp /= den
+            w[blk] -= tmp

@@ -7,9 +7,11 @@ import os
 import numpy as np
 import pytest
 
+from siamcaps import autodiff as ad
 from siamcaps import harness as hz
+from siamcaps.autodiff import Tensor
 from siamcaps.checkpoint import CheckpointError, load_checkpoint
-from siamcaps.data import synth_dataset
+from siamcaps.data import PairBatch, synth_dataset
 
 
 def micro_cfg(out_dir, **kw):
@@ -147,6 +149,33 @@ def test_train_rows_match_file(tmp_path):
         assert got["train_loss"] == want["train_loss"]
         assert got["test_loss"] == want["test_loss"]
         assert got["test_accuracy"] == want["test_accuracy"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch, bad):
+    cfg = micro_cfg(tmp_path).finalize()
+    enc = hz.build_run_encoder(cfg)
+    r = np.random.default_rng(3)
+    size = (3, 1, cfg.input_size, cfg.input_size)
+    batch = PairBatch(Tensor(r.uniform(size=size)),
+                      Tensor(r.uniform(size=size)), np.array([0.0, 1.0, 0.0]))
+    state = hz.OptimState()
+    hz._train_step(enc, state, batch, cfg, None)  # moments worth keeping
+    weights = [p.data.copy() for _, p in enc.named_parameters()]
+    moments = [{k: a.copy() for k, a in d.items()}
+               for d in (state.m, state.v, state.v_hat)]
+    real = hz._loss_of
+    monkeypatch.setattr(hz, "_loss_of",
+                        lambda d, y, c: ad.mul_scalar(real(d, y, c), bad))
+    with pytest.raises(FloatingPointError,
+                       match=f"non-finite training loss {bad!r}"):
+        hz._train_step(enc, state, batch, cfg, None)
+    assert state.t == 1
+    for (_, p), w in zip(enc.named_parameters(), weights):
+        assert np.array_equal(p.data, w)
+    for d, want in zip((state.m, state.v, state.v_hat), moments):
+        assert d.keys() == want.keys()
+        assert all(np.array_equal(d[k], want[k]) for k in d)
 
 
 def test_determinism_bitwise_except_wall_ms(tmp_path):

@@ -50,6 +50,29 @@ def naive_conv2d_patch(x, k, b, stride, pad):
     return out
 
 
+def naive_conv2d_input_vjp(g, k, x_shape, stride, pad):
+    """Input cotangent, patch by patch: every output pixel adds
+    g[:, :, i, j] . k into the padded patch it read."""
+    n_, c_, h_, w_ = x_shape
+    kh, kw = k.shape[2], k.shape[3]
+    gxp = np.zeros((n_, c_, h_ + 2 * pad, w_ + 2 * pad))
+    for i in range(g.shape[2]):
+        for j in range(g.shape[3]):
+            gxp[:, :, i * stride:i * stride + kh,
+                j * stride:j * stride + kw] += np.tensordot(
+                    g[:, :, i, j], k, axes=([1], [0]))
+    return gxp[:, :, pad:pad + h_, pad:pad + w_]
+
+
+def conv_grid():
+    """(h, kh, stride, pad) over sizes, kernels, strides and paddings,
+    skipping kernels that do not fit."""
+    cases = itertools.product([1, 3, 7, 14, 32], [1, 3, 5, 9],
+                              [1, 2, 3], [0, 1, 2])
+    return [(h, kh, stride, pad) for h, kh, stride, pad in cases
+            if kh <= h + 2 * pad]
+
+
 def make_conv(in_ch, out_ch, ksize, stride, pad, seed):
     rng = SplitMix64(seed)
     kernel = Tensor(rng.uniform(out_ch * in_ch * ksize * ksize, -1, 1)
@@ -95,12 +118,8 @@ def test_conv_matches_scalar_reference():
 
 
 def test_conv_grid_sweep_matches_patch_reference():
-    cases = itertools.product([1, 3, 7, 14, 32], [1, 3, 5, 9],
-                              [1, 2, 3], [0, 1, 2])
     checked = 0
-    for h, kh, stride, pad in cases:
-        if kh > h + 2 * pad or (h + 2 * pad - kh) // stride + 1 < 1:
-            continue
+    for h, kh, stride, pad in conv_grid():
         p = make_conv(2, 3, kh, stride, pad, 100 + checked)
         x = Tensor(SplitMix64(200 + checked).uniform(2 * 2 * h * h, -1, 1)
                    .reshape(2, 2, h, h))
@@ -111,6 +130,51 @@ def test_conv_grid_sweep_matches_patch_reference():
         assert np.abs(got - want).max() < 1e-10, (h, kh, stride, pad)
         checked += 1
     assert checked > 100
+
+
+def test_conv_input_cotangent_matches_patch_reference():
+    # the grid sweep plus the full-size primary shape (31 -> 8, 9x9 stride 3)
+    checked = zero_tails = 0
+    for h, kh, stride, pad in conv_grid() + [(31, 9, 3, 0)]:
+        p = make_conv(2, 3, kh, stride, pad, 300 + checked)
+        x = Tensor(SplitMix64(400 + checked).uniform(2 * 2 * h * h, -1, 1)
+                   .reshape(2, 2, h, h), requires_grad=True)
+        with ad.Graph() as graph:
+            out = layers.conv2d_forward(x, p)
+            vjp = graph.nodes[-1][3]
+        n, o, ho, wo = out.shape
+        # a strided cotangent: an [Ho, N, Wo, O] array seen as [N, O, Ho, Wo]
+        g = (SplitMix64(500 + checked).uniform(out.size, -1, 1)
+             .reshape(ho, n, wo, o).transpose(1, 3, 0, 2))
+        want = naive_conv2d_input_vjp(g, p.kernel.data, x.shape, stride, pad)
+        # input rows and columns past the last window get exact zeros
+        tail = (ho - 1) * stride + kh - pad
+        for gg in (g, np.ascontiguousarray(g)):
+            gx = vjp(gg)[0]
+            assert gx.shape == x.shape
+            assert np.abs(gx - want).max() < 1e-10, (h, kh, stride, pad)
+            assert not gx[:, :, tail:, :].any()
+            assert not gx[:, :, :, tail:].any()
+        zero_tails += tail < h
+        checked += 1
+    assert checked > 100
+    assert zero_tails > 10
+
+
+def test_conv_input_cotangent_keeps_input_memory_order():
+    # a conv's output is [C, N, H, W] in memory, and the batchnorm below the
+    # next conv reduces in memory order: handing gx back in x's own layout
+    # keeps those gradients bitwise independent of how gx is accumulated
+    p = make_conv(4, 3, 3, 2, 0, 12)
+    base = SplitMix64(13).uniform(4 * 2 * 9 * 9, -1, 1).reshape(4, 2, 9, 9)
+    for data in (base.transpose(1, 0, 2, 3),
+                 np.ascontiguousarray(base.transpose(1, 0, 2, 3))):
+        x = Tensor(data, requires_grad=True)
+        with ad.Graph() as graph:
+            out = layers.conv2d_forward(x, p)
+            vjp = graph.nodes[-1][3]
+        gx = vjp(np.ones(out.shape))[0]
+        assert gx.strides == x.data.strides
 
 
 def test_conv_rejects_oversized_kernel():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from siamcaps.autodiff import Tensor
-from siamcaps.optim import OptimState, amsgrad_step
+from siamcaps.optim import BLOCK, OptimState, amsgrad_step
 from siamcaps.rng import SplitMix64
 
 
@@ -27,6 +27,26 @@ class ScalarAmsgradRef:
         self.vh = max(self.vh, self.v)
         a_t = self.alpha if self.flat else self.alpha / math.sqrt(self.t)
         return w - a_t * self.m / (math.sqrt(self.vh) + self.eps)
+
+
+def amsgrad_whole_array_ref(params, state, alpha, theta1=0.9, theta2=0.999,
+                            eps=1e-8, flat_lr=False):
+    """The update as whole-array numpy expressions, one pass per operation;
+    the blocked update must match it bitwise."""
+    state.t += 1
+    alpha_t = alpha if flat_lr else alpha / np.sqrt(state.t)
+    for name, p in params:
+        g = p.grad
+        if g is None:
+            continue
+        state.ensure(name, p.data.shape)
+        m, v, v_hat = state.m[name], state.v[name], state.v_hat[name]
+        m *= theta1
+        m += (1.0 - theta1) * g
+        v *= theta2
+        v += (1.0 - theta2) * (g * g)
+        np.maximum(v_hat, v, out=v_hat)
+        p.data -= alpha_t * m / (np.sqrt(v_hat) + eps)
 
 
 def one_param(value) -> list:
@@ -159,3 +179,57 @@ def test_skips_params_without_grad():
     p = Tensor(np.array([5.0]), requires_grad=True)
     amsgrad_step([("p", p)], OptimState(), alpha=0.1)
     assert p.data[0] == 5.0
+
+
+@pytest.mark.parametrize("flat_lr", [False, True])
+def test_blocked_update_matches_whole_array_bitwise(flat_lr):
+    # sizes on both sides of a block boundary; the gradients of the
+    # multi-axis parameters are transposed views, like face/W's in a real
+    # step, and one parameter never gets a gradient
+    rng = SplitMix64(103)
+    shapes = [(1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK + 7,),
+              (3, 5, 7), (129, 257), (3, BLOCK + 5)]
+    names = [f"p{k}" for k in range(len(shapes))] + ["frozen"]
+    init = [rng.uniform(int(np.prod(s)), -1, 1).reshape(s)
+            for s in shapes + [(4,)]]
+    got = [Tensor(w.copy(), requires_grad=True) for w in init]
+    want = [Tensor(w.copy(), requires_grad=True) for w in init]
+    data_ids = [id(t.data) for t in got]
+    st_got, st_want = OptimState(), OptimState()
+    for _ in range(5):
+        for k, s in enumerate(shapes):
+            g = rng.normal(int(np.prod(s)), sigma=2.0).reshape(s[::-1]).T
+            assert (len(s) == 1) == g.flags.c_contiguous
+            got[k].grad, want[k].grad = g, g.copy()
+        amsgrad_step(list(zip(names, got)), st_got, alpha=0.01,
+                     flat_lr=flat_lr)
+        amsgrad_whole_array_ref(list(zip(names, want)), st_want, alpha=0.01,
+                                flat_lr=flat_lr)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
+        for name in names[:-1]:
+            for d_got, d_want in ((st_got.m, st_want.m), (st_got.v, st_want.v),
+                                  (st_got.v_hat, st_want.v_hat)):
+                assert np.array_equal(d_got[name], d_want[name])
+    assert [id(t.data) for t in got] == data_ids
+    assert "frozen" not in st_got.m
+    np.testing.assert_array_equal(got[-1].data, init[-1])
+
+
+def test_non_contiguous_weights_or_moments_rejected():
+    # the update writes through reshape(-1), which silently copies a
+    # non-contiguous array; the step must refuse instead of losing it
+    p = Tensor(np.zeros((6, 4)).T, requires_grad=True)
+    p.grad = np.ones((4, 6))
+    with pytest.raises(ValueError, match="'w'.*contiguous"):
+        amsgrad_step([("w", p)], OptimState(), alpha=0.01)
+    assert np.all(p.data == 0.0)
+    for moment in ("m", "v", "v_hat"):
+        q = Tensor(np.zeros((4, 6)), requires_grad=True)
+        q.grad = np.ones((4, 6))
+        state = OptimState()
+        state.ensure("q", (4, 6))
+        getattr(state, moment)["q"] = np.zeros((6, 4)).T
+        with pytest.raises(ValueError, match="'q'.*contiguous"):
+            amsgrad_step([("q", q)], state, alpha=0.01)
+        assert np.all(q.data == 0.0)
