@@ -15,11 +15,15 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .layers import Conv2dParams, conv2d_init, conv2d_forward
-from .rng import derive_seed
+from .rng import SplitMix64, derive_seed
 
 log = logging.getLogger(__name__)
 
 EPS_SQ = 1e-9
+# lower capsules per block of the capsule transform: a block's GEMM output,
+# [BLOCK, N, upper*d_out] (512 KB at full size and 8 images), stays in cache
+# while it is scattered into routing's layout
+BLOCK = 16
 
 
 def squash(s: Tensor, axis: int = -1) -> Tensor:
@@ -82,14 +86,16 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     The whole recurrence is one tape node.  Its forward works on the
     [N, n_upper, n_lower, d] view of u_hat, so the coupled sum and the
     agreement are batched matrix-vector products and no [N, lower, upper, d]
-    temporary is made.  The vjp replays the iterations in reverse: the
-    cotangent of each s_j pulls back through the couplings' softmax into
-    the log priors, whose cotangent is the agreement's cotangent one
-    iteration earlier.  Every term of the cotangent of u_hat is a coupling-
-    like coefficient [N, n_upper, n_lower] times a vector [N, n_upper, d];
-    all 2*iterations - 1 of them are summed by one batched matmul.  The
-    activation and softmax derivatives come from their own tape nodes on
-    private graphs (see _pullback), built only when the vjp runs.
+    temporary is made.  capsule_layer_forward lays u_hat out in that order,
+    so there the view is contiguous memory.  The vjp replays the iterations
+    in reverse: the cotangent of each s_j pulls back through the couplings'
+    softmax into the log priors, whose cotangent is the agreement's
+    cotangent one iteration earlier.  Every term of the cotangent of u_hat
+    is a coupling-like coefficient [N, n_upper, n_lower] times a vector
+    [N, n_upper, d]; all 2*iterations - 1 of them are summed by one batched
+    matmul.  The activation and softmax derivatives come from their own
+    tape nodes on private graphs (see _pullback), built only when the vjp
+    runs.
 
     With detach_routing the agreement is built from detached v and u_hat,
     so the log priors and couplings stay constants: the vjp propagates no
@@ -111,8 +117,9 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     ut = u_hat.data.transpose(0, 2, 1, 3)  # [N, upper, lower, d] view
     saved = [] if ad.tracked(u_hat) else None  # (b, c, s, v) per iteration
     if saved is not None:
-        # the vjp reads ut 2*(iterations-1) more times, and the products
-        # run about twice as fast on a contiguous copy; eval keeps the view
+        # the vjp reads ut 2*(iterations-1) more times, and the products run
+        # about twice as fast on contiguous memory; this copies nothing for
+        # the capsule layer's u_hat, only for one laid out another way
         ut = np.ascontiguousarray(ut)
     c_history: list[np.ndarray] = []
     b = np.zeros((n, n_upper, n_lower))
@@ -235,17 +242,28 @@ def primary_capsules_forward(features: Tensor,
 
 
 class CapsuleLayerParams:
-    """Per-pair transformation matrices W_ij of shape [lower, upper, d_in, d_out]."""
+    """Transformation matrices W_ij, stored in the order the GEMM reads them.
+
+    W is one C-contiguous [lower, d_in, upper, d_out] array: W[i, :, j, :]
+    is the d_in x d_out matrix W_ij, and W[i] reshaped to
+    [d_in, upper*d_out] maps lower capsule i's pose to all its predictions.
+    Its values are the SplitMix64 uniform draw of a [lower, upper, d_in,
+    d_out] array, drawn BLOCK lower capsules at a time and transposed into
+    place, so the draw makes no second full-size array.
+    """
 
     def __init__(self, n_lower: int, n_upper: int, d_in: int, d_out: int,
                  activation_kind: str = "tanh", seed: int = 0):
         if activation_kind not in ("squash", "tanh"):
             raise ValueError(f"unknown activation kind {activation_kind!r}")
-        self.W = ad.uniform(
-            [n_lower, n_upper, d_in, d_out],
-            -float(np.sqrt(6.0 / (d_in + d_out))),
-            float(np.sqrt(6.0 / (d_in + d_out))),
-            derive_seed(seed, 3), requires_grad=True, name="face/W")
+        bound = float(np.sqrt(6.0 / (d_in + d_out)))
+        draw = SplitMix64(derive_seed(seed, 3))
+        w = np.empty((n_lower, d_in, n_upper, d_out))
+        for lo in range(0, n_lower, BLOCK):
+            blk = w[lo:lo + BLOCK]
+            blk[...] = draw.uniform(blk.size, -bound, bound).reshape(
+                len(blk), n_upper, d_in, d_out).transpose(0, 2, 1, 3)
+        self.W = Tensor(w, requires_grad=True, name="face/W")
         self.activation_kind = activation_kind
         log.info("capsule layer W %s: %d parameters",
                  list(self.W.shape), self.parameter_count())
@@ -260,21 +278,63 @@ class CapsuleLayerParams:
 def capsule_layer_forward(grid: CapsuleGrid, p: CapsuleLayerParams,
                           iterations: int, detach_routing: bool = False,
                           return_state: bool = False):
-    """u_hat_ij = W_ij u_i for every pair, then dynamic routing."""
-    n_lower, n_upper, d_in, d_out = p.W.shape
+    """u_hat_ij = W_ij u_i for every pair, then dynamic routing.
+
+    The transform is one tape node.  Its forward runs the batched GEMM
+    [lc, N, d_in] @ [lc, d_in, upper*d_out] over blocks of lc = BLOCK lower
+    capsules and scatters each block, while it is in cache, into one
+    C-contiguous [N, upper, lower, d_out] array.  Routing gets its
+    [N, lower, upper, d_out] view, so the layout its batched products read
+    is already in memory and neither u_hat nor W is copied.  The vjp
+    gathers the cotangent of u_hat block by block and runs two GEMMs: the
+    gradient of W, written in W's storage order, and the pose cotangent,
+    returned in the poses' own memory order.
+    """
+    n_lower, d_in, n_upper, d_out = p.W.shape
     if grid.d != d_in:
         raise ShapeError(f"capsule layer expects pose dim {d_in}, got "
                          f"{grid.d}")
     if grid.n_caps != n_lower:
         raise ShapeError(f"capsule layer expects {n_lower} lower capsules, "
                          f"got {grid.n_caps}")
-    n = grid.poses.shape[0]
-    # one batched GEMM over lower capsules: [L,N,i] @ [L,i,U*o] -> [L,N,U*o]
-    u_t = ad.transpose(grid.poses, (1, 0, 2))
-    w_t = ad.reshape(ad.transpose(p.W, (0, 2, 1, 3)),
-                     [n_lower, d_in, n_upper * d_out])
-    prod = ad.reshape(ad.matmul(u_t, w_t), [n_lower, n, n_upper, d_out])
-    u_hat = ad.transpose(prod, (1, 0, 2, 3))
+    u, w = grid.poses.data, p.W.data
+    n, lc = u.shape[0], min(BLOCK, n_lower)
+    u_t = u.transpose(1, 0, 2)  # [L, N, i] view
+    w_m = w.reshape(n_lower, d_in, n_upper * d_out)
+    blocks = [(lo, min(lo + lc, n_lower)) for lo in range(0, n_lower, lc)]
+    uh = np.empty((n, n_upper, n_lower, d_out))
+    buf = np.empty((lc, n, n_upper * d_out))
+    for lo, hi in blocks:
+        prod = np.matmul(u_t[lo:hi], w_m[lo:hi], out=buf[:hi - lo])
+        uh[:, :, lo:hi] = prod.reshape(hi - lo, n, n_upper,
+                                       d_out).transpose(1, 2, 0, 3)
+    want_gu, want_gw = ad.tracked(grid.poses), ad.tracked(p.W)
+
+    def vjp(g):
+        gu = np.empty_like(u) if want_gu else None
+        gw = np.empty_like(w) if want_gw else None  # C-contiguous, as w is
+        g_in = np.empty((n, n_upper, lc, d_out))
+        g_blk = np.empty((lc, n, n_upper * d_out))
+        gu_blk = np.empty((lc, n, d_in))
+        for lo, hi in blocks:
+            k = hi - lo
+            # read the block in g's own memory order, then transpose it in
+            # cache: gathering g straight into g_blk reads it at a stride
+            # and costs about three times as much
+            np.copyto(g_in[:, :, :k], g[:, lo:hi].transpose(0, 2, 1, 3))
+            g_blk[:k].reshape(k, n, n_upper, d_out)[...] = \
+                g_in[:, :, :k].transpose(2, 0, 1, 3)
+            if gw is not None:
+                np.matmul(u_t[lo:hi].transpose(0, 2, 1), g_blk[:k],
+                          out=gw.reshape(w_m.shape)[lo:hi])
+            if gu is not None:
+                np.matmul(g_blk[:k], w_m[lo:hi].transpose(0, 2, 1),
+                          out=gu_blk[:k])
+                gu[:, lo:hi] = gu_blk[:k].transpose(1, 0, 2)
+        return gu, gw
+
+    u_hat = ad._emit("capsule_transform", uh.transpose(0, 2, 1, 3),
+                     [grid.poses, p.W], vjp)
     v, state = dynamic_route(u_hat, iterations, p.activation_kind,
                              detach_routing)
     if return_state:

@@ -10,6 +10,10 @@ Layout (all integers little-endian):
   crc32   u32 of the payload bytes
 
 Order is preserved; loading a saved file reproduces every tensor bitwise.
+Version 2 stores face/W in the capsule layer's [lower, d_in, upper, d_out]
+order.  A version-1 file holds it as [lower, upper, d_in, d_out], which a
+shape check cannot tell apart when upper == d_in, so it is refused by
+version.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import zlib
 import numpy as np
 
 MAGIC = b"SCNCKPT1"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):

@@ -85,7 +85,7 @@ def _check_routing(seed):
 
 def _check_capsule_layer(seed):
     rng = SplitMix64(seed)
-    w = _rand(rng, 5, 3, 4, 4, scale=0.5)
+    w = _rand(rng, 5, 4, 3, 4, scale=0.5)  # stored [lower, d_in, upper, d_out]
     u = _rand(rng, 2, 5, 4)
     p = CapsuleLayerParams(5, 3, 4, 4, activation_kind="tanh")
 

@@ -295,12 +295,15 @@ def accuracy_at(d: np.ndarray, labels: np.ndarray, threshold: float,
 
 def _train_step(encoder, state, batch, cfg: RunConfig,
                 rng: SplitMix64) -> float:
+    buffers = [(b, b.copy()) for _, b in encoder.named_buffers()]
     with ad.Graph():
         d = pair_distances(encoder, batch, cfg, training=True, rng=rng)
         loss = _loss_of(effective_distance(d, cfg.metric),
                         batch.labels, cfg)
         value = loss.item()
         if not np.isfinite(value):
+            for b, before in buffers:  # the forward updated running stats
+                np.copyto(b, before)
             raise FloatingPointError(
                 f"non-finite training loss {value!r}; weights and optimizer "
                 f"state left unchanged")

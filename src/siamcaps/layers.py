@@ -180,9 +180,11 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
         centered = ad.sub(x, mu)
         var = ad.mean(ad.square(centered), axis=axes, keepdims=True)
         xhat = ad.div(centered, ad.sqrt(ad.add_scalar(var, p.eps)))
+        # in place, so the arrays named_buffers hands out stay the live ones
         m = p.momentum
-        p.running_mean = (1 - m) * p.running_mean + m * mu.data.reshape(-1)
-        p.running_var = (1 - m) * p.running_var + m * var.data.reshape(-1)
+        for run, batch in ((p.running_mean, mu), (p.running_var, var)):
+            run *= 1 - m
+            run += m * batch.data.reshape(-1)
     else:
         rm = Tensor(p.running_mean.reshape(stat_shape))
         rv = Tensor(p.running_var.reshape(stat_shape))

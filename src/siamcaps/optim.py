@@ -7,16 +7,15 @@ flat_lr is set.  Updates mutate parameter data in place; state tensors are
 plain numpy arrays keyed by parameter name.
 
 The update is memory-bound, so each parameter is processed in blocks of
-BLOCK elements (whole rows of the leading axis when the gradient is a
-strided view): every update of a block (m, v, v_hat, w) runs while the
-block sits in cache, with two preallocated scratch buffers and no
-whole-array temporaries.  The elementwise operations are those of the
-whole-array formula in the same order, so the result is bitwise the same.
+BLOCK elements of its flat arrays: every update of a block (m, v, v_hat, w)
+runs while the block sits in cache, with two preallocated scratch buffers
+and no whole-array temporaries.  The elementwise operations are those of
+the whole-array formula in the same order, so the result is bitwise the
+same.  A step is all-or-nothing: every parameter is checked before t or
+any weight moves.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -53,39 +52,33 @@ def amsgrad_step(params: list, state: OptimState, alpha: float,
     if not 0.0 <= theta1 < 1.0 or not 0.0 <= theta2 < 1.0:
         raise ValueError(f"theta1/theta2 must lie in [0, 1), got "
                          f"({theta1}, {theta2})")
+    params = [(name, p) for name, p in params if p.grad is not None]
+    for name, p in params:
+        if p.grad.shape != p.data.shape:
+            raise ValueError(f"gradient shape {p.grad.shape} does not match "
+                             f"parameter {name!r} shape {p.data.shape}")
+        # the update writes through reshaped views; reshaping a
+        # non-contiguous array can copy it, and the update would be lost
+        arrays = [p.data] + [d[name] for d in (state.m, state.v, state.v_hat)
+                             if name in d]
+        if not all(a.flags.c_contiguous and a.shape == p.data.shape
+                   for a in arrays):
+            raise ValueError(f"parameter {name!r}: weights and AMSGrad "
+                             f"moments must be C-contiguous arrays of shape "
+                             f"{p.data.shape}")
     state.t += 1
     alpha_t = alpha if flat_lr else alpha / np.sqrt(state.t)
     buf = np.empty(BLOCK)
     buf2 = np.empty(BLOCK)
     for name, p in params:
-        g = p.grad
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match "
-                             f"parameter {name!r} shape {p.data.shape}")
         state.ensure(name, p.data.shape)
-        arrays = (p.data, state.m[name], state.v[name], state.v_hat[name])
-        # the update writes through reshaped views; reshaping a
-        # non-contiguous array can copy it, and the update would be lost
-        if not all(a.flags.c_contiguous for a in arrays):
-            raise ValueError(f"parameter {name!r}: weights and AMSGrad "
-                             f"moments must be C-contiguous")
-        # a block is a run along the leading axis: of the flat arrays when g
-        # is contiguous, else of g's own shape, so that a strided g (face/W's
-        # is a transposed view) is read in place instead of copied whole, a
-        # 67 MB temporary at full size
-        shape = (g.size,) if g.flags.c_contiguous else g.shape
-        w, m, v, v_hat, g = (a.reshape(shape) for a in arrays + (g,))
-        row = math.prod(shape[1:])
-        rows = max(1, BLOCK // row)
-        if buf.size < rows * row:
-            buf, buf2 = np.empty(rows * row), np.empty(rows * row)
-        for lo in range(0, shape[0], rows):
-            blk = slice(lo, lo + rows)
+        w, m, v, v_hat, g = (a.reshape(-1) for a in (
+            p.data, state.m[name], state.v[name], state.v_hat[name],
+            np.ascontiguousarray(p.grad)))
+        for lo in range(0, g.size, BLOCK):
+            blk = slice(lo, lo + BLOCK)
             gb, mb, vb, vhb = g[blk], m[blk], v[blk], v_hat[blk]
-            tmp = buf[:gb.size].reshape(gb.shape)
-            den = buf2[:gb.size].reshape(gb.shape)
+            tmp, den = buf[:gb.size], buf2[:gb.size]
             np.multiply(gb, 1.0 - theta1, out=tmp)
             mb *= theta1
             mb += tmp

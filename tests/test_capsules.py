@@ -477,7 +477,7 @@ def test_capsule_layer_uhat_matches_loop_reference():
     p = caps.CapsuleLayerParams(4, 2, 3, 5, activation_kind="squash", seed=10)
     grid = caps.CapsuleGrid(Tensor(poses), 2, 2, 1)
     v = caps.capsule_layer_forward(grid, p, iterations=3)
-    u_hat = np.einsum("nli,luio->nluo", poses, p.W.data)
+    u_hat = np.einsum("nli,liuo->nluo", poses, p.W.data)
     v_ref, _ = route_reference(u_hat, 3, "squash")
     np.testing.assert_allclose(v.data, v_ref, atol=1e-12)
 
@@ -504,6 +504,120 @@ def test_capsule_layer_grad_check_tiny():
         return ad.sum_(ad.square(caps.capsule_layer_forward(grid, p, 2)))
 
     assert grad_check(f, [poses, p.W], eps=1e-5) < 1e-4
+
+
+def test_capsule_layer_w_is_the_transposed_draw():
+    # stored [lower, d_in, upper, d_out]: the [lower, upper, d_in, d_out]
+    # uniform draw, bitwise, drawn block by block
+    n_lower, n_upper, d_in, d_out = 2 * caps.BLOCK + 3, 3, 4, 5
+    p = caps.CapsuleLayerParams(n_lower, n_upper, d_in, d_out, seed=7)
+    bound = float(np.sqrt(6.0 / (d_in + d_out)))
+    draw = ad.uniform([n_lower, n_upper, d_in, d_out], -bound, bound,
+                      derive_seed(7, 3)).data
+    assert p.W.data.flags.c_contiguous
+    assert np.array_equal(p.W.data, draw.transpose(0, 2, 1, 3))
+    assert p.W.requires_grad and p.W.name == "face/W"
+
+
+# (n_lower, N, n_upper, d_in, d_out): lower count below, equal to and not a
+# multiple of the block size, one image, and n_upper == d_in
+TRANSFORM_CASES = [
+    (caps.BLOCK - 3, 2, 3, 4, 5),
+    (caps.BLOCK, 1, 2, 3, 4),
+    (2 * caps.BLOCK + 5, 3, 4, 4, 2),
+]
+
+
+def _poses_and_layer(case, seed):
+    n_lower, n, n_upper, d_in, d_out = case
+    rng = SplitMix64(seed)
+    # poses laid out [lower, N, d_in] in memory, so that returning the
+    # cotangent in their own memory order is visible in its strides
+    poses = np.ascontiguousarray(
+        rng.uniform(n * n_lower * d_in, -1, 1).reshape(n, n_lower, d_in)
+        .transpose(1, 0, 2)).transpose(1, 0, 2)
+    p = caps.CapsuleLayerParams(n_lower, n_upper, d_in, d_out,
+                                activation_kind="squash", seed=seed)
+    return poses, p
+
+
+@pytest.mark.parametrize("case", TRANSFORM_CASES)
+def test_capsule_transform_matches_einsum_oracle(case, monkeypatch):
+    # routing replaced by a fixed linear read-out, so the cotangent of u_hat
+    # is a known array r and the node is checked on its own
+    poses_np, p = _poses_and_layer(case, 150)
+    n_lower, n, n_upper, d_in, d_out = case
+    r = SplitMix64(151).normal(n * n_lower * n_upper * d_out).reshape(
+        n, n_lower, n_upper, d_out)
+    seen = []
+
+    def read_out(u_hat, iterations, kind, detach):
+        seen.append(u_hat)
+        return ad.sum_(ad.mul(u_hat, Tensor(r)), axis=1), None
+
+    monkeypatch.setattr(caps, "dynamic_route", read_out)
+    poses = Tensor(poses_np, requires_grad=True)
+    with ad.Graph() as g:
+        out = caps.capsule_layer_forward(
+            caps.CapsuleGrid(poses, n_lower, 1, 1), p, 2)
+        assert [node[0] for node in g.nodes][0] == "capsule_transform"
+        ad.backward(ad.sum_(out))
+    w = p.W.data
+    (u_hat,) = seen
+    np.testing.assert_allclose(
+        u_hat.data, np.einsum("nli,liuo->nluo", poses_np, w),
+        rtol=0, atol=1e-10)
+    assert u_hat.data.transpose(0, 2, 1, 3).flags.c_contiguous
+    np.testing.assert_allclose(poses.grad,
+                               np.einsum("nluo,liuo->nli", r, w),
+                               rtol=0, atol=1e-10)
+    assert poses.grad.strides == poses_np.strides
+    np.testing.assert_allclose(p.W.grad,
+                               np.einsum("nli,nluo->liuo", poses_np, r),
+                               rtol=0, atol=1e-10)
+    assert p.W.grad.flags.c_contiguous
+
+
+@pytest.mark.parametrize("detach", [False, True])
+@pytest.mark.parametrize("case", TRANSFORM_CASES)
+def test_capsule_layer_matches_einsum_and_tape_routing_oracle(case, detach,
+                                                              monkeypatch):
+    # oracle: u_hat by einsum, routed by the unrolled tape reference; its
+    # cotangent pulled back to the poses and W by einsum
+    poses_np, p = _poses_and_layer(case, 160)
+    n_lower, n, n_upper, d_in, d_out = case
+    w = p.W.data
+    gv = Tensor(SplitMix64(161).normal(n * n_upper * d_out)
+                .reshape(n, n_upper, d_out))
+    u_ref = Tensor(np.einsum("nli,liuo->nluo", poses_np, w),
+                   requires_grad=True)
+    with ad.Graph():
+        v_ref = route_tape_reference(u_ref, 3, "squash", detach)[0]
+        ad.backward(ad.sum_(ad.mul(v_ref, gv)))
+
+    seen = []
+    real_route = caps.dynamic_route
+
+    def spy(u_hat, *args):
+        seen.append(u_hat)
+        return real_route(u_hat, *args)
+
+    monkeypatch.setattr(caps, "dynamic_route", spy)
+    poses = Tensor(poses_np, requires_grad=True)
+    with ad.Graph() as g:
+        v = caps.capsule_layer_forward(
+            caps.CapsuleGrid(poses, n_lower, 1, 1), p, 3, detach)
+        assert [node[0] for node in g.nodes] == ["capsule_transform",
+                                                 "dynamic_route"]
+        ad.backward(ad.sum_(ad.mul(v, gv)))
+    assert seen[0].data.transpose(0, 2, 1, 3).flags.c_contiguous
+    np.testing.assert_allclose(v.data, v_ref.data, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        poses.grad, np.einsum("nluo,liuo->nli", u_ref.grad, w),
+        rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        p.W.grad, np.einsum("nli,nluo->liuo", poses_np, u_ref.grad),
+        rtol=0, atol=1e-10)
 
 
 def test_capsule_layer_shape_errors():

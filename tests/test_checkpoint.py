@@ -40,7 +40,7 @@ def test_header_layout():
     raw = ckpt.encode_tensors([("w", np.zeros((2, 3)))])
     assert raw[:8] == b"SCNCKPT1"
     version, count = struct.unpack("<HI", raw[8:14])
-    assert version == 1 and count == 1
+    assert version == 2 and count == 1
     (nlen,) = struct.unpack("<H", raw[14:16])
     assert raw[16:16 + nlen] == b"w"
     rank = raw[16 + nlen]
@@ -86,7 +86,7 @@ def test_unknown_version_rejected():
 
 
 def test_trailing_garbage_in_payload_rejected():
-    payload = struct.pack("<HI", 1, 0) + b"xx"
+    payload = struct.pack("<HI", ckpt.VERSION, 0) + b"xx"
     raw = ckpt.MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
     with pytest.raises(ckpt.CheckpointError, match="corrupt"):
         ckpt.decode_tensors(raw)
@@ -168,6 +168,27 @@ def test_restore_per_dimension_primary_names_refused(tmp_path):
         fh.write(ckpt.encode_tensors(entries))
     with pytest.raises(ckpt.CheckpointError, match="'model/primary/kernel'"):
         ckpt.restore_checkpoint(enc, None, path)
+
+
+def test_version_1_refused_even_when_face_w_shape_matches(tmp_path,
+                                                         monkeypatch):
+    # version 1 stored face/W as [lower, upper, d_in, d_out]; with
+    # upper == d_in that is today's shape too, so only the version tells
+    cfg = dict(TINY, primary_d=TINY["face_caps"])
+    enc = ScnEncoder(seed=3, **cfg)
+    _, d_in, n_upper, _ = enc.face.W.shape
+    assert n_upper == d_in
+    path = str(tmp_path / "v1.ckpt")
+    monkeypatch.setattr(ckpt, "VERSION", 1)
+    ckpt.save_checkpoint(enc, None, path)
+    monkeypatch.undo()
+    enc2 = ScnEncoder(seed=4, **cfg)
+    before = [t.data.copy() for _, t in enc2.named_parameters()]
+    with pytest.raises(ckpt.CheckpointError,
+                       match="unsupported checkpoint version 1"):
+        ckpt.restore_checkpoint(enc2, None, path)
+    for (_, t), want in zip(enc2.named_parameters(), before):
+        assert np.array_equal(t.data, want)
 
 
 def test_file_round_trip_bitwise(tmp_path):

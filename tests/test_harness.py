@@ -162,6 +162,8 @@ def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch, bad):
     state = hz.OptimState()
     hz._train_step(enc, state, batch, cfg, None)  # moments worth keeping
     weights = [p.data.copy() for _, p in enc.named_parameters()]
+    buffers = [b.copy() for _, b in enc.named_buffers()]
+    assert len(buffers) == 2  # bn1's running mean and variance
     moments = [{k: a.copy() for k, a in d.items()}
                for d in (state.m, state.v, state.v_hat)]
     real = hz._loss_of
@@ -176,6 +178,25 @@ def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch, bad):
     for d, want in zip((state.m, state.v, state.v_hat), moments):
         assert d.keys() == want.keys()
         assert all(np.array_equal(d[k], want[k]) for k in d)
+    for (_, b), want in zip(enc.named_buffers(), buffers):
+        assert np.array_equal(b, want)
+
+
+def test_every_gradient_contiguous_after_desk_step():
+    # the criterion-8 desk model: no parameter gradient is a strided view,
+    # so the optimizer copies none of them
+    cfg = hz.RunConfig(conv_channels=32, primary_types=8, primary_d=8,
+                       face_caps=16, face_d=8, routing_iters=2,
+                       input_size=64).finalize()
+    enc = hz.build_run_encoder(cfg)
+    r = np.random.default_rng(4)
+    size = (8, 1, cfg.input_size, cfg.input_size)
+    batch = PairBatch(Tensor(r.uniform(size=size)),
+                      Tensor(r.uniform(size=size)),
+                      np.array([0.0, 1.0] * 4))
+    hz._train_step(enc, hz.OptimState(), batch, cfg, None)
+    for name, p in enc.named_parameters():
+        assert p.grad is not None and p.grad.flags.c_contiguous, name
 
 
 def test_determinism_bitwise_except_wall_ms(tmp_path):

@@ -233,3 +233,32 @@ def test_non_contiguous_weights_or_moments_rejected():
         with pytest.raises(ValueError, match="'q'.*contiguous"):
             amsgrad_step([("q", q)], state, alpha=0.01)
         assert np.all(q.data == 0.0)
+
+
+@pytest.mark.parametrize("fault", ["grad shape", "strided moment"])
+def test_rejected_step_changes_nothing(fault):
+    # the faulty parameter comes last, after ones the step could update
+    rng = SplitMix64(104)
+    params = [(f"p{k}", Tensor(rng.uniform(s, -1, 1), requires_grad=True))
+              for k, s in enumerate((5, BLOCK + 3, 7))]
+    state = OptimState()
+    for _, p in params:
+        p.grad = rng.normal(p.size)
+    amsgrad_step(params, state, alpha=0.01)  # moments worth keeping
+    for _, p in params:
+        p.grad = rng.normal(p.size)
+    if fault == "grad shape":
+        params[-1][1].grad = np.zeros(6)
+    else:
+        state.m["p2"] = np.zeros((7, 2))[:, 0]
+    weights = [p.data.copy() for _, p in params]
+    moments = [{k: a.copy() for k, a in d.items()}
+               for d in (state.m, state.v, state.v_hat)]
+    with pytest.raises(ValueError, match="'p2'"):
+        amsgrad_step(params, state, alpha=0.01)
+    assert state.t == 1
+    for (_, p), w in zip(params, weights):
+        assert np.array_equal(p.data, w)
+    for d, want in zip((state.m, state.v, state.v_hat), moments):
+        assert d.keys() == want.keys()
+        assert all(np.array_equal(d[k], want[k]) for k in d)
