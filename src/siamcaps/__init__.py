@@ -5,8 +5,12 @@ append-only tape, capsule layers with dynamic routing-by-agreement,
 tied-weight siamese encoders, pair-margin losses, the AMSGrad optimizer,
 PGM data loading with subject-holdout splits, and a training harness with
 binary checkpoints and deterministic artifacts.
+
+Importing the package sets a process-wide malloc policy on glibc (see
+``_heap``): freed memory stays in the heap for the next step to reuse.
 """
 
+from . import _heap
 from .autodiff import Graph, ShapeError, Tensor, backward, grad_check
 from .capsules import (CapsuleGrid, CapsuleLayerParams, PrimaryCapsuleParams,
                        RoutingState, capsule_layer_forward,
@@ -29,6 +33,8 @@ from .models import (METRICS, ScnEncoder, StandardEncoder, build_encoder,
                      valid_margin)
 from .optim import OptimState, amsgrad_step
 from .rng import SplitMix64, derive_seed, mix64
+
+_heap.keep_freed_memory()
 
 __version__ = "0.1.0"
 

@@ -18,6 +18,8 @@ version.
 
 from __future__ import annotations
 
+import io
+import math
 import os
 import struct
 import zlib
@@ -26,6 +28,7 @@ import numpy as np
 
 MAGIC = b"SCNCKPT1"
 VERSION = 2
+CRC_CHUNK = 1 << 20  # bytes per read while checking a file's crc
 
 
 class CheckpointError(ValueError):
@@ -33,42 +36,60 @@ class CheckpointError(ValueError):
 
 
 def encode_tensors(entries: list) -> bytes:
-    """Serialize [(name, array)] pairs to checkpoint bytes."""
-    parts = [struct.pack("<HI", VERSION, len(entries))]
+    """Serialize [(name, array)] pairs to checkpoint bytes.
+
+    Array data goes into the one output buffer straight from the arrays
+    (views, not copies), so encoding holds the checkpoint in memory once.
+    """
+    payload = [struct.pack("<HI", VERSION, len(entries))]
     for name, arr in entries:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         nb = name.encode("utf-8")
         if len(nb) > 0xFFFF:
             raise CheckpointError(f"tensor name too long: {name[:32]!r}...")
         if arr.ndim > 0xFF:
             raise CheckpointError(f"tensor rank {arr.ndim} too large")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.astype("<f8").tobytes())
-    payload = b"".join(parts)
-    return MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
+        payload.append(struct.pack("<H", len(nb)))
+        payload.append(nb)
+        payload.append(struct.pack("<B", arr.ndim))
+        payload.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        payload.append(arr)
+    crc = 0
+    for piece in payload:
+        crc = zlib.crc32(piece, crc)
+    return b"".join([MAGIC, *payload, struct.pack("<I", crc)])
 
 
 def decode_tensors(raw: bytes) -> list:
     """Parse checkpoint bytes back to ordered [(name, array)] pairs."""
-    if raw[:8] != MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {raw[:8]!r}")
-    if len(raw) < 8 + 4:
+    return _read_tensors(io.BytesIO(raw))
+
+
+def _read_tensors(fh) -> list:
+    """Parse a checkpoint from a binary file at its start.
+
+    The CRC is checked over the whole payload first, a chunk at a time, so
+    no size read from a corrupt file is trusted.  Then each tensor is read
+    straight into its own array, so loading holds the data once.
+    """
+    magic = fh.read(8)
+    if magic != MAGIC:
+        raise CheckpointError(f"bad checkpoint magic {magic!r}")
+    end = fh.seek(0, os.SEEK_END) - 4  # the payload ends where the crc starts
+    if end < 8:
         raise CheckpointError("checkpoint corrupt")
-    payload, (crc,) = raw[8:-4], struct.unpack("<I", raw[-4:])
-    if zlib.crc32(payload) != crc:
+    fh.seek(8)
+    crc = 0
+    while fh.tell() < end:
+        crc = zlib.crc32(fh.read(min(end - fh.tell(), CRC_CHUNK)), crc)
+    if struct.unpack("<I", fh.read(4))[0] != crc:
         raise CheckpointError("checkpoint corrupt")
-    pos = 0
+    fh.seek(8)
 
     def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(payload):
+        if fh.tell() + n > end:
             raise CheckpointError("checkpoint corrupt")
-        out = payload[pos:pos + n]
-        pos += n
-        return out
+        return fh.read(n)
 
     version, count = struct.unpack("<HI", take(6))
     if version != VERSION:
@@ -79,10 +100,14 @@ def decode_tensors(raw: bytes) -> list:
         name = take(nlen).decode("utf-8")
         (rank,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims).copy()
+        size = math.prod(dims)
+        if fh.tell() + 8 * size > end:
+            raise CheckpointError("checkpoint corrupt")
+        arr = np.empty(dims, dtype="<f8")
+        if fh.readinto(arr) != 8 * size:  # the file shrank after the crc
+            raise CheckpointError("checkpoint corrupt")
         entries.append((name, arr))
-    if pos != len(payload):
+    if fh.tell() != end:
         raise CheckpointError("checkpoint corrupt")
     return entries
 
@@ -115,39 +140,47 @@ def save_checkpoint(encoder, optim_state, path: str) -> None:
 
 def load_checkpoint(path: str) -> dict:
     with open(path, "rb") as fh:
-        return dict(decode_tensors(fh.read()))
+        return dict(_read_tensors(fh))
+
+
+def _checked(tensors: dict, key: str, shape: tuple) -> np.ndarray:
+    if key not in tensors:
+        raise CheckpointError(f"checkpoint missing tensor {key!r}")
+    if tensors[key].shape != shape:
+        raise CheckpointError(
+            f"shape mismatch for {key!r}: checkpoint "
+            f"{list(tensors[key].shape)} vs model {list(shape)}")
+    return tensors[key]
 
 
 def restore_checkpoint(encoder, optim_state, path: str) -> None:
     """Load a checkpoint into an existing encoder (and optimizer state).
 
-    Every model parameter and buffer must be present with matching shape;
-    the first mismatch is reported by name.
+    All or nothing: every model parameter and buffer must be present with
+    matching shape, and so must the optimizer step count and, for each
+    parameter that has any optimizer moment, all three moments with the
+    parameter's shape.  The first bad tensor is reported by name, and
+    nothing is written until every tensor has been checked.
     """
     tensors = load_checkpoint(path)
-    for name, t in encoder.named_parameters():
-        key = "model/" + name
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint missing tensor {key!r}")
-        if tensors[key].shape != t.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for {key!r}: checkpoint "
-                f"{list(tensors[key].shape)} vs model {list(t.data.shape)}")
-        t.data[...] = tensors[key]
-    for name, buf in encoder.named_buffers():
-        key = "buffer/" + name
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint missing tensor {key!r}")
-        if tensors[key].shape != buf.shape:
-            raise CheckpointError(
-                f"shape mismatch for {key!r}: checkpoint "
-                f"{list(tensors[key].shape)} vs model {list(buf.shape)}")
-        buf[...] = tensors[key]
-    if optim_state is not None and "optim/t" in tensors:
-        optim_state.t = int(tensors["optim/t"][0])
-        for name, t in encoder.named_parameters():
-            mk = f"optim/m/{name}"
-            if mk in tensors:
-                optim_state.m[name] = tensors[mk].copy()
-                optim_state.v[name] = tensors[f"optim/v/{name}"].copy()
-                optim_state.v_hat[name] = tensors[f"optim/vhat/{name}"].copy()
+    writes = [(t.data, _checked(tensors, "model/" + n, t.data.shape))
+              for n, t in encoder.named_parameters()]
+    writes += [(b, _checked(tensors, "buffer/" + n, b.shape))
+               for n, b in encoder.named_buffers()]
+    moments = {}
+    restore_optim = optim_state is not None and "optim/t" in tensors
+    if restore_optim:
+        step = _checked(tensors, "optim/t", (1,))
+        for n, t in encoder.named_parameters():
+            keys = [f"optim/{kind}/{n}" for kind in ("m", "v", "vhat")]
+            if any(k in tensors for k in keys):
+                moments[n] = [_checked(tensors, k, t.data.shape)
+                              for k in keys]
+    for dst, src in writes:
+        dst[...] = src
+    if restore_optim:
+        optim_state.t = int(step[0])
+        for n, (m, v, v_hat) in moments.items():
+            optim_state.m[n] = m
+            optim_state.v[n] = v
+            optim_state.v_hat[n] = v_hat

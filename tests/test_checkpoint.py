@@ -1,6 +1,7 @@
 """Checkpoint format: bitwise round trips and corruption detection."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -90,6 +91,31 @@ def test_trailing_garbage_in_payload_rejected():
     raw = ckpt.MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
     with pytest.raises(ckpt.CheckpointError, match="corrupt"):
         ckpt.decode_tensors(raw)
+
+
+def test_encode_and_load_hold_the_data_once(tmp_path):
+    # encoding writes array data straight into the output bytes, and loading
+    # reads it straight into the arrays: neither holds a second whole copy
+    big = np.arange(2.0 ** 20)
+    entries = [("big", big), ("small", np.ones(3))]
+    path = tmp_path / "t.ckpt"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        raw = ckpt.encode_tensors(entries)
+        encode_peak = tracemalloc.get_traced_memory()[1] - start
+        path.write_bytes(raw)
+        del raw
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = ckpt.load_checkpoint(str(path))
+        load_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert encode_peak < 1.5 * big.nbytes
+    assert load_peak < 1.5 * big.nbytes
+    assert loaded["big"].tobytes() == big.tobytes()
+    assert loaded["small"].tobytes() == np.ones(3).tobytes()
 
 
 def _train_one_step(enc, state, images):
@@ -232,3 +258,64 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
         assert list(after) == list(before)
         for key, arr in before.items():
             assert after[key].tobytes() == arr.tobytes()
+
+
+def _snapshot(enc, state):
+    return ([t.data.copy() for _, t in enc.named_parameters()],
+            [b.copy() for _, b in enc.named_buffers()],
+            state.t,
+            [{k: a.copy() for k, a in d.items()}
+             for d in (state.m, state.v, state.v_hat)])
+
+
+def _assert_bitwise(snap_a, snap_b):
+    params_a, buffers_a, t_a, moments_a = snap_a
+    params_b, buffers_b, t_b, moments_b = snap_b
+    assert t_a == t_b
+    for a, b in zip(params_a + buffers_a, params_b + buffers_b):
+        assert a.tobytes() == b.tobytes()
+    for da, db in zip(moments_a, moments_b):
+        assert da.keys() == db.keys()
+        assert all(da[k].tobytes() == db[k].tobytes() for k in da)
+
+
+def _wrong_shape(a):
+    return np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+
+
+@pytest.mark.parametrize("key,damage,message", [
+    ("model/fc/weight", _wrong_shape, "shape mismatch for 'model/fc/weight'"),
+    ("buffer/bn1/running_var", None,
+     "missing tensor 'buffer/bn1/running_var'"),
+    ("optim/t", lambda a: np.zeros(2), "shape mismatch for 'optim/t'"),
+    ("optim/v/fc/bias", None, "missing tensor 'optim/v/fc/bias'"),
+    ("optim/vhat/conv1/kernel", _wrong_shape,
+     "shape mismatch for 'optim/vhat/conv1/kernel'"),
+], ids=["param_shape", "buffer_missing", "step_shape", "moment_missing",
+        "moment_shape"])
+def test_refused_restore_changes_nothing(tmp_path, key, damage, message):
+    # the bad tensor sits after parameters that an in-order restore would
+    # already have overwritten; a refused restore must leave the encoder
+    # and the optimizer state bitwise as they were
+    r = SplitMix64(8)
+    images = r.uniform(4 * TINY["input_size"] ** 2).reshape(
+        4, 1, TINY["input_size"], TINY["input_size"])
+    enc, state = ScnEncoder(seed=3, **TINY), OptimState()
+    _train_one_step(enc, state, images[:2])
+    _train_one_step(enc, state, images[:2])
+    path = str(tmp_path / "damaged.ckpt")
+    ckpt.save_checkpoint(enc, state, path)
+    entries = ckpt.load_checkpoint(path)
+    if damage is None:
+        del entries[key]
+    else:
+        entries[key] = damage(entries[key])
+    with open(path, "wb") as fh:
+        fh.write(ckpt.encode_tensors(list(entries.items())))
+
+    enc2, state2 = ScnEncoder(seed=4, **TINY), OptimState()
+    _train_one_step(enc2, state2, images[2:])
+    before = _snapshot(enc2, state2)
+    with pytest.raises(ckpt.CheckpointError, match=message):
+        ckpt.restore_checkpoint(enc2, state2, path)
+    _assert_bitwise(_snapshot(enc2, state2), before)

@@ -9,6 +9,8 @@ import pytest
 from siamcaps import autodiff as ad
 from siamcaps import cli
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 MICRO_FLAGS = [
     "--dataset", "synthetic", "--epochs", "1", "--pairs_per_epoch", "4",
@@ -162,10 +164,12 @@ def test_gridsearch_subcommand(tmp_path, capsys):
 
 
 def test_console_entry_point_subprocess(tmp_path):
-    """The installed `siamcaps` script must resolve and run."""
+    """`python -m siamcaps.cli` must resolve and run in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "siamcaps.cli", "gradcheck"],
-        capture_output=True, text=True, timeout=300)
+        env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("PASS")
 
