@@ -31,9 +31,8 @@ def main():
         print()
 
     # Reuse the training configuration, point the outputs elsewhere.
-    cfg = dataclasses.replace(
-        _reconstruct_cfg(), output_dir=os.path.join(
-            os.path.dirname(__file__), "runs", "verify_demo"))
+    cfg = dataclasses.replace(train_demo.CFG, output_dir=os.path.join(
+        os.path.dirname(__file__), "runs", "verify_demo"))
 
     res = eval_run(ckpt, cfg)
     print(f"zero-shot loss      : {res.loss:.4f}")
@@ -57,18 +56,6 @@ def main():
           os.path.join(cfg.output_dir, "density.csv"))
 
     _ascii_density(res)
-
-
-def _reconstruct_cfg():
-    """The exact config demo 03 trained with."""
-    from siamcaps import RunConfig
-    return RunConfig(
-        dataset="synthetic", model="scn", loss="contrastive",
-        metric="euclidean_sq", m=2.0, epochs=6, pairs_per_epoch=24,
-        batch_size=8, eval_pairs=40, holdout=2, synth_subjects=8,
-        synth_per_subject=4, input_size=37, conv_channels=8,
-        primary_types=4, primary_d=4, face_caps=8, face_d=8, embed_dim=10,
-        routing_iters=3, alpha=0.01, seed=7, output_dir="unused")
 
 
 def _ascii_density(res):

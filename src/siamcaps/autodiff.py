@@ -187,10 +187,10 @@ def _emit(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     return out
 
 
-def backward(loss: Tensor) -> dict:
+def backward(loss: Tensor) -> None:
     """Gradients of a scalar loss w.r.t. every requires_grad leaf.
 
-    Returns {node_id: Tensor}; also sets .grad (a numpy array) on each leaf.
+    Sets .grad (a numpy array) on each leaf; returns nothing.
     Leaves never reached by the sweep get zeros of their own shape.  Each
     node is popped as its vjp runs, so a second backward on the same graph
     raises ValueError.
@@ -216,14 +216,9 @@ def backward(loss: Tensor) -> dict:
                 continue
             acc = grads.get(nid)
             grads[nid] = ginp if acc is None else acc + ginp
-    out: dict[int, Tensor] = {}
     for leaf in g.leaves:
         ga = grads.get(leaf.node_id)
-        if ga is None:
-            ga = np.zeros_like(leaf.data)
-        leaf.grad = ga
-        out[leaf.node_id] = Tensor(ga)
-    return out
+        leaf.grad = np.zeros_like(leaf.data) if ga is None else ga
 
 
 # ---------------------------------------------------------------------------

@@ -405,19 +405,17 @@ def synth_subject_template(seed: int, subject: int, size: int = 100):
 
 
 def synth_instance(seed: int, subject: int, instance: int,
-                   size: int = 100, jitter: float = 1.0) -> Tensor:
-    """Template blobs moved by <=3*jitter px and <=10*jitter degrees.
+                   size: int = 100) -> Tensor:
+    """Template blobs moved by <=3 px and rotated by <=10 degrees.
 
     Blobs are isotropic, so rotating their centers about the image middle
-    is exactly a rotation of the rendered image.  jitter scales how much
-    pose varies between same-subject instances.
+    is exactly a rotation of the rendered image.
     """
     centers, sigmas, amps = synth_subject_template(seed, subject, size)
     rng = SplitMix64(derive_seed(seed, 29, subject, instance))
     if instance > 0:  # instance 0 is the unjittered template
-        dy, dx = rng.uniform(2, -3.0 * jitter, 3.0 * jitter)
-        theta = rng.uniform(1, -np.deg2rad(10.0 * jitter),
-                            np.deg2rad(10.0 * jitter))[0]
+        dy, dx = rng.uniform(2, -3.0, 3.0)
+        theta = rng.uniform(1, -np.deg2rad(10.0), np.deg2rad(10.0))[0]
         mid = (size - 1) / 2.0
         rel = centers - mid
         rot = np.array([[np.cos(theta), -np.sin(theta)],
@@ -427,11 +425,11 @@ def synth_instance(seed: int, subject: int, instance: int,
 
 
 def synth_dataset(n_subjects: int, n_per_subject: int, seed: int,
-                  size: int = 100, jitter: float = 1.0) -> FaceDataset:
+                  size: int = 100) -> FaceDataset:
     records = []
     for s in range(n_subjects):
         for i in range(n_per_subject):
-            records.append((s, synth_instance(seed, s, i, size, jitter)))
+            records.append((s, synth_instance(seed, s, i, size)))
     return FaceDataset(records, "synthetic")
 
 

@@ -1,9 +1,18 @@
 """Training/evaluation harness: run configuration, the training loop with
-per-epoch metrics, threshold selection, evaluation histograms, margin grid
-search, and deterministic SVG loss-curve plots.
+per-epoch metrics, evaluation histograms, margin grid search, and
+deterministic SVG loss-curve plots.
 
-All emitted files are a pure function of (config, seed) except the wall_ms
-column of metrics.csv.
+The verification protocol is written once and shared by training and
+evaluation:
+- ``train_pairs`` draws epoch ``e``'s training pairs and ``verify_pairs``
+  the test pairs, each from its own derived seed;
+- ``score`` fits the decision threshold on the first tenth of a
+  validation pair set and scores the test pairs.  The epoch loop validates
+  on the epoch's own pairs, ``evaluate`` on epoch 1's.
+
+``RunConfig`` is the config schema: ``coerce_value`` parses a field by its
+declared type.  Every artifact goes through ``write_lines`` and is a pure
+function of (config, seed) except the wall_ms column of metrics.csv.
 """
 
 from __future__ import annotations
@@ -132,22 +141,20 @@ class RunConfig:
             raise ValueError("stop_below must be >= 0")
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_BOOL_FIELDS = {f.name for f in dataclasses.fields(RunConfig)
-                if f.type == "bool"}
-_FLOAT_FIELDS = {"m", "m_n", "m_p", "alpha", "pos_ratio", "dropout_rate",
-                 "concrete_t", "stop_below"}
-_STR_FIELDS = {"model", "dataset", "loss", "metric", "output_dir", "data_dir",
-               "activation", "normalize_at"}
+# field name -> bool, int, float or str; an Optional[X] field parses as X
+_FIELD_TYPES = {f.name: {"bool": bool, "int": int, "float": float, "str": str}[
+                    f.type.removeprefix("Optional[").removesuffix("]")]
+                for f in dataclasses.fields(RunConfig)}
 
 
 def coerce_value(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {key!r}")
+    kind = _FIELD_TYPES[key]
     raw = raw.strip()
-    if key in _STR_FIELDS:
+    if kind is str:
         return raw
-    if key in _BOOL_FIELDS:
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "yes", "1", "on"):
             return True
@@ -155,12 +162,10 @@ def coerce_value(key: str, raw: str):
             return False
         raise ValueError(f"bad boolean for {key!r}: {raw!r}")
     try:
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        kind = "number" if key in _FLOAT_FIELDS else "integer"
-        raise ValueError(f"bad {kind} for {key!r}: {raw!r}") from None
+        what = "number" if kind is float else "integer"
+        raise ValueError(f"bad {what} for {key!r}: {raw!r}") from None
 
 
 def parse_config_file(path: str) -> dict:
@@ -191,11 +196,15 @@ def make_config(file_path: Optional[str] = None,
     return dataclasses.replace(RunConfig(), **values)
 
 
+def write_lines(path: str, lines) -> None:
+    """Write one artifact file, each line newline-terminated (no CRLF)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
 def echo_config(cfg: RunConfig, path: str) -> None:
-    lines = [f"{f.name} = {getattr(cfg, f.name)}"
-             for f in dataclasses.fields(RunConfig)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, (f"{f.name} = {getattr(cfg, f.name)}"
+                       for f in dataclasses.fields(RunConfig)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +224,6 @@ def load_dataset(cfg: RunConfig) -> FaceDataset:
         return synth_dataset(cfg.synth_subjects, cfg.synth_per_subject,
                              derive_seed(cfg.seed, 41), size=cfg.input_size)
     root = resolve_data_dir(cfg)
-    if not os.path.isdir(root):
-        raise FileNotFoundError(f"dataset root {root!r} does not exist")
     if cfg.dataset == "att":
         return load_att(root, target=cfg.input_size)
     return load_lfw(root, target=cfg.input_size,
@@ -287,12 +294,6 @@ def eval_loss_value(d: np.ndarray, labels: np.ndarray,
     return _loss_of(d_eff, labels, cfg).item()
 
 
-def accuracy_at(d: np.ndarray, labels: np.ndarray, threshold: float,
-                metric: str) -> float:
-    pred = predict_match(d, threshold, metric)
-    return float((pred == (labels == 0)).mean())
-
-
 def _train_step(encoder, state, batch, cfg: RunConfig,
                 rng: SplitMix64) -> float:
     buffers = [(b, b.copy()) for _, b in encoder.named_buffers()]
@@ -312,6 +313,57 @@ def _train_step(encoder, state, batch, cfg: RunConfig,
                      flat_lr=cfg.flat_lr)
     encoder.clamp_dropout_p()
     return value
+
+
+# ---------------------------------------------------------------------------
+# verification protocol: which pairs, and how they are scored
+
+def train_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig,
+                epoch: int):
+    """Epoch ``epoch``'s training pairs, drawn from the train subjects."""
+    return sample_pairs(ds, sorted(split.train_subjects),
+                        cfg.pairs_per_epoch, cfg.pos_ratio,
+                        derive_seed(cfg.seed, 100, epoch))
+
+
+def verify_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig):
+    """The test pairs, drawn from the test subjects; fixed for the run."""
+    return sample_pairs(ds, sorted(split.test_subjects), cfg.eval_pairs,
+                        cfg.pos_ratio, derive_seed(cfg.seed, 200))
+
+
+@dataclasses.dataclass
+class EvalResult:
+    loss: float
+    accuracy: float
+    threshold: float
+    bin_edges: np.ndarray
+    match_counts: np.ndarray
+    nonmatch_counts: np.ndarray
+
+
+def density_histogram(d: np.ndarray, labels: np.ndarray, bins: int = 50):
+    """Separate match/non-match histograms over a shared range."""
+    lo, hi = float(d.min()), float(d.max())
+    if hi <= lo:
+        hi = lo + 1e-12
+    edges = np.linspace(lo, hi, bins + 1)
+    match_counts, _ = np.histogram(d[labels == 0], bins=edges)
+    nonmatch_counts, _ = np.histogram(d[labels == 1], bins=edges)
+    return edges, match_counts, nonmatch_counts
+
+
+def score(encoder, val_pairs, test_pairs, cfg: RunConfig) -> EvalResult:
+    """Fit the threshold on the first tenth of val_pairs, score test_pairs."""
+    n_val = max(1, len(val_pairs) // 10)
+    d_val, y_val = eval_distances(encoder, val_pairs.slice(0, n_val), cfg)
+    threshold, _ = sweep_threshold(d_val, y_val, cfg.metric,
+                                   cfg.threshold_points)
+    d_test, y_test = eval_distances(encoder, test_pairs, cfg)
+    pred = predict_match(d_test, threshold, cfg.metric)
+    return EvalResult(eval_loss_value(d_test, y_test, cfg),
+                      float((pred == (y_test == 0)).mean()), threshold,
+                      *density_histogram(d_test, y_test))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +399,6 @@ def _pair_subject_set(ds: FaceDataset, pairs) -> set:
     return ids
 
 
-def _write_metrics(path: str, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r['epoch']},{r['train_loss']!r},{r['test_loss']!r},"
-                     f"{r['test_accuracy']!r},{r['wall_ms']}\n")
-
-
 def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
                   run_dir: str) -> TrainResult:
     os.makedirs(run_dir, exist_ok=True)
@@ -362,24 +406,16 @@ def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
 
     encoder = build_run_encoder(cfg)
     state = OptimState()
-    train_subjects = sorted(split.train_subjects)
-    test_subjects = sorted(split.test_subjects)
-    test_pairs = sample_pairs(ds, test_subjects, cfg.eval_pairs,
-                              cfg.pos_ratio, derive_seed(cfg.seed, 200))
+    test_pairs = verify_pairs(ds, split, cfg)
 
     rows = []
     best_test = np.inf
-    threshold = 0.0
     train_pair_subjects: set = set()
-    fixed = (sample_pairs(ds, train_subjects, cfg.pairs_per_epoch,
-                          cfg.pos_ratio, derive_seed(cfg.seed, 100, 1))
-             if cfg.fixed_pairs else None)
-
+    fixed = train_pairs(ds, split, cfg, 1) if cfg.fixed_pairs else None
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.monotonic()
-        pairs = fixed if fixed is not None else sample_pairs(
-            ds, train_subjects, cfg.pairs_per_epoch, cfg.pos_ratio,
-            derive_seed(cfg.seed, 100, epoch))
+        pairs = (fixed if cfg.fixed_pairs
+                 else train_pairs(ds, split, cfg, epoch))
         train_pair_subjects |= _pair_subject_set(ds, pairs)
 
         loss_sum, n_seen = 0.0, 0
@@ -390,43 +426,35 @@ def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
             loss_sum += val * len(batch)
             n_seen += len(batch)
         train_loss = loss_sum / n_seen
-
-        n_val = max(1, len(pairs) // 10)
-        d_val, y_val = eval_distances(encoder, pairs.slice(0, n_val), cfg)
-        threshold, _ = sweep_threshold(d_val, y_val, cfg.metric,
-                                       cfg.threshold_points)
-        d_test, y_test = eval_distances(encoder, test_pairs, cfg)
-        test_loss = eval_loss_value(d_test, y_test, cfg)
-        test_accuracy = accuracy_at(d_test, y_test, threshold, cfg.metric)
+        res = score(encoder, pairs, test_pairs, cfg)
 
         wall_ms = int(round((time.monotonic() - t0) * 1000.0))
         rows.append(dict(epoch=epoch, train_loss=train_loss,
-                         test_loss=test_loss, test_accuracy=test_accuracy,
+                         test_loss=res.loss, test_accuracy=res.accuracy,
                          wall_ms=wall_ms))
-        if test_loss < best_test:
-            best_test = test_loss
+        if res.loss < best_test:
+            best_test = res.loss
             save_checkpoint(encoder, state,
                             os.path.join(run_dir, "best.ckpt"))
         if cfg.stop_below > 0.0 and train_loss < cfg.stop_below:
             break
 
     save_checkpoint(encoder, state, os.path.join(run_dir, "final.ckpt"))
-    _write_metrics(os.path.join(run_dir, "metrics.csv"), rows)
+    write_lines(os.path.join(run_dir, "metrics.csv"), [METRICS_HEADER] + [
+        f"{r['epoch']},{r['train_loss']!r},{r['test_loss']!r},"
+        f"{r['test_accuracy']!r},{r['wall_ms']}" for r in rows])
 
     test_pair_subjects = _pair_subject_set(ds, test_pairs)
     disjoint = not (train_pair_subjects & test_pair_subjects)
-    audit = dict(train_subjects=train_subjects, test_subjects=test_subjects,
+    audit = dict(train_subjects=sorted(split.train_subjects),
+                 test_subjects=sorted(split.test_subjects),
                  train_pair_subjects=sorted(train_pair_subjects),
                  test_pair_subjects=sorted(test_pair_subjects),
                  zero_shot_disjoint=disjoint)
-    with open(os.path.join(run_dir, "audit.txt"), "w",
-              encoding="utf-8") as fh:
-        for key, val in audit.items():
-            if isinstance(val, list):
-                fh.write(f"{key}: {' '.join(str(s) for s in val)}\n")
-            else:
-                fh.write(f"{key}: {str(val).lower()}\n")
-    return TrainResult(run_dir, rows, threshold, encoder, state, audit)
+    write_lines(os.path.join(run_dir, "audit.txt"), (
+        f"{key}: {' '.join(str(s) for s in val)}" if isinstance(val, list)
+        else f"{key}: {str(val).lower()}" for key, val in audit.items()))
+    return TrainResult(run_dir, rows, res.threshold, encoder, state, audit)
 
 
 def train_run(cfg: RunConfig) -> TrainResult:
@@ -442,45 +470,21 @@ def train_run(cfg: RunConfig) -> TrainResult:
 
 def _train_kfold(cfg: RunConfig, ds: FaceDataset) -> TrainResult:
     os.makedirs(cfg.output_dir, exist_ok=True)
-    results = []
-    for i, split in enumerate(kfold(ds, cfg.kfold_k, cfg.seed)):
-        fold_dir = os.path.join(cfg.output_dir, f"fold{i}")
-        results.append(_train_single(cfg, ds, split, fold_dir))
-    with open(os.path.join(cfg.output_dir, "summary.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write("fold,test_loss,test_accuracy\n")
-        for i, res in enumerate(results):
-            fh.write(f"{i},{res.final_test_loss!r},"
-                     f"{res.final_test_accuracy!r}\n")
-        mean_loss = float(np.mean([r.final_test_loss for r in results]))
-        mean_acc = float(np.mean([r.final_test_accuracy for r in results]))
-        fh.write(f"mean,{mean_loss!r},{mean_acc!r}\n")
+    results = [_train_single(cfg, ds, split,
+                             os.path.join(cfg.output_dir, f"fold{i}"))
+               for i, split in enumerate(kfold(ds, cfg.kfold_k, cfg.seed))]
+    mean_loss = float(np.mean([r.final_test_loss for r in results]))
+    mean_acc = float(np.mean([r.final_test_accuracy for r in results]))
+    write_lines(os.path.join(cfg.output_dir, "summary.csv"),
+                ["fold,test_loss,test_accuracy"]
+                + [f"{i},{r.final_test_loss!r},{r.final_test_accuracy!r}"
+                   for i, r in enumerate(results)]
+                + [f"mean,{mean_loss!r},{mean_acc!r}"])
     return results[-1]
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-@dataclasses.dataclass
-class EvalResult:
-    loss: float
-    accuracy: float
-    threshold: float
-    bin_edges: np.ndarray
-    match_counts: np.ndarray
-    nonmatch_counts: np.ndarray
-
-
-def density_histogram(d: np.ndarray, labels: np.ndarray, bins: int = 50):
-    """Separate match/non-match histograms over a shared range."""
-    lo, hi = float(d.min()), float(d.max())
-    if hi <= lo:
-        hi = lo + 1e-12
-    edges = np.linspace(lo, hi, bins + 1)
-    match_counts, _ = np.histogram(d[labels == 0], bins=edges)
-    nonmatch_counts, _ = np.histogram(d[labels == 1], bins=edges)
-    return edges, match_counts, nonmatch_counts
-
 
 def overlap_coefficient(match_counts, nonmatch_counts) -> float:
     """Shared probability mass of the two histograms, in [0, 1]."""
@@ -493,21 +497,9 @@ def overlap_coefficient(match_counts, nonmatch_counts) -> float:
 
 def evaluate(encoder, ds: FaceDataset, split: SplitSpec,
              cfg: RunConfig) -> EvalResult:
-    train_pairs = sample_pairs(ds, sorted(split.train_subjects),
-                               cfg.pairs_per_epoch, cfg.pos_ratio,
-                               derive_seed(cfg.seed, 100, 1))
-    n_val = max(1, len(train_pairs) // 10)
-    d_val, y_val = eval_distances(encoder, train_pairs.slice(0, n_val), cfg)
-    threshold, _ = sweep_threshold(d_val, y_val, cfg.metric,
-                                   cfg.threshold_points)
-    test_pairs = sample_pairs(ds, sorted(split.test_subjects),
-                              cfg.eval_pairs, cfg.pos_ratio,
-                              derive_seed(cfg.seed, 200))
-    d_test, y_test = eval_distances(encoder, test_pairs, cfg)
-    edges, mc, nc = density_histogram(d_test, y_test)
-    return EvalResult(eval_loss_value(d_test, y_test, cfg),
-                      accuracy_at(d_test, y_test, threshold, cfg.metric),
-                      threshold, edges, mc, nc)
+    """Score on the test pairs, validating on epoch 1's training pairs."""
+    return score(encoder, train_pairs(ds, split, cfg, 1),
+                 verify_pairs(ds, split, cfg), cfg)
 
 
 def eval_run(checkpoint_path: str, cfg: RunConfig) -> EvalResult:
@@ -519,18 +511,15 @@ def eval_run(checkpoint_path: str, cfg: RunConfig) -> EvalResult:
     restore_checkpoint(encoder, None, checkpoint_path)
     res = evaluate(encoder, ds, split, cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "eval.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write("loss,accuracy,threshold\n")
-        fh.write(f"{res.loss!r},{res.accuracy!r},{res.threshold!r}\n")
-    with open(os.path.join(cfg.output_dir, "density.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write("bin_lo,bin_hi,match_count,nonmatch_count\n")
-        for i in range(len(res.match_counts)):
-            fh.write(f"{float(res.bin_edges[i])!r},"
-                     f"{float(res.bin_edges[i + 1])!r},"
-                     f"{int(res.match_counts[i])},"
-                     f"{int(res.nonmatch_counts[i])}\n")
+    write_lines(os.path.join(cfg.output_dir, "eval.csv"), [
+        "loss,accuracy,threshold",
+        f"{res.loss!r},{res.accuracy!r},{res.threshold!r}"])
+    edges = res.bin_edges
+    write_lines(os.path.join(cfg.output_dir, "density.csv"), [
+        "bin_lo,bin_hi,match_count,nonmatch_count"] + [
+        f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(mc)},{int(nc)}"
+        for i, (mc, nc) in enumerate(zip(res.match_counts,
+                                         res.nonmatch_counts))])
     return res
 
 
@@ -558,12 +547,10 @@ def gridsearch_run(cfg: RunConfig) -> list:
                          train_loss=res.final_train_loss,
                          test_loss=res.final_test_loss,
                          test_accuracy=res.final_test_accuracy))
-    with open(os.path.join(cfg.output_dir, "gridsearch.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write("margin,metric,train_loss,test_loss,test_accuracy\n")
-        for r in rows:
-            fh.write(f"{r['margin']:g},{r['metric']},{r['train_loss']!r},"
-                     f"{r['test_loss']!r},{r['test_accuracy']!r}\n")
+    write_lines(os.path.join(cfg.output_dir, "gridsearch.csv"), [
+        "margin,metric,train_loss,test_loss,test_accuracy"] + [
+        f"{r['margin']:g},{r['metric']},{r['train_loss']!r},"
+        f"{r['test_loss']!r},{r['test_accuracy']!r}" for r in rows])
     return rows
 
 
@@ -642,5 +629,4 @@ def emit_plot(metrics_path: str, out_path: str) -> None:
                      f'font-size="12" text-anchor="end" fill="{color}">'
                      f'{label}</text>')
     parts.append("</svg>")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(out_path, parts)

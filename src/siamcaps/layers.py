@@ -43,14 +43,6 @@ class Conv2dParams:
         self.stride = stride
         self.padding = padding
 
-    @property
-    def out_channels(self) -> int:
-        return self.kernel.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.kernel.shape[1]
-
     def parameter_count(self) -> int:
         return self.kernel.size + self.bias.size
 

@@ -82,11 +82,6 @@ class SplitMix64:
         u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
         return lo + (hi - lo) * u
 
-    def open_uniform(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on the open interval (0, 1)."""
-        bits = (self.raw(n) >> np.uint64(11)).astype(np.float64)
-        return (bits + 0.5) * _INV_2_53
-
     def normal(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         """``n`` Gaussian doubles via Box-Muller on consecutive draw pairs.
 
@@ -115,11 +110,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> list[int]:
-        out = list(range(n))
-        self.shuffle(out)
-        return out
-
-    def choice(self, items: list):
-        return items[self.randrange(len(items))]

@@ -1,10 +1,15 @@
-"""The demos that write no files run to completion."""
+"""The demos that write no files run to completion; demo 04 evaluates
+with the config demo 03 trained with."""
 
+import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
 
 import pytest
+
+from siamcaps import RunConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -19,3 +24,43 @@ def test_demo_runs(name, tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def _load_demo(name):
+    spec = importlib.util.spec_from_file_location(
+        "demo_" + name[:2], os.path.join(ROOT, "demos", name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Stop(Exception):
+    pass
+
+
+def _config_passed_to(module, attr, call, monkeypatch):
+    """The RunConfig `call()` hands to module.<attr>, which is stubbed."""
+    seen = []
+
+    def stub(*args):
+        seen.append(args[-1])
+        raise _Stop
+
+    monkeypatch.setattr(module, attr, stub)
+    with pytest.raises(_Stop):
+        call()
+    return seen[0]
+
+
+def test_verify_demo_evaluates_with_training_config(monkeypatch):
+    train_demo = _load_demo("03_train_synthetic.py")
+    verify_demo = _load_demo("04_verify_pairs.py")
+    monkeypatch.setattr(verify_demo.train_demo, "main", lambda: None)
+    trained = _config_passed_to(train_demo, "train_run", train_demo.main,
+                                monkeypatch)
+    evaluated = _config_passed_to(verify_demo, "eval_run", verify_demo.main,
+                                  monkeypatch)
+    for f in dataclasses.fields(RunConfig):
+        if f.name != "output_dir":
+            assert getattr(evaluated, f.name) == getattr(trained, f.name), \
+                f.name

@@ -97,6 +97,13 @@ def test_coerce_bool_and_errors():
         hz.coerce_value("fixed_pairs", "maybe")
     assert hz.coerce_value("alpha", "1e-3") == 1e-3
     assert hz.coerce_value("epochs", "12") == 12
+    assert hz.coerce_value("activation", " relu ") == "relu"
+    assert hz.coerce_value("m", "0.5") == 0.5
+    assert hz.coerce_value("routing_iters", "3") == 3
+    with pytest.raises(ValueError, match="bad number for 'm'"):
+        hz.coerce_value("m", "wide")
+    with pytest.raises(ValueError, match="bad integer for 'routing_iters'"):
+        hz.coerce_value("routing_iters", "2.5")
 
 
 def test_missing_data_dir_fails_before_model(tmp_path, monkeypatch):
@@ -317,6 +324,19 @@ def test_eval_run_outputs(tmp_path):
     match_total = sum(int(l.split(",")[2]) for l in dens[1:])
     nonmatch_total = sum(int(l.split(",")[3]) for l in dens[1:])
     assert match_total == 3 and nonmatch_total == 3  # 6 pairs, ratio 0.5
+
+
+def test_evaluate_reproduces_last_epoch_bitwise(tmp_path):
+    """Training and eval score with one protocol: with fixed pairs both
+    fit the threshold on epoch 1's pairs and score the same test pairs."""
+    cfg = micro_cfg(tmp_path / "run", fixed_pairs=True).finalize()
+    res = hz.train_run(cfg)
+    ds = hz.load_dataset(cfg)
+    got = hz.evaluate(res.encoder, ds, hz.make_split(ds, cfg), cfg)
+    last = hz.read_metrics(os.path.join(res.run_dir, "metrics.csv"))[-1]
+    assert got.loss == last["test_loss"]
+    assert got.accuracy == last["test_accuracy"]
+    assert got.threshold == res.threshold
 
 
 def test_eval_shape_mismatch_names_tensor(tmp_path):
