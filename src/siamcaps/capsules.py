@@ -24,6 +24,11 @@ EPS_SQ = 1e-9
 # [BLOCK, N, upper*d_out] (512 KB at full size and 8 images), stays in cache
 # while it is scattered into routing's layout
 BLOCK = 16
+# bytes of u_hat per group of samples that dynamic_route runs its recurrence
+# on at once: a group is read from memory once, and its other passes hit
+# cache.  At full size one sample's u_hat is 8 MiB, so a group is one sample;
+# at desk size (128 KiB a sample) a train batch or an eval chunk is one group
+ROUTE_BYTES = 8 << 20
 
 
 def squash(s: Tensor, axis: int = -1) -> Tensor:
@@ -81,7 +86,9 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     Log priors start at zero; each iteration softmaxes them over the parent
     axis, forms the coupled sum s_j = sum_i c_ij u_hat_ij, activates it, and
     (except after the last iteration) adds the agreement v_j . u_hat_ij back
-    onto the priors.  Returns (v [N, n_upper, d], RoutingState).
+    onto the priors.  Returns (v [N, n_upper, d], RoutingState).  The first
+    couplings are exactly 1/n_upper, the softmax of all-zero priors, so they
+    are filled in rather than computed.
 
     The whole recurrence is one tape node.  Its forward works on the
     [N, n_upper, n_lower, d] view of u_hat, so the coupled sum and the
@@ -93,9 +100,18 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     cotangent one iteration earlier.  Every term of the cotangent of u_hat
     is a coupling-like coefficient [N, n_upper, n_lower] times a vector
     [N, n_upper, d]; all 2*iterations - 1 of them are summed by one batched
-    matmul.  The activation and softmax derivatives come from their own
-    tape nodes on private graphs (see _pullback), built only when the vjp
-    runs.
+    matmul per group (below).  The activation and softmax derivatives come
+    from their own tape nodes on private graphs (see _pullback), built only
+    when the vjp runs.
+
+    Forward and vjp run the recurrence over groups of samples, each holding
+    at most ROUTE_BYTES of u_hat (one sample, if a sample is larger).  So
+    in the forward, and again in the vjp, a group's predictions are read
+    from memory once and stay in cache for the other passes over them.
+    Nothing in the recurrence mixes samples: the softmax runs over the
+    parents of one lower capsule, and the coupled sum and the agreement are
+    one matrix-vector product per sample and parent.  So each group
+    computes exactly, bit for bit, the rows the whole batch would.
 
     With detach_routing the agreement is built from detached v and u_hat,
     so the log priors and couplings stay constants: the vjp propagates no
@@ -115,54 +131,80 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
         return ad.softmax(b, axis=1)
 
     ut = u_hat.data.transpose(0, 2, 1, 3)  # [N, upper, lower, d] view
-    saved = [] if ad.tracked(u_hat) else None  # (b, c, s, v) per iteration
+    saved = [] if ad.tracked(u_hat) else None  # per group: (b, c, s, v) steps
     if saved is not None:
         # the vjp reads ut 2*(iterations-1) more times, and the products run
         # about twice as fast on contiguous memory; this copies nothing for
         # the capsule layer's u_hat, only for one laid out another way
         ut = np.ascontiguousarray(ut)
+    groups = _route_groups(n, ut[:1].nbytes)
     c_history: list[np.ndarray] = []
-    b = np.zeros((n, n_upper, n_lower))
+    vs, bs = [], []
     # the ops below see only constants and add no node; under an empty graph
     # of their own, nothing that inspects the active tape (an instrumented
     # op, say) can reach the caller's
     with ad.Graph():
-        for it in range(iterations):
-            c = couple(Tensor(b)).data
-            c_history.append(c.transpose(0, 2, 1).copy())
-            s = np.matmul(c[:, :, None, :], ut)[:, :, 0, :]
-            v = act(Tensor(s)).data
+        for lo, hi in groups:
+            u_g, steps = ut[lo:hi], []
+            b = np.zeros((hi - lo, n_upper, n_lower))
+            for it in range(iterations):
+                c = (couple(Tensor(b)).data if it
+                     else np.full_like(b, 1.0 / n_upper))
+                if lo == 0:
+                    c_history.append(np.empty((n, n_lower, n_upper)))
+                c_history[it][lo:hi] = c.transpose(0, 2, 1)
+                s = np.matmul(c[:, :, None, :], u_g)[:, :, 0, :]
+                v = act(Tensor(s)).data
+                if saved is not None:
+                    steps.append((b, c, s, v))
+                if it < iterations - 1:
+                    b = b + np.matmul(u_g, v[:, :, :, None])[:, :, :, 0]
+            vs.append(v)
+            bs.append(b)
             if saved is not None:
-                saved.append((b, c, s, v))
-            if it < iterations - 1:
-                b = b + np.matmul(ut, v[:, :, :, None])[:, :, :, 0]
+                saved.append(steps)
 
     def vjp(g):
-        coefs, vecs = [], []
-        gv, gb = g, None  # gb: cotangent of the next iteration's log priors
-        for it in reversed(range(iterations)):
-            b_it, c_it, s_it, v_it = saved[it]
-            if it < iterations - 1:
-                # the agreement v . u_hat was added to b, so its cotangent is gb
-                gv = np.matmul(gb[:, :, None, :], ut)[:, :, 0, :]
-                coefs.append(gb)
-                vecs.append(v_it)
-            gs = _pullback(act, s_it, gv)
-            coefs.append(c_it)
-            vecs.append(gs)
-            if detach_routing or it == 0:
-                break
-            gc = np.matmul(ut, gs[:, :, :, None])[:, :, :, 0]
-            gsoft = _pullback(couple, b_it, gc)
-            gb = gsoft if gb is None else gb + gsoft
         gu = np.empty_like(u_hat.data)  # same memory order as u_hat
-        np.matmul(np.stack(coefs, axis=2).swapaxes(2, 3),
-                  np.stack(vecs, axis=2), out=gu.transpose(0, 2, 1, 3))
+        for (lo, hi), steps in zip(groups, saved):
+            u_g, coefs, vecs = ut[lo:hi], [], []
+            gv, gb = g[lo:hi], None  # gb: cotangent of the next log priors
+            for it in reversed(range(iterations)):
+                b_it, c_it, s_it, v_it = steps[it]
+                if it < iterations - 1:
+                    # the agreement v . u_hat was added to b, so its
+                    # cotangent is gb
+                    gv = np.matmul(gb[:, :, None, :], u_g)[:, :, 0, :]
+                    coefs.append(gb)
+                    vecs.append(v_it)
+                gs = _pullback(act, s_it, gv)
+                coefs.append(c_it)
+                vecs.append(gs)
+                if detach_routing or it == 0:
+                    break
+                gc = np.matmul(u_g, gs[:, :, :, None])[:, :, :, 0]
+                gsoft = _pullback(couple, b_it, gc)
+                gb = gsoft if gb is None else gb + gsoft
+            np.matmul(np.stack(coefs, axis=2).swapaxes(2, 3),
+                      np.stack(vecs, axis=2),
+                      out=gu[lo:hi].transpose(0, 2, 1, 3))
         return (gu,)
 
-    out = ad._emit("dynamic_route", v, [u_hat], vjp)
-    return out, RoutingState(b.transpose(0, 2, 1), c_history[-1], iterations,
-                             c_history)
+    out = ad._emit("dynamic_route", _joined(vs), [u_hat], vjp)
+    return out, RoutingState(_joined(bs).transpose(0, 2, 1), c_history[-1],
+                             iterations, c_history)
+
+
+def _route_groups(n: int, sample_bytes: int) -> list:
+    """Sample ranges [lo, hi) that hold at most ROUTE_BYTES of u_hat each,
+    or one sample each when a sample is larger; one empty range for N = 0."""
+    size = max(1, ROUTE_BYTES // max(1, sample_bytes))
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)] or [(0, 0)]
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The per-group parts as one batch; a single group is used as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class CapsuleGrid:

@@ -277,8 +277,12 @@ def pair_distances(encoder, batch, cfg: RunConfig, training: bool,
 def eval_distances(encoder, pairs, cfg: RunConfig, chunk: int = 16):
     """Graph-free eval-mode distances over a pair set -> (D, labels).
 
-    chunk bounds the transient im2col buffers: a chunk of pairs runs
-    2*chunk images through the conv stack at once.
+    chunk bounds the transient buffers of one encoder pass: a chunk of
+    pairs runs 2*chunk images through the network at once.  At full size
+    the largest are the im2col buffers and u_hat (268 MB for the default
+    32 images).  Routing reads u_hat one sample at a time there (see
+    capsules.ROUTE_BYTES), so the chunk does not set routing's cache
+    footprint.
     """
     parts = []
     for lo in range(0, len(pairs), chunk):

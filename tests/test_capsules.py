@@ -100,6 +100,12 @@ def test_first_iteration_couplings_uniform():
     u_hat = Tensor(rand_uhat((2, 4, 10, 3), 70))
     _, state = caps.dynamic_route(u_hat, 1, "squash")
     np.testing.assert_allclose(state.c_history[0], 0.1, atol=1e-15)
+    # the filled-in first couplings are bitwise the softmax of zero priors
+    for n_upper in (3, 7, 10, 16, 32, 33):
+        u_hat = Tensor(rand_uhat((2, 4, n_upper, 3), 70))
+        _, state = caps.dynamic_route(u_hat, 2, "tanh")
+        want = ad.softmax(Tensor(np.zeros((2, 4, n_upper))), axis=2).data
+        assert np.array_equal(state.c_history[0], want), n_upper
 
 
 def test_route_matches_reference():
@@ -310,25 +316,27 @@ def test_route_appends_one_tape_node():
                 assert v.graph is g and g.nodes[-1][1] == v.node_id
 
 
-def test_route_backward_frees_its_private_graphs():
+def test_route_backward_frees_its_private_graphs(monkeypatch):
     # the vjp's private graphs must go by refcounting, not wait for the
-    # cyclic collector with their arrays
+    # cyclic collector with their arrays, with one group or several
     def live_graphs():
         return sum(isinstance(o, ad.Graph) for o in gc.get_objects())
 
     u = Tensor(rand_uhat((2, 5, 3, 4), 96), requires_grad=True)
-    gc.collect()
-    gc.disable()
-    try:
-        before = live_graphs()
-        with ad.Graph():
-            v, _ = caps.dynamic_route(u, 3, "squash")
-            ad.backward(ad.sum_(ad.square(v)))
-        del v
-        u.graph = None
-        assert live_graphs() == before
-    finally:
-        gc.enable()
+    for budget in (caps.ROUTE_BYTES, 1):  # the batch whole, then per sample
+        monkeypatch.setattr(caps, "ROUTE_BYTES", budget)
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_graphs()
+            with ad.Graph():
+                v, _ = caps.dynamic_route(u, 3, "squash")
+                ad.backward(ad.sum_(ad.square(v)))
+            del v
+            u.graph = None
+            assert live_graphs() == before, budget
+        finally:
+            gc.enable()
 
 
 def test_route_of_constant_appends_no_tape_node():
@@ -338,6 +346,75 @@ def test_route_of_constant_appends_no_tape_node():
             v, _ = caps.dynamic_route(u_hat, 3, act)
             assert g.nodes == [] and g.leaves == []
             assert v.node_id is None
+
+
+def routed(u_np, layout, tracked, act, detach):
+    """dynamic_route on u_np [N, L, U, d] stored C-contiguous ("nlud") or in
+    the capsule layer's [N, U, L, d] order ("nuld"): (arrays, u_hat.grad)."""
+    if layout == "nuld":
+        u_np = np.ascontiguousarray(u_np.transpose(0, 2, 1, 3))
+        u_np = u_np.transpose(0, 2, 1, 3)
+    u = Tensor(u_np.copy(order="K"), requires_grad=tracked)
+    w = Tensor(rand_uhat((u_np.shape[0], u_np.shape[2], u_np.shape[3]), 98))
+    with ad.Graph():
+        v, state = caps.dynamic_route(u, 3, act, detach)
+        if tracked:
+            ad.backward(ad.sum_(ad.mul(v, w)))
+    return [v.data, state.b, state.c] + state.c_history, u.grad
+
+
+@pytest.mark.parametrize("per_group,groups", [
+    (1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+    (2, [(0, 2), (2, 4), (4, 5)]),
+    (3, [(0, 3), (3, 5)]),
+])
+def test_grouped_route_equals_whole_batch_bitwise(per_group, groups,
+                                                  monkeypatch):
+    u_np = rand_uhat((5, 6, 4, 3), 97, 1.5)
+    sample_bytes = u_np[0].nbytes
+    cases = [(layout, tracked, act, detach)
+             for layout in ("nlud", "nuld") for tracked in (True, False)
+             for act in ("squash", "tanh") for detach in (False, True)]
+    assert caps._route_groups(5, sample_bytes) == [(0, 5)]
+    whole = [routed(u_np, *case) for case in cases]
+    monkeypatch.setattr(caps, "ROUTE_BYTES", per_group * sample_bytes + 7)
+    assert caps._route_groups(5, sample_bytes) == groups
+    for case, (want, gu_want) in zip(cases, whole):
+        got, gu = routed(u_np, *case)
+        assert len(got) == len(want) == 6
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), case
+        if case[1]:
+            assert gu.strides == gu_want.strides, case
+            assert np.array_equal(gu, gu_want), case
+        else:
+            assert gu is None and gu_want is None
+
+
+def test_desk_shapes_route_as_one_group(monkeypatch):
+    # the criterion-8 model routes a train batch and an eval chunk whole
+    from siamcaps import harness as hz
+    from siamcaps.data import PairBatch
+    cfg = hz.RunConfig(dataset="att", conv_channels=32, primary_types=8,
+                       face_caps=16, face_d=8, input_size=64, batch_size=8,
+                       routing_iters=2).finalize()
+    enc = hz.build_run_encoder(cfg)
+    seen = []
+
+    def spy(n, sample_bytes):
+        seen.append(real(n, sample_bytes))
+        return seen[-1]
+
+    real = caps._route_groups
+    monkeypatch.setattr(caps, "_route_groups", spy)
+    size = (16, 1, cfg.input_size, cfg.input_size)
+    pairs = PairBatch(Tensor(rand_uhat(size, 1, 1.0)),
+                      Tensor(rand_uhat(size, 2, 1.0)), np.zeros(16))
+    with ad.Graph():
+        hz.pair_distances(enc, pairs.slice(0, cfg.batch_size), cfg,
+                          training=True, rng=SplitMix64(3))
+    hz.eval_distances(enc, pairs, cfg)  # its default chunk, 16 pairs
+    assert seen == [[(0, 2 * cfg.batch_size)], [(0, 32)]]
 
 
 # ---------------------------------------------------------------------------
