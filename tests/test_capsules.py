@@ -399,13 +399,12 @@ def test_desk_shapes_route_as_one_group(monkeypatch):
                        face_caps=16, face_d=8, input_size=64, batch_size=8,
                        routing_iters=2).finalize()
     enc = hz.build_run_encoder(cfg)
-    seen = []
+    real, seen = caps._route_groups, []
 
     def spy(n, sample_bytes):
         seen.append(real(n, sample_bytes))
         return seen[-1]
 
-    real = caps._route_groups
     monkeypatch.setattr(caps, "_route_groups", spy)
     size = (16, 1, cfg.input_size, cfg.input_size)
     pairs = PairBatch(Tensor(rand_uhat(size, 1, 1.0)),
