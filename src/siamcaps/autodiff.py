@@ -7,9 +7,9 @@ each node as its vjp runs, so intermediates are freed by refcounting during
 the step rather than left to the cyclic collector.  A fresh Graph is built
 per training step.  Layers with an iterated or windowed forward
 (convolution, routing-by-agreement) are single nodes with a hand-written
-vjp rather than unrolled chains of primitives; routing's vjp still takes
-its activation and softmax derivatives from these primitives, through
-private graphs of its own.
+vjp rather than unrolled chains of primitives.  A vjp is plain numpy and
+never runs backward: the derivatives that routing shares with primitives
+(tanh, softmax) are kernels returning (value, vjp) that both call.
 
 Conventions:
   - all data is float64; scalars are tensors of shape (1,)
@@ -69,43 +69,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={list(self.shape)}{tag})"
-
-    # operator sugar; python numbers go through the *_scalar primitives so
-    # the tensor-tensor broadcast rule stays strict
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, -float(other))
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(negate(self), float(other))
-        return sub(other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return mul_scalar(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul_scalar(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return negate(self)
 
 
 class Graph:
@@ -258,34 +221,6 @@ def uniform(shape, lo: float, hi: float, seed: int,
     return Tensor(vals, requires_grad, name)
 
 
-def normal(shape, mu: float, sigma: float, seed: int,
-           requires_grad: bool = False, name: str = "") -> Tensor:
-    shape = _check_shape(shape)
-    if sigma < 0:
-        raise ValueError(f"normal needs sigma >= 0, got {sigma}")
-    n = int(np.prod(shape))
-    vals = SplitMix64(seed).normal(n, mu, sigma).reshape(shape)
-    return Tensor(vals, requires_grad, name)
-
-
-def constant(data, name: str = "") -> Tensor:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    return Tensor(arr, name=name)
-
-
-def scalar(value: float) -> Tensor:
-    return Tensor(np.array([float(value)]))
-
-
-def parameter(data, name: str = "") -> Tensor:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    return Tensor(arr.copy(), requires_grad=True, name=name)
-
-
 # ---------------------------------------------------------------------------
 # broadcasting helpers (size-1 axes only)
 
@@ -395,9 +330,15 @@ def absolute(a: Tensor) -> Tensor:
                  lambda g: (g * np.sign(a.data),))
 
 
+def tanh_kernel(x: np.ndarray):
+    """(tanh(x), its vjp) in plain numpy; the tanh primitive wraps it."""
+    out = np.tanh(x)
+    return out, lambda g: g * (1.0 - out * out)
+
+
 def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _emit("tanh", out, [a], lambda g: (g * (1.0 - out * out),))
+    out, vjp = tanh_kernel(a.data)
+    return _emit("tanh", out, [a], lambda g: (vjp(g),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -512,16 +453,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", out, [a, b], vjp)
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    axis = axis % a.data.ndim
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
+def softmax_kernel(x: np.ndarray, axis: int):
+    """(softmax of x along axis, its vjp) in plain numpy; the softmax
+    primitive wraps it."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
+    return out, lambda g: out * (g - (g * out).sum(axis=axis, keepdims=True))
 
-    def vjp(g):
-        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
 
-    return _emit("softmax", out, [a], vjp)
+def softmax(a: Tensor, axis: int) -> Tensor:
+    out, vjp = softmax_kernel(a.data, axis % a.data.ndim)
+    return _emit("softmax", out, [a], lambda g: (vjp(g),))
 
 
 def l2norm(a: Tensor, axis: int, eps: float = 1e-12) -> Tensor:

@@ -31,16 +31,36 @@ BLOCK = 16
 ROUTE_BYTES = 8 << 20
 
 
-def squash(s: Tensor, axis: int = -1) -> Tensor:
-    """Shrink s along axis to norm ||s||^2/(1+||s||^2), direction preserved.
+def squash_kernel(s: np.ndarray, axis: int = -1):
+    """(squash of s along axis, its vjp) in plain numpy.
 
-    Written as s * sqrt(n2 + eps^2)/(1 + n2) so the zero vector maps to zero
-    exactly and the output norm matches the analytic value to ~1e-16 even at
-    small norms (a naive ||s||/(||s||+eps) guard costs ~1e-10 at ||s||=0.1).
+    squash shrinks s to norm ||s||^2/(1+||s||^2), direction preserved.  It
+    is written as s * sqrt(n2 + eps^2)/(1 + n2) so the zero vector maps to
+    zero exactly and the output norm matches the analytic value to ~1e-16
+    even at small norms (a naive ||s||/(||s||+eps) guard costs ~1e-10 at
+    ||s||=0.1).  The vjp adds its terms in the order a reverse sweep over
+    the chain square, sum, add_scalar, sqrt, div, mul would, so it matches
+    that chain bit for bit.
     """
-    n2 = ad.sum_(ad.square(s), axis=axis, keepdims=True)
-    norm = ad.sqrt(ad.add_scalar(n2, EPS_SQ * EPS_SQ))
-    return ad.mul(s, ad.div(norm, ad.add_scalar(n2, 1.0)))
+    n2 = (s * s).sum(axis=axis, keepdims=True)
+    norm = np.sqrt(n2 + EPS_SQ * EPS_SQ)
+    inv = 1.0 / (n2 + 1.0)
+    ratio = norm * inv
+
+    def vjp(g):
+        g_ratio = (g * s).sum(axis=axis, keepdims=True)
+        g_n2 = -g_ratio * ratio * inv + g_ratio * inv * (0.5 / norm)
+        # in C order, as the chain's sum of cotangents is: the layers below
+        # reduce in memory order
+        return np.add(g * ratio, g_n2 * (2.0 * s), order="C")
+
+    return s * ratio, vjp
+
+
+def squash(s: Tensor, axis: int = -1) -> Tensor:
+    """squash_kernel as one tape node."""
+    out, vjp = squash_kernel(s.data, axis)
+    return ad._emit("squash", out, [s], lambda g: (vjp(g),))
 
 
 class RoutingState:
@@ -56,27 +76,6 @@ class RoutingState:
         self.c = c
         self.iterations = iterations
         self.c_history = c_history
-
-
-def _route_activation(kind: str, s: Tensor) -> Tensor:
-    if kind == "squash":
-        return squash(s, axis=-1)
-    if kind == "tanh":
-        return ad.tanh(s)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def _pullback(fn, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Cotangent of x given the cotangent g of fn(Tensor(x)).
-
-    fn runs on a private graph whose backward pulls g through fn's own tape
-    nodes, so no derivative is written here a second time.
-    """
-    xt = Tensor(x, requires_grad=True)
-    with ad.Graph():
-        ad.backward(ad.sum_(ad.mul(fn(xt), Tensor(g))))
-    xt.graph = None  # a leaf and its graph point at each other; unlink them
-    return xt.grad
 
 
 def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
@@ -100,9 +99,11 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     cotangent one iteration earlier.  Every term of the cotangent of u_hat
     is a coupling-like coefficient [N, n_upper, n_lower] times a vector
     [N, n_upper, d]; all 2*iterations - 1 of them are summed by one batched
-    matmul per group (below).  The activation and softmax derivatives come
-    from their own tape nodes on private graphs (see _pullback), built only
-    when the vjp runs.
+    matmul per group (below).  Each forward step saves its couplings, the
+    vjps of their softmax and of the activation, and its output v: the
+    vjps are numpy closures from the kernels that the softmax, tanh and
+    squash primitives wrap, so the vjp builds no graph and runs no
+    backward of its own.
 
     Forward and vjp run the recurrence over groups of samples, each holding
     at most ROUTE_BYTES of u_hat (one sample, if a sample is larger).  So
@@ -123,15 +124,13 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
         raise ShapeError(f"u_hat must be rank 4 [N, lower, upper, d], got "
                          f"{list(u_hat.shape)}")
     n, n_lower, n_upper, _ = u_hat.shape
-
-    def act(s):
-        return _route_activation(activation_kind, s)
-
-    def couple(b):
-        return ad.softmax(b, axis=1)
+    if activation_kind not in ("squash", "tanh"):
+        raise ValueError(f"unknown activation kind {activation_kind!r}")
+    act = squash_kernel if activation_kind == "squash" else ad.tanh_kernel
 
     ut = u_hat.data.transpose(0, 2, 1, 3)  # [N, upper, lower, d] view
-    saved = [] if ad.tracked(u_hat) else None  # per group: (b, c, s, v) steps
+    # per group, one (c, softmax vjp, activation vjp, v) per step
+    saved = [] if ad.tracked(u_hat) else None
     if saved is not None:
         # the vjp reads ut 2*(iterations-1) more times, and the products run
         # about twice as fast on contiguous memory; this copies nothing for
@@ -140,29 +139,25 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     groups = _route_groups(n, ut[:1].nbytes)
     c_history: list[np.ndarray] = []
     vs, bs = [], []
-    # the ops below see only constants and add no node; under an empty graph
-    # of their own, nothing that inspects the active tape (an instrumented
-    # op, say) can reach the caller's
-    with ad.Graph():
-        for lo, hi in groups:
-            u_g, steps = ut[lo:hi], []
-            b = np.zeros((hi - lo, n_upper, n_lower))
-            for it in range(iterations):
-                c = (couple(Tensor(b)).data if it
-                     else np.full_like(b, 1.0 / n_upper))
-                if lo == 0:
-                    c_history.append(np.empty((n, n_lower, n_upper)))
-                c_history[it][lo:hi] = c.transpose(0, 2, 1)
-                s = np.matmul(c[:, :, None, :], u_g)[:, :, 0, :]
-                v = act(Tensor(s)).data
-                if saved is not None:
-                    steps.append((b, c, s, v))
-                if it < iterations - 1:
-                    b = b + np.matmul(u_g, v[:, :, :, None])[:, :, :, 0]
-            vs.append(v)
-            bs.append(b)
+    for lo, hi in groups:
+        u_g, steps = ut[lo:hi], []
+        b = np.zeros((hi - lo, n_upper, n_lower))
+        for it in range(iterations):
+            c, c_vjp = (ad.softmax_kernel(b, axis=1) if it
+                        else (np.full_like(b, 1.0 / n_upper), None))
+            if lo == 0:
+                c_history.append(np.empty((n, n_lower, n_upper)))
+            c_history[it][lo:hi] = c.transpose(0, 2, 1)
+            s = np.matmul(c[:, :, None, :], u_g)[:, :, 0, :]
+            v, v_vjp = act(s)
             if saved is not None:
-                saved.append(steps)
+                steps.append((c, c_vjp, v_vjp, v))
+            if it < iterations - 1:
+                b = b + np.matmul(u_g, v[:, :, :, None])[:, :, :, 0]
+        vs.append(v)
+        bs.append(b)
+        if saved is not None:
+            saved.append(steps)
 
     def vjp(g):
         gu = np.empty_like(u_hat.data)  # same memory order as u_hat
@@ -170,20 +165,20 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
             u_g, coefs, vecs = ut[lo:hi], [], []
             gv, gb = g[lo:hi], None  # gb: cotangent of the next log priors
             for it in reversed(range(iterations)):
-                b_it, c_it, s_it, v_it = steps[it]
+                c_it, c_vjp, v_vjp, v_it = steps[it]
                 if it < iterations - 1:
                     # the agreement v . u_hat was added to b, so its
                     # cotangent is gb
                     gv = np.matmul(gb[:, :, None, :], u_g)[:, :, 0, :]
                     coefs.append(gb)
                     vecs.append(v_it)
-                gs = _pullback(act, s_it, gv)
+                gs = v_vjp(gv)
                 coefs.append(c_it)
                 vecs.append(gs)
                 if detach_routing or it == 0:
                     break
                 gc = np.matmul(u_g, gs[:, :, :, None])[:, :, :, 0]
-                gsoft = _pullback(couple, b_it, gc)
+                gsoft = c_vjp(gc)
                 gb = gsoft if gb is None else gb + gsoft
             np.matmul(np.stack(coefs, axis=2).swapaxes(2, 3),
                       np.stack(vecs, axis=2),

@@ -222,6 +222,16 @@ _SUBJECT_DIR = re.compile(r"^s(\d+)$")
 _PGM_FILE = re.compile(r"^(\d+)\.pgm$")
 
 
+def _read_pgm(path: str) -> Tensor:
+    """load_pgm of the file at path; a parse error names the path."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return load_pgm(raw)
+    except PgmError as exc:
+        raise PgmError(exc.code, f"{path}: {exc}") from None
+
+
 def load_att(root: str, target: int = 100) -> FaceDataset:
     """Load an ORL-layout directory tree s<K>/<J>.pgm."""
     if not os.path.isdir(root):
@@ -239,12 +249,7 @@ def load_att(root: str, target: int = 100) -> FaceDataset:
             if fm:
                 files.append((int(fm.group(1)), fname))
         for _, fname in sorted(files):
-            path = os.path.join(sdir, fname)
-            with open(path, "rb") as fh:
-                try:
-                    img = load_pgm(fh.read())
-                except PgmError as exc:
-                    raise PgmError(exc.code, f"{path}: {exc}") from None
+            img = _read_pgm(os.path.join(sdir, fname))
             records.append((sid, preprocess(img, target)))
     if not records:
         raise FileNotFoundError(f"no s<K>/<J>.pgm images under {root!r}")
@@ -273,13 +278,7 @@ def load_lfw(root: str, target: int = 100,
             path = os.path.join(sdir, fname)
             low = fname.lower()
             if low.endswith(".pgm"):
-                with open(path, "rb") as fh:
-                    try:
-                        img = load_pgm(fh.read())
-                    except PgmError as exc:
-                        raise PgmError(exc.code,
-                                       f"{path}: {exc}") from None
-                imgs.append(preprocess(img, target))
+                imgs.append(preprocess(_read_pgm(path), target))
             elif low.endswith((".jpg", ".jpeg", ".png")):
                 try:
                     from PIL import Image

@@ -101,7 +101,7 @@ def _check_contrastive(seed):
     rng = SplitMix64(seed)
     e1 = _rand(rng, 4, 6, scale=0.5)
     e2 = _rand(rng, 4, 6, scale=0.5)
-    y = ad.constant([0.0, 1.0, 1.0, 0.0])
+    y = ad.Tensor([0.0, 1.0, 1.0, 0.0])
 
     def f(a_, b_):
         d = distance(a_, b_, "euclidean_sq")
@@ -114,7 +114,7 @@ def _check_double_margin(seed):
     rng = SplitMix64(seed)
     e1 = _rand(rng, 4, 6, scale=0.5)
     e2 = _rand(rng, 4, 6, scale=0.5)
-    y = ad.constant([0.0, 1.0, 1.0, 0.0])
+    y = ad.Tensor([0.0, 1.0, 1.0, 0.0])
 
     def f(a_, b_):
         d = distance(a_, b_, "euclidean_sq")
@@ -126,7 +126,7 @@ def _check_double_margin(seed):
 def _check_concrete_dropout(seed):
     rng = SplitMix64(seed)
     p = ad.Tensor(rng.uniform(6, lo=0.15, hi=0.85), requires_grad=True)
-    u_frozen = ad.constant(rng.uniform(6, lo=0.05, hi=0.95))
+    u_frozen = ad.Tensor(rng.uniform(6, lo=0.05, hi=0.95))
     poses = _rand(rng, 2, 6, 3)
 
     def f(p_, x_):

@@ -1,7 +1,5 @@
 """Capsule primitives against analytic values and hand-rolled references."""
 
-import gc
-
 import numpy as np
 import pytest
 
@@ -86,6 +84,46 @@ def test_squash_grad_check():
     x = Tensor(SplitMix64(62).uniform(12, -2.0, 2.0).reshape(3, 4))
     assert grad_check(
         lambda x: ad.sum_(ad.square(caps.squash(x, axis=1))), x) < 1e-4
+
+
+def squash_chain(s: Tensor, axis: int) -> Tensor:
+    """squash as the chain of tape primitives it once was."""
+    n2 = ad.sum_(ad.square(s), axis=axis, keepdims=True)
+    norm = ad.sqrt(ad.add_scalar(n2, caps.EPS_SQ * caps.EPS_SQ))
+    return ad.mul(s, ad.div(norm, ad.add_scalar(n2, 1.0)))
+
+
+def test_squash_node_matches_primitive_chain_bitwise():
+    # one tape node, whose value and input cotangent are those of the chain,
+    # in the same memory order, for inputs and cotangents laid out either way
+    rng = SplitMix64(63)
+    cases = []
+    for trial in range(30):
+        shape = tuple(int(k) for k in 1 + rng.uniform(3, 0.0, 6.0).astype(int))
+        x = rng.normal(int(np.prod(shape))).reshape(shape)
+        cases.append((x * 10.0 ** (trial % 5 - 2), (1, 2, -1)[trial % 3]))
+    cases += [(np.zeros((2, 3, 4)), axis) for axis in (1, 2, -1)]
+    for trial, (x, axis) in enumerate(cases):
+        g = rng.normal(x.size).reshape(x.shape)
+        perm = (0, 1, 2)
+        if trial % 2:  # as a primary grid of one position: x with its last
+            # two axes swapped in memory, its cotangent in reversed order
+            x = np.ascontiguousarray(x.swapaxes(1, 2)).swapaxes(1, 2)
+            perm = (2, 1, 0)
+        got = []
+        for fn in (caps.squash, squash_chain):
+            xt = Tensor(x.copy(order="K"), requires_grad=True)
+            with ad.Graph() as graph:
+                v = fn(xt, axis)
+                if fn is caps.squash:
+                    assert [node[0] for node in graph.nodes] == ["squash"]
+                gt = Tensor(np.ascontiguousarray(g.transpose(perm)))
+                ad.backward(ad.sum_(ad.mul(ad.transpose(v, perm), gt)))
+            got.append((v.data, xt.grad))
+        (v, gx), (v_ref, gx_ref) = got
+        tag = (x.shape, x.strides, axis)
+        assert np.array_equal(v, v_ref), tag
+        assert np.array_equal(gx, gx_ref) and gx.strides == gx_ref.strides, tag
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +298,7 @@ def route_tape_reference(u_hat: Tensor, iterations: int, act: str,
         c_history.append(c.data.copy())
         cc = ad.reshape(c, [n, n_lower, n_upper, 1])
         s = ad.sum_(ad.mul(cc, u_hat), axis=1)
-        v = caps._route_activation(act, s)
+        v = caps.squash(s, axis=-1) if act == "squash" else ad.tanh(s)
         if it < iterations - 1:
             v_agree = v.detach() if detach_routing else v
             vv = ad.reshape(v_agree, [n, 1, n_upper, d])
@@ -316,27 +354,40 @@ def test_route_appends_one_tape_node():
                 assert v.graph is g and g.nodes[-1][1] == v.node_id
 
 
-def test_route_backward_frees_its_private_graphs(monkeypatch):
-    # the vjp's private graphs must go by refcounting, not wait for the
-    # cyclic collector with their arrays, with one group or several
-    def live_graphs():
-        return sum(isinstance(o, ad.Graph) for o in gc.get_objects())
+@pytest.mark.parametrize("budget", [caps.ROUTE_BYTES, 1])
+def test_train_step_runs_one_backward_and_no_nested_graph(budget,
+                                                          monkeypatch):
+    # every vjp, routing's too, is plain numpy: the step's own graph is
+    # the only one, and its backward is the only sweep, with the batch
+    # routed whole or one sample at a time
+    from siamcaps import harness as hz
+    from siamcaps.data import PairBatch
+    from siamcaps.optim import OptimState
+    cfg = hz.RunConfig(conv_channels=32, primary_types=8, primary_d=8,
+                       face_caps=16, face_d=8, routing_iters=2,
+                       input_size=64).finalize()
+    enc = hz.build_run_encoder(cfg)
+    size = (8, 1, cfg.input_size, cfg.input_size)
+    batch = PairBatch(Tensor(rand_uhat(size, 1, 1.0)),
+                      Tensor(rand_uhat(size, 2, 1.0)),
+                      np.array([0.0, 1.0] * 4))
+    events = []
+    real_init, real_backward = ad.Graph.__init__, ad.backward
 
-    u = Tensor(rand_uhat((2, 5, 3, 4), 96), requires_grad=True)
-    for budget in (caps.ROUTE_BYTES, 1):  # the batch whole, then per sample
-        monkeypatch.setattr(caps, "ROUTE_BYTES", budget)
-        gc.collect()
-        gc.disable()
-        try:
-            before = live_graphs()
-            with ad.Graph():
-                v, _ = caps.dynamic_route(u, 3, "squash")
-                ad.backward(ad.sum_(ad.square(v)))
-            del v
-            u.graph = None
-            assert live_graphs() == before, budget
-        finally:
-            gc.enable()
+    def graph_init(self):
+        events.append("graph")
+        real_init(self)
+
+    def backward(loss):
+        events.append("backward")
+        real_backward(loss)
+        events.append("swept")
+
+    monkeypatch.setattr(caps, "ROUTE_BYTES", budget)
+    monkeypatch.setattr(ad.Graph, "__init__", graph_init)
+    monkeypatch.setattr(ad, "backward", backward)
+    hz._train_step(enc, OptimState(), batch, cfg, None)
+    assert events == ["graph", "backward", "swept"]
 
 
 def test_route_of_constant_appends_no_tape_node():

@@ -120,7 +120,7 @@ def test_encode_and_load_hold_the_data_once(tmp_path):
 
 def _train_one_step(enc, state, images):
     with ad.Graph():
-        emb = enc.encode(ad.constant(images), training=True)
+        emb = enc.encode(ad.Tensor(images), training=True)
         loss = ad.mean(ad.square(emb))
         ad.backward(loss)
         amsgrad_step(list(enc.named_parameters()), state, alpha=0.01)
@@ -151,8 +151,8 @@ def test_encoder_state_round_trip(tmp_path):
         assert state2.m[name].tobytes() == state.m[name].tobytes()
         assert state2.v_hat[name].tobytes() == state.v_hat[name].tobytes()
 
-    out1 = enc.encode(ad.constant(images), training=False).data
-    out2 = enc2.encode(ad.constant(images), training=False).data
+    out1 = enc.encode(ad.Tensor(images), training=False).data
+    out2 = enc2.encode(ad.Tensor(images), training=False).data
     assert out1.tobytes() == out2.tobytes()
 
 
