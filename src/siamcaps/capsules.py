@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .layers import Conv2dParams, conv2d_init, conv2d_forward
+from .layers import Conv2dParams, byte_chunks, conv2d_init, conv2d_forward
 from .rng import SplitMix64, derive_seed
 
 log = logging.getLogger(__name__)
@@ -193,8 +193,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
 def _route_groups(n: int, sample_bytes: int) -> list:
     """Sample ranges [lo, hi) that hold at most ROUTE_BYTES of u_hat each,
     or one sample each when a sample is larger; one empty range for N = 0."""
-    size = max(1, ROUTE_BYTES // max(1, sample_bytes))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)] or [(0, 0)]
+    return byte_chunks(n, sample_bytes, ROUTE_BYTES)
 
 
 def _joined(parts: list) -> np.ndarray:

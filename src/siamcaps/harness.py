@@ -279,10 +279,11 @@ def eval_distances(encoder, pairs, cfg: RunConfig, chunk: int = 16):
 
     chunk bounds the transient buffers of one encoder pass: a chunk of
     pairs runs 2*chunk images through the network at once.  At full size
-    the largest are the im2col buffers and u_hat (268 MB for the default
-    32 images).  Routing reads u_hat one sample at a time there (see
-    capsules.ROUTE_BYTES), so the chunk does not set routing's cache
-    footprint.
+    the largest is u_hat (268 MB for the default 32 images); the primary
+    convolution's patch matrix is built within layers.PATCH_BYTES
+    (128 MiB) whatever the chunk.  Routing reads u_hat one sample at a time
+    there (see capsules.ROUTE_BYTES), so the chunk does not set routing's
+    cache footprint either.
     """
     parts = []
     for lo in range(0, len(pairs), chunk):

@@ -133,6 +133,9 @@ class ScnEncoder:
             x = ad.mul(x, dropout_mask(x.shape, self.dropout_rate,
                                        rng.spawn(1)))
         grid = primary_capsules_forward(x, self.primary)
+        # the relu output (63 MB at 32 full-size images) is not held through
+        # the transform and routing; a training tape still keeps it
+        del x
         v = capsule_layer_forward(grid, self.face, self.routing_iters,
                                   self.detach_routing)  # [N, caps, d]
         if self.dropout_p is not None:

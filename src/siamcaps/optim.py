@@ -12,7 +12,9 @@ runs while the block sits in cache, with two preallocated scratch buffers
 and no whole-array temporaries.  The elementwise operations are those of
 the whole-array formula in the same order, so the result is bitwise the
 same.  A step is all-or-nothing: every parameter is checked before t or
-any weight moves.
+any weight moves.  Once a parameter is updated its .grad is set to None, so
+a step's gradients (110 MB at full size) are not held through the next
+forward and backward; a rejected step leaves every .grad in place.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class OptimState:
 def amsgrad_step(params: list, state: OptimState, alpha: float,
                  theta1: float = 0.9, theta2: float = 0.999,
                  eps: float = 1e-8, flat_lr: bool = False) -> None:
-    """One update over [(name, Tensor)] pairs whose .grad is populated.
+    """One update over [(name, Tensor)] pairs whose .grad is populated;
+    each .grad it applies is set to None.
 
     m <- t1*m + (1-t1)*g;  v <- t2*v + (1-t2)*g^2;  v_hat <- max(v_hat, v);
     w <- w - alpha_t * m / (sqrt(v_hat) + eps),  alpha_t = alpha/sqrt(t),
@@ -92,3 +95,4 @@ def amsgrad_step(params: list, state: OptimState, alpha: float,
             den += eps
             tmp /= den
             w[blk] -= tmp
+        p.grad = None

@@ -189,9 +189,10 @@ def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch, bad):
         assert np.array_equal(b, want)
 
 
-def test_every_gradient_contiguous_after_desk_step():
+def test_every_gradient_contiguous_after_desk_step(monkeypatch):
     # the criterion-8 desk model: no parameter gradient is a strided view,
-    # so the optimizer copies none of them
+    # so the optimizer copies none of them.  The gradients are read where
+    # the optimizer reads them: it releases each one it applies
     cfg = hz.RunConfig(conv_channels=32, primary_types=8, primary_d=8,
                        face_caps=16, face_d=8, routing_iters=2,
                        input_size=64).finalize()
@@ -201,9 +202,18 @@ def test_every_gradient_contiguous_after_desk_step():
     batch = PairBatch(Tensor(r.uniform(size=size)),
                       Tensor(r.uniform(size=size)),
                       np.array([0.0, 1.0] * 4))
+    real, seen = hz.amsgrad_step, []
+
+    def spy(params, *args, **kwargs):
+        seen.extend((name, p.grad) for name, p in params)
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(hz, "amsgrad_step", spy)
     hz._train_step(enc, hz.OptimState(), batch, cfg, None)
-    for name, p in enc.named_parameters():
-        assert p.grad is not None and p.grad.flags.c_contiguous, name
+    assert [name for name, _ in seen] == \
+        [name for name, _ in enc.named_parameters()]
+    for name, g in seen:
+        assert g is not None and g.flags.c_contiguous, name
 
 
 def test_determinism_bitwise_except_wall_ms(tmp_path):

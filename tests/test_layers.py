@@ -1,12 +1,13 @@
 """Layer semantics against naive references and finite differences."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from siamcaps import autodiff as ad
-from siamcaps import layers
+from siamcaps import layers, models
 from siamcaps.autodiff import ShapeError, Tensor, grad_check
 from siamcaps.rng import SplitMix64
 
@@ -228,6 +229,84 @@ def test_conv_constant_input_gets_no_cotangent():
     assert gx_const is None and gx.shape == x_np.shape
     assert np.array_equal(gk_const, gk)
     assert np.array_equal(gb_const, gb)
+
+
+def full_primary_input(n):
+    """n images at the full-size primary capsules' input shape, [N, 256, 31,
+    31], lying [C, N, H, W] in memory as the relu output that feeds them does;
+    with the primary convolution and its patch bytes per image."""
+    p = make_conv(256, 256, 9, 3, 0, 14)
+    x = SplitMix64(15).uniform(256 * n * 31 * 31, -1, 1)
+    x = x.reshape(256, n, 31, 31).transpose(1, 0, 2, 3)
+    return Tensor(x), p, 256 * 9 * 9 * 8 * 8 * 8
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_conv_forward_in_image_groups_is_bitwise_one_gemm(monkeypatch,
+                                                          per_group):
+    # 5 images in groups of 1, 2 or 3: two of the runs end in a ragged group
+    x, p, image_bytes = full_primary_input(5)
+    whole = layers.conv2d_forward(x, p).data
+    assert 5 * image_bytes <= layers.PATCH_BYTES
+    monkeypatch.setattr(layers, "PATCH_BYTES", per_group * image_bytes + 7)
+    got = layers.conv2d_forward(x, p).data
+    assert got.strides == whole.strides
+    assert got.tobytes() == whole.tobytes()
+
+
+def test_conv_forward_holds_one_group_of_patches(monkeypatch):
+    x, p, image_bytes = full_primary_input(5)
+    budget = 2 * image_bytes
+    monkeypatch.setattr(layers, "PATCH_BYTES", budget)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = layers.conv2d_forward(x, p)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # the whole batch's patches would be 5 * image_bytes (53 MB)
+    assert peak < budget + out.data.nbytes + (1 << 20)
+
+
+@pytest.fixture
+def patch_groups(monkeypatch):
+    """The image groups of each convolution forward run while it is used."""
+    real, seen = layers.byte_chunks, []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(layers, "byte_chunks", spy)
+    return seen
+
+
+DESK = dict(conv_channels=32, primary_types=8, primary_d=8, face_caps=16,
+            face_d=8, routing_iters=2, input_size=64)
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("scn", DESK),                                   # desk and criterion 8
+    ("standard", dict(input_size=64)),               # criterion 8
+    ("scn", dict(DESK, routing_iters=4, input_size=100)),  # criterion 7
+])
+def test_desk_convs_form_one_patch_group(patch_groups, kind, cfg):
+    # a GEMM split over images can move in the last bits (conv1's does in
+    # 1-image groups), so the desk models, at an eval chunk of 32 images,
+    # must not split
+    enc = models.build_encoder(kind, 0, **cfg)
+    s = cfg["input_size"]
+    images = Tensor(SplitMix64(16).uniform(32 * s * s).reshape(32, 1, s, s))
+    enc.encode(images, training=False)
+    assert patch_groups == [[(0, 32)]] * 2
+
+
+def test_full_size_conv1_forms_one_patch_group(patch_groups):
+    p = make_conv(1, 256, 9, 3, 0, 17)
+    x = SplitMix64(18).uniform(32 * 100 * 100).reshape(32, 1, 100, 100)
+    layers.conv2d_forward(Tensor(x), p)
+    assert patch_groups == [[(0, 32)]]
 
 
 def test_conv_parameter_count():

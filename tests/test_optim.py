@@ -252,13 +252,26 @@ def test_rejected_step_changes_nothing(fault):
     else:
         state.m["p2"] = np.zeros((7, 2))[:, 0]
     weights = [p.data.copy() for _, p in params]
+    grads = [(p.grad, p.grad.copy()) for _, p in params]
     moments = [{k: a.copy() for k, a in d.items()}
                for d in (state.m, state.v, state.v_hat)]
     with pytest.raises(ValueError, match="'p2'"):
         amsgrad_step(params, state, alpha=0.01)
     assert state.t == 1
-    for (_, p), w in zip(params, weights):
+    for (_, p), w, (g, g_copy) in zip(params, weights, grads):
         assert np.array_equal(p.data, w)
+        assert p.grad is g and p.grad.tobytes() == g_copy.tobytes()
     for d, want in zip((state.m, state.v, state.v_hat), moments):
         assert d.keys() == want.keys()
         assert all(np.array_equal(d[k], want[k]) for k in d)
+
+
+def test_step_releases_every_gradient_it_applies():
+    # the gradients are not held through the next forward and backward
+    rng = SplitMix64(105)
+    params = [(f"p{k}", Tensor(rng.uniform(s, -1, 1), requires_grad=True))
+              for k, s in enumerate((5, BLOCK + 3, 7))]
+    for _, p in params:
+        p.grad = rng.normal(p.size)
+    amsgrad_step(params, OptimState(), alpha=0.01)
+    assert all(p.grad is None for _, p in params)
