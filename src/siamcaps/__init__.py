@@ -12,7 +12,7 @@ Importing the package sets a process-wide malloc policy on glibc (see
 
 from . import _heap
 from .autodiff import Graph, ShapeError, Tensor, backward, grad_check
-from .capsules import (CapsuleGrid, CapsuleLayerParams, PrimaryCapsuleParams,
+from .capsules import (CapsuleLayerParams, PrimaryCapsuleParams,
                        RoutingState, capsule_layer_forward,
                        concrete_dropout_mask, dynamic_route,
                        primary_capsules_forward, squash)
@@ -27,10 +27,9 @@ from .harness import (RunConfig, emit_plot, eval_run, evaluate,
 from .layers import (BatchNormParams, Conv2dParams, DenseParams,
                      batchnorm_forward, conv2d_forward, conv2d_init,
                      dense_forward, dense_init, glorot_uniform)
-from .models import (METRICS, ScnEncoder, StandardEncoder, build_encoder,
-                     contrastive_loss, distance, double_margin_loss,
-                     effective_distance, predict_match, sweep_threshold,
-                     valid_margin)
+from .models import (METRICS, ScnEncoder, StandardEncoder, contrastive_loss,
+                     distance, double_margin_loss, effective_distance,
+                     predict_match, sweep_threshold, valid_margin)
 from .optim import OptimState, amsgrad_step
 from .rng import SplitMix64, derive_seed, mix64
 
@@ -40,9 +39,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "ShapeError", "Tensor", "backward", "grad_check",
-    "CapsuleGrid", "CapsuleLayerParams", "PrimaryCapsuleParams",
-    "RoutingState", "capsule_layer_forward", "concrete_dropout_mask",
-    "dynamic_route", "primary_capsules_forward", "squash",
+    "CapsuleLayerParams", "PrimaryCapsuleParams", "RoutingState",
+    "capsule_layer_forward", "concrete_dropout_mask", "dynamic_route",
+    "primary_capsules_forward", "squash",
     "CheckpointError", "load_checkpoint", "restore_checkpoint",
     "save_checkpoint",
     "FaceDataset", "PairBatch", "PgmError", "SplitSpec", "kfold", "load_att",
@@ -53,9 +52,9 @@ __all__ = [
     "BatchNormParams", "Conv2dParams", "DenseParams", "batchnorm_forward",
     "conv2d_forward", "conv2d_init", "dense_forward", "dense_init",
     "glorot_uniform",
-    "METRICS", "ScnEncoder", "StandardEncoder", "build_encoder",
-    "contrastive_loss", "distance", "double_margin_loss",
-    "effective_distance", "predict_match", "sweep_threshold", "valid_margin",
+    "METRICS", "ScnEncoder", "StandardEncoder", "contrastive_loss",
+    "distance", "double_margin_loss", "effective_distance", "predict_match",
+    "sweep_threshold", "valid_margin",
     "OptimState", "amsgrad_step",
     "SplitMix64", "derive_seed", "mix64",
 ]

@@ -64,30 +64,31 @@ def squash(s: Tensor, axis: int = -1) -> Tensor:
 
 
 class RoutingState:
-    """Final log priors and couplings of one routing pass.
+    """Plain-numpy record of one routing pass, for auditing it.
 
-    c_history holds the coupling array after each softmax (detached), so
-    invariants like row-sums and agreement monotonicity can be audited.
+    b [N, n_lower, n_upper] holds the final log priors, c the final
+    couplings in the same layout, and c_history the couplings of every
+    iteration in order, so that row sums and agreement monotonicity can be
+    checked.  None of them is on the tape.
     """
 
-    def __init__(self, b: np.ndarray, c: np.ndarray, iterations: int,
-                 c_history: list):
+    def __init__(self, b: np.ndarray, c: np.ndarray, c_history: list):
         self.b = b
         self.c = c
-        self.iterations = iterations
         self.c_history = c_history
 
 
-def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
-                  detach_routing: bool = False):
+def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
     """Route predictions u_hat [N, n_lower, n_upper, d] to parent capsules.
 
     Log priors start at zero; each iteration softmaxes them over the parent
-    axis, forms the coupled sum s_j = sum_i c_ij u_hat_ij, activates it, and
-    (except after the last iteration) adds the agreement v_j . u_hat_ij back
-    onto the priors.  Returns (v [N, n_upper, d], RoutingState).  The first
-    couplings are exactly 1/n_upper, the softmax of all-zero priors, so they
-    are filled in rather than computed.
+    axis, forms the coupled sum s_j = sum_i c_ij u_hat_ij, applies
+    activation_kind ("tanh" or "squash") to it, and (except after the last
+    iteration) adds the agreement v_j . u_hat_ij back onto the priors.
+    Returns (v [N, n_upper, d], RoutingState).  The first couplings are
+    exactly 1/n_upper, the softmax of all-zero priors, so they are filled
+    in rather than computed.  The gradient flows through every iteration,
+    couplings included.
 
     The whole recurrence is one tape node.  Its forward works on the
     [N, n_upper, n_lower, d] view of u_hat, so the coupled sum and the
@@ -113,10 +114,6 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     parents of one lower capsule, and the coupled sum and the agreement are
     one matrix-vector product per sample and parent.  So each group
     computes exactly, bit for bit, the rows the whole batch would.
-
-    With detach_routing the agreement is built from detached v and u_hat,
-    so the log priors and couplings stay constants: the vjp propagates no
-    cotangent into them, and only the last coupled sum reaches u_hat.
     """
     if iterations < 1:
         raise ValueError(f"routing iterations must be >= 1, got {iterations}")
@@ -175,7 +172,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
                 gs = v_vjp(gv)
                 coefs.append(c_it)
                 vecs.append(gs)
-                if detach_routing or it == 0:
+                if it == 0:
                     break
                 gc = np.matmul(u_g, gs[:, :, :, None])[:, :, :, 0]
                 gsoft = c_vjp(gc)
@@ -187,7 +184,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
 
     out = ad._emit("dynamic_route", _joined(vs), [u_hat], vjp)
     return out, RoutingState(_joined(bs).transpose(0, 2, 1), c_history[-1],
-                             iterations, c_history)
+                             c_history)
 
 
 def _route_groups(n: int, sample_bytes: int) -> list:
@@ -199,28 +196,6 @@ def _route_groups(n: int, sample_bytes: int) -> list:
 def _joined(parts: list) -> np.ndarray:
     """The per-group parts as one batch; a single group is used as it is."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-class CapsuleGrid:
-    """Lower-capsule poses [N, n_caps, d] with their spatial layout."""
-
-    def __init__(self, poses: Tensor, grid_h: int, grid_w: int, n_types: int):
-        if poses.data.ndim != 3:
-            raise ShapeError(f"poses must be rank 3, got {list(poses.shape)}")
-        if poses.shape[1] != grid_h * grid_w * n_types:
-            raise ShapeError(
-                f"pose count {poses.shape[1]} != grid "
-                f"{grid_h}x{grid_w}x{n_types}")
-        self.poses = poses
-        self.meta = (grid_h, grid_w, n_types)
-
-    @property
-    def n_caps(self) -> int:
-        return self.poses.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.poses.shape[2]
 
 
 class PrimaryCapsuleParams:
@@ -256,11 +231,14 @@ class PrimaryCapsuleParams:
 
 
 def primary_capsules_forward(features: Tensor,
-                             params: PrimaryCapsuleParams) -> CapsuleGrid:
-    """One convolution, regrouped into [N, gh*gw*n_types, d] poses, squashed.
+                             params: PrimaryCapsuleParams) -> Tensor:
+    """Squashed primary-capsule poses [N, gh*gw*n_types, d] of features.
 
-    Capsule (gh, gw, type) takes pose dimension dim from output channel
-    dim*n_types + type at that grid position.
+    One convolution computes every pose dimension of every capsule type.
+    Capsules are ordered by grid row, grid column, then type, and capsule
+    (gh, gw, type) takes pose dimension dim from output channel
+    dim*n_types + type at that grid position.  The grid size follows from
+    the convolution; the capsule count and pose size are the result's shape.
     """
     if features.data.ndim != 4:
         raise ShapeError(f"features must be rank 4, got "
@@ -273,8 +251,7 @@ def primary_capsules_forward(features: Tensor,
     grid_h, grid_w = m.shape[2], m.shape[3]
     m = ad.transpose(ad.reshape(m, [n, d, t, grid_h, grid_w]),
                      (0, 3, 4, 2, 1))  # [N, gh, gw, n_types, d]
-    poses = squash(ad.reshape(m, [n, grid_h * grid_w * t, d]), axis=2)
-    return CapsuleGrid(poses, grid_h, grid_w, t)
+    return squash(ad.reshape(m, [n, grid_h * grid_w * t, d]), axis=2)
 
 
 class CapsuleLayerParams:
@@ -311,10 +288,14 @@ class CapsuleLayerParams:
         return [(prefix + "/W", self.W)]
 
 
-def capsule_layer_forward(grid: CapsuleGrid, p: CapsuleLayerParams,
-                          iterations: int, detach_routing: bool = False,
-                          return_state: bool = False):
-    """u_hat_ij = W_ij u_i for every pair, then dynamic routing.
+def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
+                          iterations: int, return_state: bool = False):
+    """Route lower-capsule poses [N, n_lower, d_in] to the layer's parents.
+
+    Forms the predictions u_hat_ij = W_ij u_i for every lower capsule i and
+    parent j, then runs dynamic_route with the layer's activation.  Returns
+    v [N, n_upper, d_out], or (v, RoutingState) with return_state.  The
+    poses must match W: n_lower capsules of pose size d_in.
 
     The transform is one tape node.  Its forward runs the batched GEMM
     [lc, N, d_in] @ [lc, d_in, upper*d_out] over blocks of lc = BLOCK lower
@@ -327,13 +308,10 @@ def capsule_layer_forward(grid: CapsuleGrid, p: CapsuleLayerParams,
     returned in the poses' own memory order.
     """
     n_lower, d_in, n_upper, d_out = p.W.shape
-    if grid.d != d_in:
-        raise ShapeError(f"capsule layer expects pose dim {d_in}, got "
-                         f"{grid.d}")
-    if grid.n_caps != n_lower:
-        raise ShapeError(f"capsule layer expects {n_lower} lower capsules, "
-                         f"got {grid.n_caps}")
-    u, w = grid.poses.data, p.W.data
+    if poses.data.ndim != 3 or poses.shape[1:] != (n_lower, d_in):
+        raise ShapeError(f"capsule layer expects poses [N, {n_lower}, "
+                         f"{d_in}], got {list(poses.shape)}")
+    u, w = poses.data, p.W.data
     n, lc = u.shape[0], min(BLOCK, n_lower)
     u_t = u.transpose(1, 0, 2)  # [L, N, i] view
     w_m = w.reshape(n_lower, d_in, n_upper * d_out)
@@ -344,7 +322,7 @@ def capsule_layer_forward(grid: CapsuleGrid, p: CapsuleLayerParams,
         prod = np.matmul(u_t[lo:hi], w_m[lo:hi], out=buf[:hi - lo])
         uh[:, :, lo:hi] = prod.reshape(hi - lo, n, n_upper,
                                        d_out).transpose(1, 2, 0, 3)
-    want_gu, want_gw = ad.tracked(grid.poses), ad.tracked(p.W)
+    want_gu, want_gw = ad.tracked(poses), ad.tracked(p.W)
 
     def vjp(g):
         gu = np.empty_like(u) if want_gu else None
@@ -370,9 +348,8 @@ def capsule_layer_forward(grid: CapsuleGrid, p: CapsuleLayerParams,
         return gu, gw
 
     u_hat = ad._emit("capsule_transform", uh.transpose(0, 2, 1, 3),
-                     [grid.poses, p.W], vjp)
-    v, state = dynamic_route(u_hat, iterations, p.activation_kind,
-                             detach_routing)
+                     [poses, p.W], vjp)
+    v, state = dynamic_route(u_hat, iterations, p.activation_kind)
     if return_state:
         return v, state
     return v

@@ -30,7 +30,7 @@ from .autodiff import Tensor
 from .checkpoint import restore_checkpoint, save_checkpoint
 from .data import (FaceDataset, SplitSpec, kfold, load_att, load_lfw,
                    sample_pairs, split_subjects, synth_dataset)
-from .models import (METRICS, build_encoder, contrastive_loss,
+from .models import (METRICS, ScnEncoder, StandardEncoder, contrastive_loss,
                      double_margin_loss, distance, effective_distance,
                      predict_match, sweep_threshold, valid_margin)
 from .optim import OptimState, amsgrad_step
@@ -64,7 +64,6 @@ class RunConfig:
     output_dir: str = "runs/latest"
     data_dir: str = ""                   # falls back to $SCN_DATA_DIR
     pairs_per_epoch: int = 2000
-    pos_ratio: float = 0.5
     eval_pairs: int = 500
     conv_channels: int = 256
     primary_types: int = 32
@@ -75,17 +74,13 @@ class RunConfig:
     input_size: int = 100
     activation: str = "tanh"
     normalize_at: str = "embedding"
-    detach_routing: bool = False
     dropout_rate: float = 0.0
-    concrete_t: float = 0.1
-    standard_concrete: bool = False
     flat_lr: bool = False
     fixed_pairs: bool = False            # reuse epoch-1 pairs every epoch
     stop_below: float = 0.0              # early-stop when train loss < this
     synth_subjects: int = 12
     synth_per_subject: int = 6
     max_subjects: int = 0                # cap for the lfw loader (0 = all)
-    threshold_points: int = 101
 
     def finalize(self) -> "RunConfig":
         """Resolve dataset-dependent defaults into concrete values."""
@@ -124,19 +119,12 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 < self.pos_ratio < 1.0:
-            raise ValueError(f"pos_ratio must be in (0,1), "
-                             f"got {self.pos_ratio}")
         if self.holdout < 0:
             raise ValueError("holdout must be >= 0")
         if self.kfold_k != 0 and self.kfold_k < 2:
             raise ValueError("kfold_k must be 0 or >= 2")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0,1)")
-        if self.concrete_t <= 0.0:
-            raise ValueError("concrete_t must be positive")
-        if self.threshold_points < 2:
-            raise ValueError("threshold_points must be >= 2")
         if self.stop_below < 0.0:
             raise ValueError("stop_below must be >= 0")
 
@@ -237,21 +225,21 @@ def make_split(ds: FaceDataset, cfg: RunConfig) -> SplitSpec:
     return SplitSpec(ds.subjects(), ds.subjects(), cfg.seed)
 
 
-def _encoder_kwargs(cfg: RunConfig) -> dict:
-    return dict(conv_channels=cfg.conv_channels,
-                primary_types=cfg.primary_types, primary_d=cfg.primary_d,
-                face_caps=cfg.face_caps, face_d=cfg.face_d,
-                embed_dim=cfg.embed_dim, routing_iters=cfg.routing_iters,
-                activation=cfg.activation, input_size=cfg.input_size,
-                normalize_at=cfg.normalize_at,
-                detach_routing=cfg.detach_routing,
-                dropout_rate=cfg.dropout_rate, concrete_t=cfg.concrete_t,
-                standard_concrete=cfg.standard_concrete)
-
-
 def build_run_encoder(cfg: RunConfig):
-    return build_encoder(cfg.model, derive_seed(cfg.seed, 1),
-                         **_encoder_kwargs(cfg))
+    """The run's encoder: cfg.model names it, cfg's widths shape it."""
+    seed = derive_seed(cfg.seed, 1)
+    if cfg.model == "standard":
+        return StandardEncoder(seed, embed_dim=cfg.embed_dim,
+                               input_size=cfg.input_size,
+                               dropout_rate=cfg.dropout_rate)
+    return ScnEncoder(seed, mode=cfg.model, conv_channels=cfg.conv_channels,
+                      primary_types=cfg.primary_types,
+                      primary_d=cfg.primary_d, face_caps=cfg.face_caps,
+                      face_d=cfg.face_d, embed_dim=cfg.embed_dim,
+                      routing_iters=cfg.routing_iters,
+                      activation=cfg.activation, input_size=cfg.input_size,
+                      normalize_at=cfg.normalize_at,
+                      dropout_rate=cfg.dropout_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +313,16 @@ def _train_step(encoder, state, batch, cfg: RunConfig,
 
 def train_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig,
                 epoch: int):
-    """Epoch ``epoch``'s training pairs, drawn from the train subjects."""
+    """Epoch ``epoch``'s pairs of train subjects; half of them match."""
     return sample_pairs(ds, sorted(split.train_subjects),
-                        cfg.pairs_per_epoch, cfg.pos_ratio,
+                        cfg.pairs_per_epoch, 0.5,
                         derive_seed(cfg.seed, 100, epoch))
 
 
 def verify_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig):
-    """The test pairs, drawn from the test subjects; fixed for the run."""
+    """The run's fixed pairs of test subjects; half of them match."""
     return sample_pairs(ds, sorted(split.test_subjects), cfg.eval_pairs,
-                        cfg.pos_ratio, derive_seed(cfg.seed, 200))
+                        0.5, derive_seed(cfg.seed, 200))
 
 
 @dataclasses.dataclass
@@ -362,8 +350,7 @@ def score(encoder, val_pairs, test_pairs, cfg: RunConfig) -> EvalResult:
     """Fit the threshold on the first tenth of val_pairs, score test_pairs."""
     n_val = max(1, len(val_pairs) // 10)
     d_val, y_val = eval_distances(encoder, val_pairs.slice(0, n_val), cfg)
-    threshold, _ = sweep_threshold(d_val, y_val, cfg.metric,
-                                   cfg.threshold_points)
+    threshold, _ = sweep_threshold(d_val, y_val, cfg.metric)
     d_test, y_test = eval_distances(encoder, test_pairs, cfg)
     pred = predict_match(d_test, threshold, cfg.metric)
     return EvalResult(eval_loss_value(d_test, y_test, cfg),

@@ -24,6 +24,8 @@ from .layers import (BatchNormParams, batchnorm_forward, conv2d_forward,
 from .rng import SplitMix64, derive_seed
 
 METRICS = ("euclidean_sq", "manhattan_exp", "cosine")
+# temperature of the sdropcapnet concrete-dropout mask
+CONCRETE_T = 0.1
 
 
 def _conv_out(size: int, k: int, stride: int) -> int:
@@ -44,8 +46,7 @@ class ScnEncoder:
                  face_caps: int = 32, face_d: int = 16, embed_dim: int = 20,
                  routing_iters: int = 4, activation: str = "tanh",
                  input_size: int = 100, normalize_at: str = "embedding",
-                 detach_routing: bool = False, dropout_rate: float = 0.0,
-                 concrete_t: float = 0.1, standard_concrete: bool = False):
+                 dropout_rate: float = 0.0):
         if mode not in ("scn", "sdropcapnet"):
             raise ValueError(f"unknown encoder mode {mode!r}")
         if normalize_at not in ("embedding", "concat"):
@@ -55,10 +56,7 @@ class ScnEncoder:
         self.input_size = input_size
         self.routing_iters = routing_iters
         self.normalize_at = normalize_at
-        self.detach_routing = detach_routing
         self.dropout_rate = dropout_rate
-        self.concrete_t = concrete_t
-        self.standard_concrete = standard_concrete
 
         s1 = _conv_out(input_size, 9, 3)
         grid = _conv_out(s1, 9, 3)
@@ -132,12 +130,12 @@ class ScnEncoder:
                 raise ValueError("training with dropout needs an rng")
             x = ad.mul(x, dropout_mask(x.shape, self.dropout_rate,
                                        rng.spawn(1)))
-        grid = primary_capsules_forward(x, self.primary)
+        poses = primary_capsules_forward(x, self.primary)
         # the relu output (63 MB at 32 full-size images) is not held through
         # the transform and routing; a training tape still keeps it
         del x
-        v = capsule_layer_forward(grid, self.face, self.routing_iters,
-                                  self.detach_routing)  # [N, caps, d]
+        v = capsule_layer_forward(poses, self.face,
+                                  self.routing_iters)  # [N, caps, d]
         if self.dropout_p is not None:
             caps = self.dropout_p.shape[0]
             if training:
@@ -145,8 +143,7 @@ class ScnEncoder:
                     raise ValueError("sdropcapnet training needs an rng")
                 u = np.clip(rng.spawn(2).uniform(caps), 1e-7, 1.0 - 1e-7)
                 z = concrete_dropout_mask(self.dropout_p, Tensor(u),
-                                          self.concrete_t,
-                                          self.standard_concrete)
+                                          CONCRETE_T)
             else:
                 z = self.dropout_p  # deterministic eval: scale by keep prob
             v = ad.mul(v, ad.reshape(z, [1, caps, 1]))
@@ -222,18 +219,6 @@ class StandardEncoder:
         flat = ad.reshape(x, [images.shape[0], self.flat_dim])
         out = dense_forward(flat, self.fc)
         return ad.l2norm(out, axis=1, eps=1e-18)
-
-
-def build_encoder(kind: str, seed: int, **cfg):
-    if kind == "scn":
-        return ScnEncoder(seed, mode="scn", **cfg)
-    if kind == "sdropcapnet":
-        return ScnEncoder(seed, mode="sdropcapnet", **cfg)
-    if kind == "standard":
-        allowed = ("input_size", "embed_dim", "dropout_rate", "ch1", "ch2")
-        return StandardEncoder(
-            seed, **{k: v for k, v in cfg.items() if k in allowed})
-    raise ValueError(f"unknown encoder kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -210,78 +210,7 @@ def test_route_grad_check_both_activations():
                 caps.dynamic_route(u, 2, act)[0])), u_hat) < 1e-4
 
 
-def test_detached_routing_forward_matches_attached():
-    u_hat = rand_uhat((2, 4, 3, 3), 88)
-    v1, _ = caps.dynamic_route(Tensor(u_hat), 3, "tanh")
-    v2, _ = caps.dynamic_route(Tensor(u_hat), 3, "tanh", detach_routing=True)
-    np.testing.assert_allclose(v1.data, v2.data, atol=1e-12)
-
-
-def test_detached_routing_single_iteration_grads_equal():
-    # one iteration means constant couplings, so both paths agree exactly
-    u_np = rand_uhat((1, 3, 2, 2), 89)
-
-    def grad_of(detach):
-        u = Tensor(u_np.copy())
-        u.requires_grad = True
-        with ad.Graph():
-            v, _ = caps.dynamic_route(u, 1, "tanh", detach_routing=detach)
-            ad.backward(ad.sum_(ad.square(v)))
-        return u.grad
-
-    np.testing.assert_allclose(grad_of(False), grad_of(True), atol=1e-12)
-
-
-def test_detached_routing_multi_iteration_grads_differ():
-    u_np = rand_uhat((1, 3, 2, 2), 90)
-
-    def grad_of(detach):
-        u = Tensor(u_np.copy())
-        u.requires_grad = True
-        with ad.Graph():
-            v, _ = caps.dynamic_route(u, 3, "tanh", detach_routing=detach)
-            ad.backward(ad.sum_(ad.square(v)))
-        return u.grad
-
-    assert np.abs(grad_of(False) - grad_of(True)).max() > 1e-8
-
-
-def activation_vjp(s: np.ndarray, g: np.ndarray, act: str) -> np.ndarray:
-    """Cotangent of s given the cotangent g of act(s), in plain numpy."""
-    if act == "tanh":
-        return g * (1.0 - np.tanh(s) ** 2)
-    n2 = (s * s).sum(axis=-1, keepdims=True)
-    root = np.sqrt(n2 + 1e-18)
-    f = root / (1.0 + n2)
-    df = (0.5 / root * (1.0 + n2) - root) / (1.0 + n2) ** 2
-    return f * g + 2.0 * s * df * (s * g).sum(axis=-1, keepdims=True)
-
-
-def test_detached_routing_matches_frozen_coupling_oracle():
-    # detached routing must route like the reference, and its gradient must
-    # be that of act(sum_i C * u_hat_i) with the last couplings C frozen:
-    # nothing may leak back through the log priors
-    u_np = rand_uhat((2, 5, 4, 3), 91)
-    w = rand_uhat((2, 4, 3), 92)
-    for act in ("squash", "tanh"):
-        u = Tensor(u_np.copy(), requires_grad=True)
-        with ad.Graph():
-            v, state = caps.dynamic_route(u, 3, act, detach_routing=True)
-            ad.backward(ad.sum_(ad.mul(v, Tensor(w))))
-        v_ref, hist_ref = route_reference(u_np, 3, act)
-        np.testing.assert_allclose(v.data, v_ref, rtol=0, atol=1e-12)
-        assert len(state.c_history) == len(hist_ref) == 3
-        for c_got, c_ref in zip(state.c_history, hist_ref):
-            np.testing.assert_allclose(c_got, c_ref, rtol=0, atol=1e-12)
-        c = hist_ref[-1]
-        s = np.einsum("nlu,nlud->nud", c, u_np)
-        g_s = activation_vjp(s, w, act)
-        want = c[..., None] * g_s[:, None, :, :]
-        np.testing.assert_allclose(u.grad, want, rtol=0, atol=1e-12)
-
-
-def route_tape_reference(u_hat: Tensor, iterations: int, act: str,
-                         detach_routing: bool = False):
+def route_tape_reference(u_hat: Tensor, iterations: int, act: str):
     """The routing recurrence as an unrolled chain of tape primitives.
 
     Built from softmax, mul, sum_ and add nodes, it is the oracle for
@@ -290,7 +219,6 @@ def route_tape_reference(u_hat: Tensor, iterations: int, act: str,
     """
     n, n_lower, n_upper, d = u_hat.shape
     c_history = []
-    u_agree = u_hat.detach() if detach_routing else u_hat
     b = ad.zeros([n, n_lower, n_upper])
     c = v = None
     for it in range(iterations):
@@ -300,21 +228,19 @@ def route_tape_reference(u_hat: Tensor, iterations: int, act: str,
         s = ad.sum_(ad.mul(cc, u_hat), axis=1)
         v = caps.squash(s, axis=-1) if act == "squash" else ad.tanh(s)
         if it < iterations - 1:
-            v_agree = v.detach() if detach_routing else v
-            vv = ad.reshape(v_agree, [n, 1, n_upper, d])
-            b = ad.add(b, ad.sum_(ad.mul(vv, u_agree), axis=3))
+            vv = ad.reshape(v, [n, 1, n_upper, d])
+            b = ad.add(b, ad.sum_(ad.mul(vv, u_hat), axis=3))
     return v, b.data, c.data, c_history
 
 
 def test_fused_route_matches_tape_reference():
-    # 50 random shapes, 1-4 iterations, every activation/detach combination
+    # 50 random shapes, 1-4 iterations, both activations
     rng = SplitMix64(99)
     for trial in range(50):
         n, n_lower, n_upper, d = (int(k) for k in
                                   1 + rng.uniform(4, 0.0, 5.0).astype(int))
         iterations = 1 + trial % 4
         act = ("squash", "tanh")[trial // 4 % 2]
-        detach = trial // 8 % 2 == 1
         shape = (n, n_lower, n_upper, d)
         u_np = rng.uniform(n * n_lower * n_upper * d, -1.5, 1.5).reshape(shape)
         w = Tensor(rng.normal(n * n_upper * d).reshape(n, n_upper, d))
@@ -322,14 +248,14 @@ def test_fused_route_matches_tape_reference():
         for route in (caps.dynamic_route, route_tape_reference):
             u = Tensor(u_np.copy(), requires_grad=True)
             with ad.Graph():
-                out = route(u, iterations, act, detach)
+                out = route(u, iterations, act)
                 ad.backward(ad.sum_(ad.mul(out[0], w)))
             if route is caps.dynamic_route:
                 v, state = out
                 out = (v, state.b, state.c, state.c_history)
             got.append((out, u.grad))
         ((v, b, c, hist), gu), ((v_ref, b_ref, c_ref, hist_ref), gu_ref) = got
-        tag = (shape, iterations, act, detach)
+        tag = (shape, iterations, act)
         for a, want in ((v.data, v_ref.data), (b, b_ref), (c, c_ref),
                         (gu, gu_ref)):
             assert a.shape == want.shape, tag
@@ -344,14 +270,13 @@ def test_fused_route_matches_tape_reference():
 def test_route_appends_one_tape_node():
     u_np = rand_uhat((2, 5, 3, 4), 94)
     for act in ("squash", "tanh"):
-        for detach in (False, True):
-            leaf = Tensor(u_np.copy(), requires_grad=True)
-            with ad.Graph() as g:
-                u_hat = ad.mul_scalar(leaf, 1.0)
-                assert len(g.nodes) == 1
-                v, _ = caps.dynamic_route(u_hat, 3, act, detach)
-                assert len(g.nodes) == 2
-                assert v.graph is g and g.nodes[-1][1] == v.node_id
+        leaf = Tensor(u_np.copy(), requires_grad=True)
+        with ad.Graph() as g:
+            u_hat = ad.mul_scalar(leaf, 1.0)
+            assert len(g.nodes) == 1
+            v, _ = caps.dynamic_route(u_hat, 3, act)
+            assert len(g.nodes) == 2
+            assert v.graph is g and g.nodes[-1][1] == v.node_id
 
 
 @pytest.mark.parametrize("budget", [caps.ROUTE_BYTES, 1])
@@ -399,7 +324,7 @@ def test_route_of_constant_appends_no_tape_node():
             assert v.node_id is None
 
 
-def routed(u_np, layout, tracked, act, detach):
+def routed(u_np, layout, tracked, act):
     """dynamic_route on u_np [N, L, U, d] stored C-contiguous ("nlud") or in
     the capsule layer's [N, U, L, d] order ("nuld"): (arrays, u_hat.grad)."""
     if layout == "nuld":
@@ -408,7 +333,7 @@ def routed(u_np, layout, tracked, act, detach):
     u = Tensor(u_np.copy(order="K"), requires_grad=tracked)
     w = Tensor(rand_uhat((u_np.shape[0], u_np.shape[2], u_np.shape[3]), 98))
     with ad.Graph():
-        v, state = caps.dynamic_route(u, 3, act, detach)
+        v, state = caps.dynamic_route(u, 3, act)
         if tracked:
             ad.backward(ad.sum_(ad.mul(v, w)))
     return [v.data, state.b, state.c] + state.c_history, u.grad
@@ -423,9 +348,9 @@ def test_grouped_route_equals_whole_batch_bitwise(per_group, groups,
                                                   monkeypatch):
     u_np = rand_uhat((5, 6, 4, 3), 97, 1.5)
     sample_bytes = u_np[0].nbytes
-    cases = [(layout, tracked, act, detach)
+    cases = [(layout, tracked, act)
              for layout in ("nlud", "nuld") for tracked in (True, False)
-             for act in ("squash", "tanh") for detach in (False, True)]
+             for act in ("squash", "tanh")]
     assert caps._route_groups(5, sample_bytes) == [(0, 5)]
     whole = [routed(u_np, *case) for case in cases]
     monkeypatch.setattr(caps, "ROUTE_BYTES", per_group * sample_bytes + 7)
@@ -480,25 +405,23 @@ def test_primary_zero_features_zero_poses():
                                   seed=2)
     # zero bias already; zero input then maps to zero
     p.conv.bias.data[:] = 0.0
-    grid = caps.primary_capsules_forward(Tensor(np.zeros((1, 4, 5, 5))), p)
-    assert np.all(grid.poses.data == 0.0)
+    poses = caps.primary_capsules_forward(Tensor(np.zeros((1, 4, 5, 5))), p)
+    assert np.all(poses.data == 0.0)
 
 
 def test_primary_grid_shape_full_width():
     p = caps.PrimaryCapsuleParams(in_ch=256, n_types=32, d=8, seed=3)
-    grid = caps.primary_capsules_forward(Tensor(np.zeros((1, 256, 31, 31))), p)
-    assert grid.meta == (8, 8, 32)
-    assert grid.n_caps == 2048
-    assert grid.d == 8
+    poses = caps.primary_capsules_forward(Tensor(np.zeros((1, 256, 31, 31))),
+                                          p)
+    assert poses.shape == (1, 8 * 8 * 32, 8) == (1, 2048, 8)
 
 
 def test_primary_reduced_width_shape():
     p = caps.PrimaryCapsuleParams(in_ch=32, n_types=8, d=8, seed=4)
-    grid = caps.primary_capsules_forward(
+    poses = caps.primary_capsules_forward(
         Tensor(SplitMix64(5).uniform(32 * 31 * 31).reshape(1, 32, 31, 31)), p)
-    assert grid.meta == (8, 8, 8)
-    assert grid.n_caps == 512
-    norms = np.linalg.norm(grid.poses.data, axis=2)
+    assert poses.shape == (1, 8 * 8 * 8, 8)
+    norms = np.linalg.norm(poses.data, axis=2)
     assert np.all(norms < 1.0)  # squash applied per pose
 
 
@@ -506,11 +429,6 @@ def test_primary_channel_mismatch_error():
     p = caps.PrimaryCapsuleParams(in_ch=8, n_types=2, d=2, ksize=3, seed=6)
     with pytest.raises(ShapeError, match="channels"):
         caps.primary_capsules_forward(Tensor(np.zeros((1, 4, 9, 9))), p)
-
-
-def test_capsule_grid_count_invariant():
-    with pytest.raises(ShapeError, match="pose count"):
-        caps.CapsuleGrid(Tensor(np.zeros((1, 7, 4))), 2, 2, 2)
 
 
 def test_primary_pose_stacking_order():
@@ -522,10 +440,10 @@ def test_primary_pose_stacking_order():
     for dim in range(3):
         p.conv.bias.data[2 * dim:2 * dim + 2] = [10.0 * dim + 1.0,
                                                  10.0 * dim + 2.0]
-    grid = caps.primary_capsules_forward(Tensor(np.zeros((1, 1, 2, 2))), p)
+    poses = caps.primary_capsules_forward(Tensor(np.zeros((1, 1, 2, 2))), p)
     # undo squash by checking direction ratios instead of magnitudes
-    pose_type0 = grid.poses.data[0, 0]  # (h=0,w=0,type=0)
-    pose_type1 = grid.poses.data[0, 1]  # (h=0,w=0,type=1)
+    pose_type0 = poses.data[0, 0]  # (h=0,w=0,type=0)
+    pose_type1 = poses.data[0, 1]  # (h=0,w=0,type=1)
     np.testing.assert_allclose(pose_type0 / pose_type0[0],
                                np.array([1.0, 11.0, 21.0]), rtol=1e-12)
     np.testing.assert_allclose(pose_type1 / pose_type1[0],
@@ -540,7 +458,7 @@ def test_primary_matches_per_dimension_convolutions():
     p.conv.bias.data[:] = SplitMix64(12).uniform(d * t, -0.5, 0.5)
     x = Tensor(SplitMix64(13).uniform(n * in_ch * 9 * 9, -1.0, 1.0)
                .reshape(n, in_ch, 9, 9))
-    grid = caps.primary_capsules_forward(x, p)
+    poses = caps.primary_capsules_forward(x, p)
     planes = []
     for dim in range(d):
         block = slice(dim * t, (dim + 1) * t)
@@ -549,8 +467,8 @@ def test_primary_matches_per_dimension_convolutions():
         m = conv2d_forward(x, conv).data  # [N, t, gh, gw]
         planes.append(m.transpose(0, 2, 3, 1).reshape(n, -1))
     want = caps.squash(Tensor(np.stack(planes, axis=2)), axis=2).data
-    assert grid.meta == (4, 4, t)
-    np.testing.assert_allclose(grid.poses.data, want, rtol=0, atol=1e-10)
+    assert want.shape == (n, 4 * 4 * t, d)
+    np.testing.assert_allclose(poses.data, want, rtol=0, atol=1e-10)
 
 
 def test_primary_grad_check_input_kernel_bias():
@@ -564,8 +482,8 @@ def test_primary_grad_check_input_kernel_bias():
 
     def f(x_, k_, b_):
         p.conv.kernel, p.conv.bias = k_, b_
-        grid = caps.primary_capsules_forward(x_, p)
-        return ad.sum_(ad.mul(grid.poses, weights))
+        poses = caps.primary_capsules_forward(x_, p)
+        return ad.sum_(ad.mul(poses, weights))
 
     assert grad_check(f, [x, p.conv.kernel, p.conv.bias]) < 1e-7
 
@@ -592,8 +510,8 @@ def test_capsule_layer_parameter_count_logged_true_count():
 
 def test_capsule_layer_zero_grid_zero_output():
     p = caps.CapsuleLayerParams(6, 3, 4, 5, activation_kind="tanh", seed=9)
-    grid = caps.CapsuleGrid(Tensor(np.zeros((2, 6, 4))), 1, 3, 2)
-    v = caps.capsule_layer_forward(grid, p, iterations=2)
+    v = caps.capsule_layer_forward(Tensor(np.zeros((2, 6, 4))), p,
+                                   iterations=2)
     assert v.shape == (2, 3, 5)
     assert np.all(v.data == 0.0)
 
@@ -602,8 +520,7 @@ def test_capsule_layer_uhat_matches_loop_reference():
     rng = SplitMix64(91)
     poses = rng.uniform(2 * 4 * 3, -1, 1).reshape(2, 4, 3)
     p = caps.CapsuleLayerParams(4, 2, 3, 5, activation_kind="squash", seed=10)
-    grid = caps.CapsuleGrid(Tensor(poses), 2, 2, 1)
-    v = caps.capsule_layer_forward(grid, p, iterations=3)
+    v = caps.capsule_layer_forward(Tensor(poses), p, iterations=3)
     u_hat = np.einsum("nli,liuo->nluo", poses, p.W.data)
     v_ref, _ = route_reference(u_hat, 3, "squash")
     np.testing.assert_allclose(v.data, v_ref, atol=1e-12)
@@ -611,9 +528,8 @@ def test_capsule_layer_uhat_matches_loop_reference():
 
 def test_capsule_layer_coupling_rows_sum_to_one():
     p = caps.CapsuleLayerParams(5, 3, 4, 4, seed=11)
-    grid = caps.CapsuleGrid(Tensor(SplitMix64(92).uniform(2 * 5 * 4, -1, 1)
-                                   .reshape(2, 5, 4)), 5, 1, 1)
-    _, state = caps.capsule_layer_forward(grid, p, iterations=3,
+    poses = Tensor(SplitMix64(92).uniform(2 * 5 * 4, -1, 1).reshape(2, 5, 4))
+    _, state = caps.capsule_layer_forward(poses, p, iterations=3,
                                           return_state=True)
     for c in state.c_history:
         np.testing.assert_allclose(c.sum(axis=2), 1.0, atol=1e-9)
@@ -627,8 +543,7 @@ def test_capsule_layer_grad_check_tiny():
 
     def f(poses, w):
         p.W = w
-        grid = caps.CapsuleGrid(poses, 2, 3, 1)
-        return ad.sum_(ad.square(caps.capsule_layer_forward(grid, p, 2)))
+        return ad.sum_(ad.square(caps.capsule_layer_forward(poses, p, 2)))
 
     assert grad_check(f, [poses, p.W], eps=1e-5) < 1e-4
 
@@ -678,15 +593,14 @@ def test_capsule_transform_matches_einsum_oracle(case, monkeypatch):
         n, n_lower, n_upper, d_out)
     seen = []
 
-    def read_out(u_hat, iterations, kind, detach):
+    def read_out(u_hat, iterations, kind):
         seen.append(u_hat)
         return ad.sum_(ad.mul(u_hat, Tensor(r)), axis=1), None
 
     monkeypatch.setattr(caps, "dynamic_route", read_out)
     poses = Tensor(poses_np, requires_grad=True)
     with ad.Graph() as g:
-        out = caps.capsule_layer_forward(
-            caps.CapsuleGrid(poses, n_lower, 1, 1), p, 2)
+        out = caps.capsule_layer_forward(poses, p, 2)
         assert [node[0] for node in g.nodes][0] == "capsule_transform"
         ad.backward(ad.sum_(out))
     w = p.W.data
@@ -705,9 +619,8 @@ def test_capsule_transform_matches_einsum_oracle(case, monkeypatch):
     assert p.W.grad.flags.c_contiguous
 
 
-@pytest.mark.parametrize("detach", [False, True])
 @pytest.mark.parametrize("case", TRANSFORM_CASES)
-def test_capsule_layer_matches_einsum_and_tape_routing_oracle(case, detach,
+def test_capsule_layer_matches_einsum_and_tape_routing_oracle(case,
                                                               monkeypatch):
     # oracle: u_hat by einsum, routed by the unrolled tape reference; its
     # cotangent pulled back to the poses and W by einsum
@@ -719,7 +632,7 @@ def test_capsule_layer_matches_einsum_and_tape_routing_oracle(case, detach,
     u_ref = Tensor(np.einsum("nli,liuo->nluo", poses_np, w),
                    requires_grad=True)
     with ad.Graph():
-        v_ref = route_tape_reference(u_ref, 3, "squash", detach)[0]
+        v_ref = route_tape_reference(u_ref, 3, "squash")[0]
         ad.backward(ad.sum_(ad.mul(v_ref, gv)))
 
     seen = []
@@ -732,8 +645,7 @@ def test_capsule_layer_matches_einsum_and_tape_routing_oracle(case, detach,
     monkeypatch.setattr(caps, "dynamic_route", spy)
     poses = Tensor(poses_np, requires_grad=True)
     with ad.Graph() as g:
-        v = caps.capsule_layer_forward(
-            caps.CapsuleGrid(poses, n_lower, 1, 1), p, 3, detach)
+        v = caps.capsule_layer_forward(poses, p, 3)
         assert [node[0] for node in g.nodes] == ["capsule_transform",
                                                  "dynamic_route"]
         ad.backward(ad.sum_(ad.mul(v, gv)))
@@ -748,13 +660,12 @@ def test_capsule_layer_matches_einsum_and_tape_routing_oracle(case, detach,
 
 
 def test_capsule_layer_shape_errors():
+    # poses must be [N, 6, 4] to match W: a wrong pose size, a wrong
+    # capsule count and a rank-2 array are refused
     p = caps.CapsuleLayerParams(6, 3, 4, 4, seed=13)
-    with pytest.raises(ShapeError, match="pose dim"):
-        caps.capsule_layer_forward(
-            caps.CapsuleGrid(Tensor(np.zeros((1, 6, 5))), 2, 3, 1), p, 2)
-    with pytest.raises(ShapeError, match="lower capsules"):
-        caps.capsule_layer_forward(
-            caps.CapsuleGrid(Tensor(np.zeros((1, 4, 4))), 2, 2, 1), p, 2)
+    for shape in ((1, 6, 5), (1, 4, 4), (1, 7, 4), (6, 4)):
+        with pytest.raises(ShapeError, match=r"expects poses \[N, 6, 4\]"):
+            caps.capsule_layer_forward(Tensor(np.zeros(shape)), p, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,15 @@ def test_scn_data_dir_env(tmp_path, monkeypatch, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("key", ["pos_ratio", "detach_routing", "concrete_t",
+                                 "standard_concrete", "threshold_points"])
+def test_removed_config_flag_usage_error(key, tmp_path, capsys):
+    rc = cli.main(_train_args(tmp_path / "run", f"--{key}", "true"))
+    assert rc == 2
+    assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_unknown_subcommand_exit_2():
     assert cli.main(["frobnicate"]) == 2
 

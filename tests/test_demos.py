@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from siamcaps import RunConfig
+from siamcaps import RunConfig, make_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,3 +64,14 @@ def test_verify_demo_evaluates_with_training_config(monkeypatch):
         if f.name != "output_dir":
             assert getattr(evaluated, f.name) == getattr(trained, f.name), \
                 f.name
+
+
+def test_committed_demo_config_loads_as_the_demo_config():
+    # the config.txt that demo 03 wrote is a loadable config of the same run
+    train_demo = _load_demo("03_train_synthetic.py")
+    loaded = make_config(os.path.join(ROOT, "demos", "runs",
+                                      "synthetic_demo", "config.txt"))
+    want = train_demo.CFG.finalize()
+    for f in dataclasses.fields(RunConfig):
+        if f.name != "output_dir":
+            assert getattr(loaded, f.name) == getattr(want, f.name), f.name

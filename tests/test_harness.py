@@ -41,9 +41,9 @@ def test_finalize_defaults_att_vs_lfw():
     dict(model="resnet"), dict(dataset="mnist"), dict(loss="triplet"),
     dict(metric="hamming"), dict(m=-1.0), dict(m_n=0.5, m_p=0.2),
     dict(epochs=0), dict(batch_size=0), dict(alpha=0.0),
-    dict(pos_ratio=0.0), dict(holdout=-1), dict(kfold_k=1),
+    dict(holdout=-1), dict(kfold_k=1),
     dict(dropout_rate=1.0), dict(metric="manhattan_exp", m=2.0),
-    dict(stop_below=-0.1), dict(threshold_points=1),
+    dict(stop_below=-0.1), dict(routing_iters=0), dict(dropout_rate=-0.1),
 ])
 def test_validate_rejects(bad):
     cfg = dataclasses.replace(hz.RunConfig(), **bad).finalize()
@@ -81,6 +81,23 @@ def test_unknown_config_key_rejected(tmp_path):
         hz.make_config(str(path))
     with pytest.raises(ValueError, match="unknown config key"):
         hz.make_config(None, {"nope": 1})
+
+
+# keys that older configs carry; their values are now fixed by the code
+REMOVED_KEYS = {"pos_ratio": "0.5", "detach_routing": "False",
+                "concrete_t": "0.1", "standard_concrete": "False",
+                "threshold_points": "101"}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_removed_config_key_rejected_by_name(key, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"epochs = 3\n{key} = {REMOVED_KEYS[key]}\n")
+    assert not hasattr(hz.RunConfig(), key)
+    with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+        hz.make_config(str(path))
+    with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+        hz.make_config(None, {key: REMOVED_KEYS[key]})
 
 
 def test_config_file_syntax_error(tmp_path):

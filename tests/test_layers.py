@@ -295,7 +295,8 @@ def test_desk_convs_form_one_patch_group(patch_groups, kind, cfg):
     # a GEMM split over images can move in the last bits (conv1's does in
     # 1-image groups), so the desk models, at an eval chunk of 32 images,
     # must not split
-    enc = models.build_encoder(kind, 0, **cfg)
+    encoder = {"scn": models.ScnEncoder, "standard": models.StandardEncoder}
+    enc = encoder[kind](0, **cfg)
     s = cfg["input_size"]
     images = Tensor(SplitMix64(16).uniform(32 * s * s).reshape(32, 1, s, s))
     enc.encode(images, training=False)

@@ -12,10 +12,10 @@ TINY = dict(conv_channels=4, primary_types=3, face_caps=4, face_d=4,
             embed_dim=5, input_size=37, routing_iters=2)
 
 
-def tiny_encoder(seed=1, kind="scn", **over):
+def tiny_encoder(seed=1, mode="scn", **over):
     cfg = dict(TINY)
     cfg.update(over)
-    return models.build_encoder(kind, seed, **cfg)
+    return models.ScnEncoder(seed, mode=mode, **cfg)
 
 
 def tiny_images(n, seed=5, size=37):
@@ -78,7 +78,7 @@ def test_same_seed_same_encoder():
 
 
 def test_sdropcapnet_mask_applied_in_training():
-    enc = tiny_encoder(kind="sdropcapnet")
+    enc = tiny_encoder(mode="sdropcapnet")
     assert enc.dropout_p is not None
     enc.dropout_p.data[:] = 0.5  # keep masks away from saturation
     x = tiny_images(2)
@@ -89,13 +89,13 @@ def test_sdropcapnet_mask_applied_in_training():
 
 
 def test_sdropcapnet_training_requires_rng():
-    enc = tiny_encoder(kind="sdropcapnet")
+    enc = tiny_encoder(mode="sdropcapnet")
     with pytest.raises(ValueError, match="rng"):
         enc.encode(tiny_images(2), training=True)
 
 
 def test_clamp_dropout_p():
-    enc = tiny_encoder(kind="sdropcapnet")
+    enc = tiny_encoder(mode="sdropcapnet")
     enc.dropout_p.data[:] = [2.0, -1.0, 0.5, 0.999]
     enc.clamp_dropout_p()
     assert np.all(enc.dropout_p.data >= 0.01)
@@ -119,7 +119,7 @@ def test_normalize_at_concat_variant():
 
 
 def test_named_parameters_unique_and_complete():
-    enc = tiny_encoder(kind="sdropcapnet")
+    enc = tiny_encoder(mode="sdropcapnet")
     names = [n for n, _ in enc.named_parameters()]
     assert len(names) == len(set(names))
     assert "conv1/kernel" in names and "face/W" in names
@@ -132,8 +132,8 @@ def test_named_parameters_unique_and_complete():
 # standard baseline encoder
 
 def test_standard_encoder_shape_and_norms():
-    enc = models.build_encoder("standard", 4, input_size=37, embed_dim=5,
-                               ch1=4, ch2=6)
+    enc = models.StandardEncoder(4, input_size=37, embed_dim=5, ch1=4,
+                                 ch2=6)
     emb = enc.encode(tiny_images(3), training=False)
     assert emb.shape == (3, 5)
     assert np.abs(np.linalg.norm(emb.data, axis=1) - 1.0).max() < 1e-9
@@ -145,9 +145,15 @@ def test_standard_encoder_default_flat_dim():
     assert enc.fc.parameter_count() == 12544 * 20 + 20
 
 
-def test_build_encoder_unknown_kind():
-    with pytest.raises(ValueError, match="unknown encoder kind"):
-        models.build_encoder("resnet", 1)
+def test_public_names_resolve_and_removed_ones_are_gone():
+    import siamcaps
+    from siamcaps import capsules
+    for name in siamcaps.__all__:
+        assert getattr(siamcaps, name) is not None, name
+    for module, name in ((siamcaps, "CapsuleGrid"), (capsules, "CapsuleGrid"),
+                         (siamcaps, "build_encoder"),
+                         (models, "build_encoder")):
+        assert not hasattr(module, name), (module.__name__, name)
 
 
 # ---------------------------------------------------------------------------
