@@ -4,13 +4,13 @@ glibc serves every allocation above its mmap threshold (128 KB, raised
 dynamically up to 32 MB) with a fresh ``mmap`` and unmaps it on free, and it
 trims the top of the heap back to the kernel once more than the trim
 threshold is free there.  A full-size train step makes and frees arrays of
-tens to hundreds of MB (activations, im2col copies inside ``tensordot``, û
-and its gradient), so without this policy every step faults those pages in
+tens to hundreds of MB (activations, im2col patch matrices, û and its
+gradient), so without this policy every step faults those pages in
 and has the kernel zero them again: about 14,000 minor faults and 240 ms of
 system time per full-size train step on a 2-vCPU VM.  With every allocation
 served from the heap and the heap never trimmed, the next step reuses the
-same pages, including the temporaries numpy makes inside ufuncs,
-``tensordot`` and ``matmul``.  The cost is resident memory: the heap keeps
+same pages, including the temporaries numpy makes inside ufuncs and
+``matmul``.  The cost is resident memory: the heap keeps
 its high-water mark, plus the holes that allocation order leaves in it.
 """
 

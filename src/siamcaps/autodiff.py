@@ -350,9 +350,11 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _emit("relu", np.where(mask, a.data, 0.0), [a],
-                 lambda g: (np.where(mask, g, 0.0),))
+    """max(a, 0) in a's memory order; a NaN passes through."""
+    out = np.maximum(a.data, 0.0)
+    # the mask is taken from the output, which a caller usually keeps, only
+    # when the backward runs
+    return _emit("relu", out, [a], lambda g: (g * (out > 0),))
 
 
 # ---------------------------------------------------------------------------

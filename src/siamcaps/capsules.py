@@ -20,6 +20,8 @@ from .rng import SplitMix64, derive_seed
 log = logging.getLogger(__name__)
 
 EPS_SQ = 1e-9
+# the routing activations a capsule layer may apply
+ACTIVATIONS = ("squash", "tanh")
 # lower capsules per block of the capsule transform: a block's GEMM output,
 # [BLOCK, N, upper*d_out] (512 KB at full size and 8 images), stays in cache
 # while it is scattered into routing's layout
@@ -121,7 +123,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
         raise ShapeError(f"u_hat must be rank 4 [N, lower, upper, d], got "
                          f"{list(u_hat.shape)}")
     n, n_lower, n_upper, _ = u_hat.shape
-    if activation_kind not in ("squash", "tanh"):
+    if activation_kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {activation_kind!r}")
     act = squash_kernel if activation_kind == "squash" else ad.tanh_kernel
 
@@ -201,10 +203,11 @@ def _joined(parts: list) -> np.ndarray:
 class PrimaryCapsuleParams:
     """All pose dimensions of all capsule types as one convolution.
 
-    The kernel is dim-major [d*n_types, in_ch, k, k]: output channel
-    dim*n_types + type is pose dimension dim of capsule type type.  Block dim
-    is drawn exactly as a standalone in_ch -> n_types conv2d_init with seed
-    derive_seed(seed, dim), and the bias starts at zero.  Full width is
+    The kernel is [d*n_types, k, k, in_ch], in the convolution's
+    [O, kh, kw, C] storage order, and dim-major along O: output channel
+    dim*n_types + type is pose dimension dim of capsule type type.  Block
+    dim is drawn exactly as a standalone in_ch -> n_types conv2d_init with
+    seed derive_seed(seed, dim), and the bias starts at zero.  Full width is
     256 -> 8*32 channels, 9x9 stride 3 (256*256*81 + 256 = 5,308,672
     parameters); in_ch and n_types are configurable so tests can shrink it.
     """
@@ -247,7 +250,9 @@ def primary_capsules_forward(features: Tensor,
         raise ShapeError(f"primary capsules expect {params.in_ch} input "
                          f"channels, got {features.shape[1]}")
     n, t, d = features.shape[0], params.n_types, params.d
-    m = conv2d_forward(features, params.conv)  # [N, d*n_types, gh, gw]
+    # [N, d*n_types, gh, gw], channels-last in memory, so the reshape and
+    # the transpose are views and only the last reshape copies
+    m = conv2d_forward(features, params.conv)
     grid_h, grid_w = m.shape[2], m.shape[3]
     m = ad.transpose(ad.reshape(m, [n, d, t, grid_h, grid_w]),
                      (0, 3, 4, 2, 1))  # [N, gh, gw, n_types, d]
@@ -267,7 +272,7 @@ class CapsuleLayerParams:
 
     def __init__(self, n_lower: int, n_upper: int, d_in: int, d_out: int,
                  activation_kind: str = "tanh", seed: int = 0):
-        if activation_kind not in ("squash", "tanh"):
+        if activation_kind not in ACTIVATIONS:
             raise ValueError(f"unknown activation kind {activation_kind!r}")
         bound = float(np.sqrt(6.0 / (d_in + d_out)))
         draw = SplitMix64(derive_seed(seed, 3))

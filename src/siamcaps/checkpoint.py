@@ -10,10 +10,12 @@ Layout (all integers little-endian):
   crc32   u32 of the payload bytes
 
 Order is preserved; loading a saved file reproduces every tensor bitwise.
-Version 2 stores face/W in the capsule layer's [lower, d_in, upper, d_out]
-order.  A version-1 file holds it as [lower, upper, d_in, d_out], which a
-shape check cannot tell apart when upper == d_in, so it is refused by
-version.
+Version 3 stores face/W in the capsule layer's [lower, d_in, upper, d_out]
+order and every conv kernel as [O, kh, kw, C].  Older files are refused by
+version, since a shape check cannot always tell the orders apart: version 1
+holds face/W as [lower, upper, d_in, d_out] (the same shape when
+upper == d_in), and versions 1 and 2 hold kernels as [O, C, kh, kw] (the
+same shape when C == kh == kw).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import zlib
 import numpy as np
 
 MAGIC = b"SCNCKPT1"
-VERSION = 2
+VERSION = 3
 CRC_CHUNK = 1 << 20  # bytes per read while checking a file's crc
 
 

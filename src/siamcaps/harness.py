@@ -27,12 +27,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .capsules import ACTIVATIONS
 from .checkpoint import restore_checkpoint, save_checkpoint
 from .data import (FaceDataset, SplitSpec, kfold, load_att, load_lfw,
                    sample_pairs, split_subjects, synth_dataset)
-from .models import (METRICS, ScnEncoder, StandardEncoder, contrastive_loss,
-                     double_margin_loss, distance, effective_distance,
-                     predict_match, sweep_threshold, valid_margin)
+from .models import (METRICS, NORMALIZE_AT, ScnEncoder, StandardEncoder,
+                     contrastive_loss, double_margin_loss, distance,
+                     effective_distance, predict_match, sweep_threshold,
+                     valid_margin)
 from .optim import OptimState, amsgrad_step
 from .rng import SplitMix64, derive_seed
 
@@ -104,6 +106,12 @@ class RunConfig:
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, "
                              f"got {self.metric!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, "
+                             f"got {self.activation!r}")
+        if self.normalize_at not in NORMALIZE_AT:
+            raise ValueError(f"normalize_at must be one of {NORMALIZE_AT}, "
+                             f"got {self.normalize_at!r}")
         if self.m is None or self.routing_iters is None:
             raise ValueError("config not finalized: margin/routing unset")
         if not valid_margin(self.m, self.metric):

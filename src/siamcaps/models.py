@@ -24,6 +24,9 @@ from .layers import (BatchNormParams, batchnorm_forward, conv2d_forward,
 from .rng import SplitMix64, derive_seed
 
 METRICS = ("euclidean_sq", "manhattan_exp", "cosine")
+# where the capsule encoder unit-normalizes: its embedding or the flattened
+# capsule poses before the dense layer
+NORMALIZE_AT = ("embedding", "concat")
 # temperature of the sdropcapnet concrete-dropout mask
 CONCRETE_T = 0.1
 
@@ -49,7 +52,7 @@ class ScnEncoder:
                  dropout_rate: float = 0.0):
         if mode not in ("scn", "sdropcapnet"):
             raise ValueError(f"unknown encoder mode {mode!r}")
-        if normalize_at not in ("embedding", "concat"):
+        if normalize_at not in NORMALIZE_AT:
             raise ValueError(f"normalize_at must be 'embedding' or 'concat', "
                              f"got {normalize_at!r}")
         self.mode = mode

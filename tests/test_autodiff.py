@@ -76,6 +76,9 @@ def test_elementwise_forward_values():
     np.testing.assert_allclose(ad.absolute(Tensor([-2.0, 3.0])).data, [2., 3.])
     np.testing.assert_allclose(ad.negate(x).data, [-1.0, -4.0])
     np.testing.assert_allclose(ad.relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
+    # a NaN passes through relu, so a non-finite loss can see it
+    np.testing.assert_array_equal(ad.relu(Tensor([np.nan, -1.0])).data,
+                                  [np.nan, 0.0])
     np.testing.assert_allclose(
         ad.div(Tensor([1.0, 9.0]), Tensor([2.0, 3.0])).data, [0.5, 3.0])
 

@@ -492,7 +492,7 @@ def test_primary_kernel_blocks_match_per_dimension_init():
     in_ch, t, d, seed = 4, 3, 5, 18
     p = caps.PrimaryCapsuleParams(in_ch=in_ch, n_types=t, d=d, ksize=3,
                                   seed=seed)
-    assert p.conv.kernel.shape == (d * t, in_ch, 3, 3)
+    assert p.conv.kernel.shape == (d * t, 3, 3, in_ch)
     for dim in range(d):
         ref = conv2d_init(in_ch, t, 3, 3, 0, derive_seed(seed, dim))
         assert np.array_equal(p.conv.kernel.data[dim * t:(dim + 1) * t],

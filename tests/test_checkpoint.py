@@ -41,7 +41,7 @@ def test_header_layout():
     raw = ckpt.encode_tensors([("w", np.zeros((2, 3)))])
     assert raw[:8] == b"SCNCKPT1"
     version, count = struct.unpack("<HI", raw[8:14])
-    assert version == 2 and count == 1
+    assert version == ckpt.VERSION == 3 and count == 1
     (nlen,) = struct.unpack("<H", raw[14:16])
     assert raw[16:16 + nlen] == b"w"
     rank = raw[16 + nlen]
@@ -212,6 +212,28 @@ def test_version_1_refused_even_when_face_w_shape_matches(tmp_path,
     before = [t.data.copy() for _, t in enc2.named_parameters()]
     with pytest.raises(ckpt.CheckpointError,
                        match="unsupported checkpoint version 1"):
+        ckpt.restore_checkpoint(enc2, None, path)
+    for (_, t), want in zip(enc2.named_parameters(), before):
+        assert np.array_equal(t.data, want)
+
+
+def test_version_2_refused_even_when_kernel_shapes_match(tmp_path,
+                                                        monkeypatch):
+    # version 2 stored conv kernels as [O, C, kh, kw]; with C == kh == kw
+    # the primary kernel has today's [O, kh, kw, C] shape too, so only the
+    # version tells
+    cfg = dict(TINY, conv_channels=9)
+    enc = ScnEncoder(seed=3, **cfg)
+    kernel = enc.primary.conv.kernel.data
+    assert kernel.shape[1:] == kernel.transpose(0, 3, 1, 2).shape[1:]
+    path = str(tmp_path / "v2.ckpt")
+    monkeypatch.setattr(ckpt, "VERSION", 2)
+    ckpt.save_checkpoint(enc, None, path)
+    monkeypatch.undo()
+    enc2 = ScnEncoder(seed=4, **cfg)
+    before = [t.data.copy() for _, t in enc2.named_parameters()]
+    with pytest.raises(ckpt.CheckpointError,
+                       match="unsupported checkpoint version 2"):
         ckpt.restore_checkpoint(enc2, None, path)
     for (_, t), want in zip(enc2.named_parameters(), before):
         assert np.array_equal(t.data, want)

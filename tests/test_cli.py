@@ -78,6 +78,16 @@ def test_removed_config_flag_usage_error(key, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
+@pytest.mark.parametrize("key,value", [("activation", "relu"),
+                                       ("normalize_at", "flat")])
+def test_train_bad_choice_usage_error_writes_nothing(key, value, tmp_path,
+                                                     capsys):
+    rc = cli.main(_train_args(tmp_path / "run", f"--{key}", value))
+    assert rc == 2
+    assert f"{key} must be one of" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_unknown_subcommand_exit_2():
     assert cli.main(["frobnicate"]) == 2
 

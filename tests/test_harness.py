@@ -206,6 +206,20 @@ def test_non_finite_loss_stops_before_the_update(tmp_path, monkeypatch, bad):
         assert np.array_equal(b, want)
 
 
+def test_nan_activation_stops_the_step(tmp_path):
+    # relu passes a NaN on: a NaN in one of bn1's channels reaches the loss,
+    # and the step refuses it instead of training on zeroed activations
+    cfg = micro_cfg(tmp_path).finalize()
+    enc = hz.build_run_encoder(cfg)
+    enc.bn1.beta.data[0] = np.nan
+    r = np.random.default_rng(5)
+    size = (3, 1, cfg.input_size, cfg.input_size)
+    batch = PairBatch(Tensor(r.uniform(size=size)),
+                      Tensor(r.uniform(size=size)), np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(FloatingPointError, match="non-finite training loss"):
+        hz._train_step(enc, hz.OptimState(), batch, cfg, None)
+
+
 def test_every_gradient_contiguous_after_desk_step(monkeypatch):
     # the criterion-8 desk model: no parameter gradient is a strided view,
     # so the optimizer copies none of them.  The gradients are read where

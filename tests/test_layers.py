@@ -9,13 +9,14 @@ import pytest
 from siamcaps import autodiff as ad
 from siamcaps import layers, models
 from siamcaps.autodiff import ShapeError, Tensor, grad_check
-from siamcaps.rng import SplitMix64
+from siamcaps.rng import SplitMix64, derive_seed
 
 
 def naive_conv2d_scalar(x, k, b, stride, pad):
-    """Seven nested scalar loops; the slowest, most literal reference."""
+    """Seven nested scalar loops; the slowest, most literal reference.
+    x is [N, C, H, W] and k [O, kh, kw, C]."""
     n_, c_, h_, w_ = x.shape
-    o_, _, kh, kw = k.shape
+    o_, kh, kw, _ = k.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho = (h_ + 2 * pad - kh) // stride + 1
     wo = (w_ + 2 * pad - kw) // stride + 1
@@ -29,7 +30,7 @@ def naive_conv2d_scalar(x, k, b, stride, pad):
                         for u in range(kh):
                             for v in range(kw):
                                 acc += (xp[n, c, i * stride + u,
-                                           j * stride + v] * k[o, c, u, v])
+                                           j * stride + v] * k[o, u, v, c])
                     out[n, o, i, j] = acc
     return out
 
@@ -37,7 +38,7 @@ def naive_conv2d_scalar(x, k, b, stride, pad):
 def naive_conv2d_patch(x, k, b, stride, pad):
     """Patch-extraction reference: independent indexing, per-pixel reduce."""
     h_, w_ = x.shape[2], x.shape[3]
-    o_, _, kh, kw = k.shape
+    o_, kh, kw, _ = k.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho = (h_ + 2 * pad - kh) // stride + 1
     wo = (w_ + 2 * pad - kw) // stride + 1
@@ -47,7 +48,7 @@ def naive_conv2d_patch(x, k, b, stride, pad):
             patch = xp[:, :, i * stride:i * stride + kh,
                        j * stride:j * stride + kw]
             out[:, :, i, j] = np.tensordot(
-                patch, k, axes=([1, 2, 3], [1, 2, 3])) + b
+                patch, k, axes=([1, 2, 3], [3, 1, 2])) + b
     return out
 
 
@@ -55,14 +56,29 @@ def naive_conv2d_input_vjp(g, k, x_shape, stride, pad):
     """Input cotangent, patch by patch: every output pixel adds
     g[:, :, i, j] . k into the padded patch it read."""
     n_, c_, h_, w_ = x_shape
-    kh, kw = k.shape[2], k.shape[3]
+    kh, kw = k.shape[1], k.shape[2]
     gxp = np.zeros((n_, c_, h_ + 2 * pad, w_ + 2 * pad))
     for i in range(g.shape[2]):
         for j in range(g.shape[3]):
             gxp[:, :, i * stride:i * stride + kh,
                 j * stride:j * stride + kw] += np.tensordot(
-                    g[:, :, i, j], k, axes=([1], [0]))
+                    g[:, :, i, j], k, axes=([1], [0])).transpose(0, 3, 1, 2)
     return gxp[:, :, pad:pad + h_, pad:pad + w_]
+
+
+def naive_conv2d_kernel_vjp(g, x, kshape, stride, pad):
+    """Kernel cotangent [O, kh, kw, C], patch by patch: every output pixel
+    adds g[:, :, i, j] times the padded patch it read."""
+    kh, kw = kshape[1], kshape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gk = np.zeros(kshape)
+    for i in range(g.shape[2]):
+        for j in range(g.shape[3]):
+            patch = xp[:, :, i * stride:i * stride + kh,
+                       j * stride:j * stride + kw]
+            gk += np.tensordot(g[:, :, i, j], patch,
+                               axes=([0], [0])).transpose(0, 2, 3, 1)
+    return gk
 
 
 def conv_grid():
@@ -77,7 +93,7 @@ def conv_grid():
 def make_conv(in_ch, out_ch, ksize, stride, pad, seed):
     rng = SplitMix64(seed)
     kernel = Tensor(rng.uniform(out_ch * in_ch * ksize * ksize, -1, 1)
-                    .reshape(out_ch, in_ch, ksize, ksize))
+                    .reshape(out_ch, ksize, ksize, in_ch))
     bias = Tensor(rng.uniform(out_ch, -1, 1))
     return layers.Conv2dParams(kernel, bias, stride, pad)
 
@@ -99,7 +115,7 @@ def test_conv_1x1_identity():
 
 
 def test_conv_3x3_ones_sums_to_nine():
-    p = layers.Conv2dParams(Tensor(np.ones((1, 1, 3, 3))),
+    p = layers.Conv2dParams(Tensor(np.ones((1, 3, 3, 1))),
                             Tensor(np.zeros(1)), 1, 0)
     x = Tensor(np.ones((1, 1, 3, 3)))
     out = layers.conv2d_forward(x, p)
@@ -192,7 +208,7 @@ def test_conv_rejects_channel_mismatch():
 
 def test_conv_rejects_rectangular_kernel():
     with pytest.raises(ShapeError, match="square"):
-        layers.Conv2dParams(Tensor(np.ones((1, 1, 2, 3))),
+        layers.Conv2dParams(Tensor(np.ones((1, 2, 3, 1))),
                             Tensor(np.zeros(1)))
 
 
@@ -233,25 +249,36 @@ def test_conv_constant_input_gets_no_cotangent():
 
 def full_primary_input(n):
     """n images at the full-size primary capsules' input shape, [N, 256, 31,
-    31], lying [C, N, H, W] in memory as the relu output that feeds them does;
-    with the primary convolution and its patch bytes per image."""
+    31], lying channels-last in memory as the relu output that feeds them
+    does; with the primary convolution and its patch bytes per image."""
     p = make_conv(256, 256, 9, 3, 0, 14)
     x = SplitMix64(15).uniform(256 * n * 31 * 31, -1, 1)
-    x = x.reshape(256, n, 31, 31).transpose(1, 0, 2, 3)
+    x = x.reshape(n, 31, 31, 256).transpose(0, 3, 1, 2)
     return Tensor(x), p, 256 * 9 * 9 * 8 * 8 * 8
+
+
+def full_conv1_input(n):
+    """n full-size [N, 1, 100, 100] images, with conv1 (1 -> 256 channels,
+    9x9 stride 3) and its patch bytes per image."""
+    p = make_conv(1, 256, 9, 3, 0, 19)
+    x = SplitMix64(20).uniform(n * 100 * 100).reshape(n, 1, 100, 100)
+    return Tensor(x), p, 9 * 9 * 31 * 31 * 8
 
 
 @pytest.mark.parametrize("per_group", [1, 2, 3])
 def test_conv_forward_in_image_groups_is_bitwise_one_gemm(monkeypatch,
                                                           per_group):
-    # 5 images in groups of 1, 2 or 3: two of the runs end in a ragged group
-    x, p, image_bytes = full_primary_input(5)
-    whole = layers.conv2d_forward(x, p).data
-    assert 5 * image_bytes <= layers.PATCH_BYTES
-    monkeypatch.setattr(layers, "PATCH_BYTES", per_group * image_bytes + 7)
-    got = layers.conv2d_forward(x, p).data
-    assert got.strides == whole.strides
-    assert got.tobytes() == whole.tobytes()
+    # 5 images in groups of 1, 2 or 3: two of the runs end in a ragged
+    # group; for the full-size primary capsules and for conv1
+    cases = [full_primary_input(5), full_conv1_input(5)]
+    wholes = [layers.conv2d_forward(x, p).data for x, p, _ in cases]
+    for (x, p, image_bytes), whole in zip(cases, wholes):
+        assert 5 * image_bytes <= layers.PATCH_BYTES
+        monkeypatch.setattr(layers, "PATCH_BYTES",
+                            per_group * image_bytes + 7)
+        got = layers.conv2d_forward(x, p).data
+        assert got.strides == whole.strides
+        assert got.tobytes() == whole.tobytes()
 
 
 def test_conv_forward_holds_one_group_of_patches(monkeypatch):
@@ -282,6 +309,39 @@ def patch_groups(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_conv_vjp_in_image_groups_matches_reference(monkeypatch, patch_groups,
+                                                    per_group):
+    # 5 images in groups of 1, 2 or 3: channels-last, C-contiguous and
+    # padded inputs, and the StandardEncoder's 5x5 stride-2 conv2
+    cases = [(4, 3, 13, 3, 2, 0, True), (4, 3, 13, 3, 2, 0, False),
+             (4, 3, 13, 3, 2, 2, True), (32, 64, 19, 5, 2, 0, True)]
+    for seed, (c, o, h, k, s, pad, last) in enumerate(cases):
+        ho = (h + 2 * pad - k) // s + 1
+        monkeypatch.setattr(layers, "PATCH_BYTES",
+                            per_group * ho * ho * k * k * c * 8 + 7)
+        p = make_conv(c, o, k, s, pad, 600 + seed)
+        x = SplitMix64(700 + seed).uniform(5 * c * h * h, -1, 1)
+        x = (x.reshape(5, h, h, c).transpose(0, 3, 1, 2) if last
+             else x.reshape(5, c, h, h))
+        xt = Tensor(x, requires_grad=True)
+        with ad.Graph() as graph:
+            out = layers.conv2d_forward(xt, p)
+            vjp = graph.nodes[-1][3]
+        assert len(patch_groups[-1]) == -(-5 // per_group)
+        want = naive_conv2d_patch(x, p.kernel.data, p.bias.data, s, pad)
+        assert np.abs(out.data - want).max() < 1e-10
+        g = SplitMix64(800 + seed).uniform(out.size, -1, 1).reshape(out.shape)
+        gx, gk, gb = vjp(g)
+        tag = (c, o, h, k, s, pad, last, per_group)
+        assert gx.strides == x.strides, tag
+        assert np.abs(gx - naive_conv2d_input_vjp(
+            g, p.kernel.data, x.shape, s, pad)).max() < 1e-10, tag
+        assert np.abs(gk - naive_conv2d_kernel_vjp(
+            g, x, p.kernel.shape, s, pad)).max() < 1e-10, tag
+        assert np.abs(gb - g.sum(axis=(0, 2, 3))).max() < 1e-10, tag
+
+
 DESK = dict(conv_channels=32, primary_types=8, primary_d=8, face_caps=16,
             face_d=8, routing_iters=2, input_size=64)
 
@@ -292,9 +352,9 @@ DESK = dict(conv_channels=32, primary_types=8, primary_d=8, face_caps=16,
     ("scn", dict(DESK, routing_iters=4, input_size=100)),  # criterion 7
 ])
 def test_desk_convs_form_one_patch_group(patch_groups, kind, cfg):
-    # a GEMM split over images can move in the last bits (conv1's does in
-    # 1-image groups), so the desk models, at an eval chunk of 32 images,
-    # must not split
+    # a GEMM split over images need not match the whole-batch GEMM in the
+    # last bits, so the desk models, at an eval chunk of 32 images, must
+    # not split
     encoder = {"scn": models.ScnEncoder, "standard": models.StandardEncoder}
     enc = encoder[kind](0, **cfg)
     s = cfg["input_size"]
@@ -387,13 +447,73 @@ def test_batchnorm_grad_check():
     gamma = Tensor(SplitMix64(34).uniform(2, 0.5, 1.5))
     beta = Tensor(SplitMix64(35).uniform(2, -0.5, 0.5))
 
-    def f(x, gamma, beta):
-        p = layers.BatchNormParams(2)
-        p.gamma = gamma
-        p.beta = beta
-        return ad.sum_(ad.square(layers.batchnorm_forward(x, p, True)))
+    for training in (True, False):
+        def f(x, gamma, beta):
+            p = layers.BatchNormParams(2)
+            p.running_mean[:] = [0.3, -0.2]
+            p.running_var[:] = [0.5, 2.0]
+            p.gamma = gamma
+            p.beta = beta
+            return ad.sum_(ad.square(layers.batchnorm_forward(x, p,
+                                                              training)))
 
-    assert grad_check(f, [x, gamma, beta], eps=1e-5) < 1e-4
+        assert grad_check(f, [x, gamma, beta], eps=1e-5) < 1e-4, training
+
+
+def batchnorm_chain(x, p, training):
+    """batchnorm_forward as the chain of tape primitives it once was."""
+    stat_shape = (1, p.channels) + (1,) * (x.data.ndim - 2)
+    axes = (0,) + tuple(range(2, x.data.ndim))
+    if training:
+        mu = ad.mean(x, axis=axes, keepdims=True)
+        centered = ad.sub(x, mu)
+        var = ad.mean(ad.square(centered), axis=axes, keepdims=True)
+        xhat = ad.div(centered, ad.sqrt(ad.add_scalar(var, p.eps)))
+        m = p.momentum
+        for run, batch in ((p.running_mean, mu), (p.running_var, var)):
+            run *= 1 - m
+            run += m * batch.data.reshape(-1)
+    else:
+        rm = Tensor(p.running_mean.reshape(stat_shape))
+        rv = Tensor(p.running_var.reshape(stat_shape))
+        xhat = ad.div(ad.sub(x, rm), ad.sqrt(ad.add_scalar(rv, p.eps)))
+    gamma = ad.reshape(p.gamma, stat_shape)
+    beta = ad.reshape(p.beta, stat_shape)
+    return ad.add(ad.mul(xhat, gamma), beta)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape", [(16, 3), (4, 3, 5, 6)])
+def test_batchnorm_node_matches_primitive_chain(training, shape):
+    # one tape node whose output, cotangents and running statistics are the
+    # chain's within 1e-12; a rank-4 input lies channels-last, as a
+    # convolution writes it, or C-contiguous
+    rng = SplitMix64(37)
+    raw = rng.normal(int(np.prod(shape)), mu=0.5, sigma=2.0)
+    g = rng.uniform(raw.size, -1, 1).reshape(shape)
+    inputs = [raw.reshape(shape)]
+    if len(shape) == 4:
+        n, c, h, w = shape
+        inputs.append(raw.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+    for x in inputs:
+        got = []
+        for fn in (layers.batchnorm_forward, batchnorm_chain):
+            p = layers.BatchNormParams(3)
+            p.gamma.data[:] = [0.7, 1.3, -0.4]
+            p.beta.data[:] = [0.1, -0.6, 0.2]
+            p.running_mean[:] = [0.4, -0.3, 1.1]
+            p.running_var[:] = [2.5, 0.6, 1.7]
+            xt = Tensor(x.copy(order="K"), requires_grad=True)
+            with ad.Graph() as graph:
+                out = fn(xt, p, training)
+                if fn is layers.batchnorm_forward:
+                    assert [node[0] for node in graph.nodes] == ["batchnorm"]
+                ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+            got.append((out.data, xt.grad, p.gamma.grad, p.beta.grad,
+                        p.running_mean, p.running_var))
+        for a, b in zip(*got):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() < 1e-12, (shape, x.strides, training)
 
 
 def test_batchnorm_rank2_input():
@@ -460,6 +580,16 @@ def test_init_same_seed_bitwise_identical():
     c = layers.dense_init(16, 4, seed=9)
     d = layers.dense_init(16, 4, seed=9)
     assert np.array_equal(c.weight.data, d.weight.data)
+
+
+def test_init_kernel_is_the_draw_in_storage_order():
+    # the [O, C, k, k] SplitMix64 draw, stored as [O, k, k, C]: a seed gives
+    # the same weights as before, in the new order
+    p = layers.conv2d_init(3, 4, 5, seed=12)
+    draw = layers.glorot_uniform([4, 3, 5, 5], 3 * 25, 4 * 25,
+                                 derive_seed(12, 1)).data
+    assert p.kernel.data.flags.c_contiguous
+    assert np.array_equal(p.kernel.data, draw.transpose(0, 2, 3, 1))
 
 
 def test_glorot_bound_conv_9x9():
