@@ -194,28 +194,26 @@ def _check_shape(shape) -> tuple:
     return shape
 
 
-def zeros(shape, requires_grad: bool = False, name: str = "") -> Tensor:
-    return Tensor(np.zeros(_check_shape(shape)), requires_grad, name)
+def zeros(shape, requires_grad: bool = False) -> Tensor:
+    return Tensor(np.zeros(_check_shape(shape)), requires_grad)
 
 
-def ones(shape, requires_grad: bool = False, name: str = "") -> Tensor:
-    return Tensor(np.ones(_check_shape(shape)), requires_grad, name)
+def ones(shape, requires_grad: bool = False) -> Tensor:
+    return Tensor(np.ones(_check_shape(shape)), requires_grad)
 
 
-def full(shape, value: float, requires_grad: bool = False,
-         name: str = "") -> Tensor:
-    return Tensor(np.full(_check_shape(shape), float(value)),
-                  requires_grad, name)
+def full(shape, value: float, requires_grad: bool = False) -> Tensor:
+    return Tensor(np.full(_check_shape(shape), float(value)), requires_grad)
 
 
 def uniform(shape, lo: float, hi: float, seed: int,
-            requires_grad: bool = False, name: str = "") -> Tensor:
+            requires_grad: bool = False) -> Tensor:
     shape = _check_shape(shape)
     if not lo < hi:
         raise ValueError(f"uniform needs lo < hi, got [{lo}, {hi})")
     n = int(np.prod(shape))
     vals = SplitMix64(seed).uniform(n, lo, hi).reshape(shape)
-    return Tensor(vals, requires_grad, name)
+    return Tensor(vals, requires_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,12 @@ priors updated with prediction/output dot products.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .layers import Conv2dParams, byte_chunks, conv2d_init, conv2d_forward
 from .rng import SplitMix64, derive_seed
-
-log = logging.getLogger(__name__)
 
 EPS_SQ = 1e-9
 # the routing activations a capsule layer may apply
@@ -221,13 +217,8 @@ class PrimaryCapsuleParams:
                               derive_seed(seed, dim)).kernel.data
                   for dim in range(d)]
         self.conv = Conv2dParams(
-            Tensor(np.concatenate(blocks), requires_grad=True,
-                   name="primary/kernel"),
-            ad.zeros([d * n_types], requires_grad=True, name="primary/bias"),
-            stride)
-
-    def parameter_count(self) -> int:
-        return self.conv.parameter_count()
+            Tensor(np.concatenate(blocks), requires_grad=True),
+            ad.zeros([d * n_types], requires_grad=True), stride)
 
     def named_parameters(self, prefix: str) -> list:
         return self.conv.named_parameters(prefix)
@@ -281,13 +272,8 @@ class CapsuleLayerParams:
             blk = w[lo:lo + BLOCK]
             blk[...] = draw.uniform(blk.size, -bound, bound).reshape(
                 len(blk), n_upper, d_in, d_out).transpose(0, 2, 1, 3)
-        self.W = Tensor(w, requires_grad=True, name="face/W")
+        self.W = Tensor(w, requires_grad=True)
         self.activation_kind = activation_kind
-        log.info("capsule layer W %s: %d parameters",
-                 list(self.W.shape), self.parameter_count())
-
-    def parameter_count(self) -> int:
-        return self.W.size
 
     def named_parameters(self, prefix: str) -> list:
         return [(prefix + "/W", self.W)]
@@ -327,11 +313,10 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
         prod = np.matmul(u_t[lo:hi], w_m[lo:hi], out=buf[:hi - lo])
         uh[:, :, lo:hi] = prod.reshape(hi - lo, n, n_upper,
                                        d_out).transpose(1, 2, 0, 3)
-    want_gu, want_gw = ad.tracked(poses), ad.tracked(p.W)
 
     def vjp(g):
-        gu = np.empty_like(u) if want_gu else None
-        gw = np.empty_like(w) if want_gw else None  # C-contiguous, as w is
+        gu = np.empty_like(u)
+        gw = np.empty_like(w)  # C-contiguous, as w is
         g_in = np.empty((n, n_upper, lc, d_out))
         g_blk = np.empty((lc, n, n_upper * d_out))
         gu_blk = np.empty((lc, n, d_in))
@@ -343,13 +328,11 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
             np.copyto(g_in[:, :, :k], g[:, lo:hi].transpose(0, 2, 1, 3))
             g_blk[:k].reshape(k, n, n_upper, d_out)[...] = \
                 g_in[:, :, :k].transpose(2, 0, 1, 3)
-            if gw is not None:
-                np.matmul(u_t[lo:hi].transpose(0, 2, 1), g_blk[:k],
-                          out=gw.reshape(w_m.shape)[lo:hi])
-            if gu is not None:
-                np.matmul(g_blk[:k], w_m[lo:hi].transpose(0, 2, 1),
-                          out=gu_blk[:k])
-                gu[:, lo:hi] = gu_blk[:k].transpose(1, 0, 2)
+            np.matmul(u_t[lo:hi].transpose(0, 2, 1), g_blk[:k],
+                      out=gw.reshape(w_m.shape)[lo:hi])
+            np.matmul(g_blk[:k], w_m[lo:hi].transpose(0, 2, 1),
+                      out=gu_blk[:k])
+            gu[:, lo:hi] = gu_blk[:k].transpose(1, 0, 2)
         return gu, gw
 
     u_hat = ad._emit("capsule_transform", uh.transpose(0, 2, 1, 3),

@@ -76,7 +76,6 @@ class RunConfig:
     input_size: int = 100
     activation: str = "tanh"
     normalize_at: str = "embedding"
-    dropout_rate: float = 0.0
     flat_lr: bool = False
     fixed_pairs: bool = False            # reuse epoch-1 pairs every epoch
     stop_below: float = 0.0              # early-stop when train loss < this
@@ -131,8 +130,8 @@ class RunConfig:
             raise ValueError("holdout must be >= 0")
         if self.kfold_k != 0 and self.kfold_k < 2:
             raise ValueError("kfold_k must be 0 or >= 2")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0,1)")
+        if self.max_subjects < 0:
+            raise ValueError("max_subjects must be >= 0")
         if self.stop_below < 0.0:
             raise ValueError("stop_below must be >= 0")
 
@@ -238,16 +237,14 @@ def build_run_encoder(cfg: RunConfig):
     seed = derive_seed(cfg.seed, 1)
     if cfg.model == "standard":
         return StandardEncoder(seed, embed_dim=cfg.embed_dim,
-                               input_size=cfg.input_size,
-                               dropout_rate=cfg.dropout_rate)
+                               input_size=cfg.input_size)
     return ScnEncoder(seed, mode=cfg.model, conv_channels=cfg.conv_channels,
                       primary_types=cfg.primary_types,
                       primary_d=cfg.primary_d, face_caps=cfg.face_caps,
                       face_d=cfg.face_d, embed_dim=cfg.embed_dim,
                       routing_iters=cfg.routing_iters,
                       activation=cfg.activation, input_size=cfg.input_size,
-                      normalize_at=cfg.normalize_at,
-                      dropout_rate=cfg.dropout_rate)
+                      normalize_at=cfg.normalize_at)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +398,12 @@ def _pair_subject_set(ds: FaceDataset, pairs) -> set:
 
 def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
                   run_dir: str) -> TrainResult:
+    # an input size too small for the encoder fails before the run
+    # directory exists
+    encoder = build_run_encoder(cfg)
     os.makedirs(run_dir, exist_ok=True)
     echo_config(cfg, os.path.join(run_dir, "config.txt"))
 
-    encoder = build_run_encoder(cfg)
     state = OptimState()
     test_pairs = verify_pairs(ds, split, cfg)
 
@@ -469,7 +468,6 @@ def train_run(cfg: RunConfig) -> TrainResult:
 
 
 def _train_kfold(cfg: RunConfig, ds: FaceDataset) -> TrainResult:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     results = [_train_single(cfg, ds, split,
                              os.path.join(cfg.output_dir, f"fold{i}"))
                for i, split in enumerate(kfold(ds, cfg.kfold_k, cfg.seed))]
@@ -535,7 +533,6 @@ def gridsearch_run(cfg: RunConfig) -> list:
     """Contrastive margin sweep over {0.2,0.5,1.0,2.0} x metrics."""
     cfg = cfg.finalize()
     cfg.validate()
-    os.makedirs(cfg.output_dir, exist_ok=True)
     rows = []
     for m, metric in grid_combos():
         sub = os.path.join(cfg.output_dir,

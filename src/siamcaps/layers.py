@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed
 
 # bytes of patch matrix that the convolution forward, and again its vjp,
 # builds at once; each runs its GEMMs over groups of images that fit.  At
@@ -52,11 +52,9 @@ PATCH_BYTES = 128 << 20
 GEMM_ROWS = 1024
 
 
-def glorot_uniform(shape, fan_in: int, fan_out: int, seed: int,
-                   name: str = "") -> Tensor:
+def glorot_uniform(shape, fan_in: int, fan_out: int, seed: int) -> Tensor:
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return ad.uniform(shape, -bound, bound, seed, requires_grad=True,
-                      name=name)
+    return ad.uniform(shape, -bound, bound, seed, requires_grad=True)
 
 
 class Conv2dParams:
@@ -81,15 +79,12 @@ class Conv2dParams:
         self.stride = stride
         self.padding = padding
 
-    def parameter_count(self) -> int:
-        return self.kernel.size + self.bias.size
-
     def named_parameters(self, prefix: str) -> list:
         return [(prefix + "/kernel", self.kernel), (prefix + "/bias", self.bias)]
 
 
 def conv2d_init(in_ch: int, out_ch: int, ksize: int, stride: int = 1,
-                padding: int = 0, seed: int = 0, name: str = "conv") -> Conv2dParams:
+                padding: int = 0, seed: int = 0) -> Conv2dParams:
     """Glorot-uniform [out_ch, ksize, ksize, in_ch] kernel and zero bias.
 
     The values are the SplitMix64 draw of an [out_ch, in_ch, ksize, ksize]
@@ -100,8 +95,8 @@ def conv2d_init(in_ch: int, out_ch: int, ksize: int, stride: int = 1,
     draw = glorot_uniform([out_ch, in_ch, ksize, ksize], fan_in, fan_out,
                           derive_seed(seed, 1)).data
     kernel = Tensor(np.ascontiguousarray(draw.transpose(0, 2, 3, 1)),
-                    requires_grad=True, name=name + "/kernel")
-    bias = ad.zeros([out_ch], requires_grad=True, name=name + "/bias")
+                    requires_grad=True)
+    bias = ad.zeros([out_ch], requires_grad=True)
     return Conv2dParams(kernel, bias, stride, padding)
 
 
@@ -227,12 +222,11 @@ class BatchNormParams:
     batch variance, matching the normalization itself.
     """
 
-    def __init__(self, ch: int, momentum: float = 0.1, eps: float = 1e-5,
-                 name: str = "bn"):
+    def __init__(self, ch: int, momentum: float = 0.1, eps: float = 1e-5):
         if eps <= 0:
             raise ValueError("epsilon must be positive")
-        self.gamma = ad.ones([ch], requires_grad=True, name=name + "/gamma")
-        self.beta = ad.zeros([ch], requires_grad=True, name=name + "/beta")
+        self.gamma = ad.ones([ch], requires_grad=True)
+        self.beta = ad.zeros([ch], requires_grad=True)
         self.running_mean = np.zeros(ch)
         self.running_var = np.ones(ch)
         self.momentum = momentum
@@ -241,9 +235,6 @@ class BatchNormParams:
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
-
-    def parameter_count(self) -> int:
-        return self.gamma.size + self.beta.size
 
     def named_parameters(self, prefix: str) -> list:
         return [(prefix + "/gamma", self.gamma), (prefix + "/beta", self.beta)]
@@ -322,18 +313,13 @@ class DenseParams:
         self.weight = weight
         self.bias = bias
 
-    def parameter_count(self) -> int:
-        return self.weight.size + self.bias.size
-
     def named_parameters(self, prefix: str) -> list:
         return [(prefix + "/weight", self.weight), (prefix + "/bias", self.bias)]
 
 
-def dense_init(d_in: int, d_out: int, seed: int = 0,
-               name: str = "dense") -> DenseParams:
-    weight = glorot_uniform([d_in, d_out], d_in, d_out,
-                            derive_seed(seed, 1), name=name + "/weight")
-    bias = ad.zeros([d_out], requires_grad=True, name=name + "/bias")
+def dense_init(d_in: int, d_out: int, seed: int = 0) -> DenseParams:
+    weight = glorot_uniform([d_in, d_out], d_in, d_out, derive_seed(seed, 1))
+    bias = ad.zeros([d_out], requires_grad=True)
     return DenseParams(weight, bias)
 
 
@@ -343,14 +329,3 @@ def dense_forward(x: Tensor, p: DenseParams) -> Tensor:
                          f"{list(p.weight.shape)}")
     out = ad.matmul(x, p.weight)
     return ad.add(out, ad.reshape(p.bias, (1, p.bias.shape[0])))
-
-
-def dropout_mask(shape, rate: float, rng: SplitMix64) -> Tensor:
-    """Inverted-dropout mask: keep with probability 1-rate, scale kept units."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return ad.ones(shape)
-    n = int(np.prod(shape))
-    keep = (rng.uniform(n) >= rate).astype(np.float64).reshape(shape)
-    return Tensor(keep / (1.0 - rate))

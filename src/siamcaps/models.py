@@ -19,8 +19,8 @@ from .autodiff import ShapeError, Tensor
 from .capsules import (CapsuleLayerParams, PrimaryCapsuleParams,
                        concrete_dropout_mask, primary_capsules_forward,
                        capsule_layer_forward)
-from .layers import (BatchNormParams, batchnorm_forward, conv2d_forward,
-                     conv2d_init, dense_forward, dense_init, dropout_mask)
+from .layers import (BatchNormParams, Conv2dParams, batchnorm_forward,
+                     conv2d_forward, conv2d_init, dense_forward, dense_init)
 from .rng import SplitMix64, derive_seed
 
 METRICS = ("euclidean_sq", "manhattan_exp", "cosine")
@@ -33,6 +33,20 @@ CONCRETE_T = 0.1
 
 def _conv_out(size: int, k: int, stride: int) -> int:
     return (size - k) // stride + 1
+
+
+def _check_images(images: Tensor, size: int) -> None:
+    if images.data.ndim != 4 or images.shape[1] != 1 or \
+            images.shape[2] != size or images.shape[3] != size:
+        raise ShapeError(f"encoder expects [N,1,{size},{size}] images, got "
+                         f"{list(images.shape)}")
+
+
+def _conv_bn_relu(x: Tensor, conv: Conv2dParams, bn: BatchNormParams,
+                  training: bool) -> Tensor:
+    # conv2d_forward and batchnorm_forward are looked up in this module at
+    # each call, where the benchmark's span tracer patches them
+    return ad.relu(batchnorm_forward(conv2d_forward(x, conv), bn, training))
 
 
 class ScnEncoder:
@@ -48,8 +62,7 @@ class ScnEncoder:
                  primary_types: int = 32, primary_d: int = 8,
                  face_caps: int = 32, face_d: int = 16, embed_dim: int = 20,
                  routing_iters: int = 4, activation: str = "tanh",
-                 input_size: int = 100, normalize_at: str = "embedding",
-                 dropout_rate: float = 0.0):
+                 input_size: int = 100, normalize_at: str = "embedding"):
         if mode not in ("scn", "sdropcapnet"):
             raise ValueError(f"unknown encoder mode {mode!r}")
         if normalize_at not in NORMALIZE_AT:
@@ -59,7 +72,6 @@ class ScnEncoder:
         self.input_size = input_size
         self.routing_iters = routing_iters
         self.normalize_at = normalize_at
-        self.dropout_rate = dropout_rate
 
         s1 = _conv_out(input_size, 9, 3)
         grid = _conv_out(s1, 9, 3)
@@ -69,8 +81,8 @@ class ScnEncoder:
         self.n_lower = grid * grid * primary_types
 
         self.conv1 = conv2d_init(1, conv_channels, 9, stride=3,
-                                 seed=derive_seed(seed, 1), name="conv1")
-        self.bn1 = BatchNormParams(conv_channels, name="bn1")
+                                 seed=derive_seed(seed, 1))
+        self.bn1 = BatchNormParams(conv_channels)
         self.primary = PrimaryCapsuleParams(conv_channels, primary_types,
                                             primary_d, 9, 3,
                                             seed=derive_seed(seed, 2))
@@ -78,11 +90,10 @@ class ScnEncoder:
                                        face_d, activation_kind=activation,
                                        seed=derive_seed(seed, 3))
         self.fc = dense_init(face_caps * face_d, embed_dim,
-                             seed=derive_seed(seed, 4), name="fc")
+                             seed=derive_seed(seed, 4))
         self.dropout_p: Optional[Tensor] = None
         if mode == "sdropcapnet":
-            self.dropout_p = ad.full([face_caps], 0.9, requires_grad=True,
-                                     name="dropout_p")
+            self.dropout_p = ad.full([face_caps], 0.9, requires_grad=True)
 
     def named_parameters(self) -> list:
         out = []
@@ -99,40 +110,27 @@ class ScnEncoder:
         return self.bn1.named_buffers("bn1")
 
     def layer_parameter_counts(self) -> dict:
-        counts = {
-            "conv1": self.conv1.parameter_count(),
-            "bn1": self.bn1.parameter_count(),
-            "primary": self.primary.parameter_count(),
-            "face": self.face.parameter_count(),
-            "fc": self.fc.parameter_count(),
-        }
-        if self.dropout_p is not None:
-            counts["dropout_p"] = self.dropout_p.size
+        """Parameter count per layer, keyed by the first component of the
+        parameter names, in named_parameters order."""
+        counts: dict = {}
+        for name, t in self.named_parameters():
+            layer = name.split("/")[0]
+            counts[layer] = counts.get(layer, 0) + t.size
         return counts
 
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
 
-    def clamp_dropout_p(self, lo: float = 0.01, hi: float = 0.99) -> None:
+    def clamp_dropout_p(self) -> None:
+        """Keep the concrete-dropout keep probabilities in [0.01, 0.99]."""
         if self.dropout_p is not None:
-            np.clip(self.dropout_p.data, lo, hi, out=self.dropout_p.data)
+            np.clip(self.dropout_p.data, 0.01, 0.99, out=self.dropout_p.data)
 
     def encode(self, images: Tensor, training: bool,
                rng: Optional[SplitMix64] = None) -> Tensor:
-        s = self.input_size
-        if images.data.ndim != 4 or images.shape[1] != 1 or \
-                images.shape[2] != s or images.shape[3] != s:
-            raise ShapeError(f"encoder expects [N,1,{s},{s}] images, got "
-                             f"{list(images.shape)}")
+        _check_images(images, self.input_size)
         n = images.shape[0]
-        x = conv2d_forward(images, self.conv1)
-        x = batchnorm_forward(x, self.bn1, training)
-        x = ad.relu(x)
-        if training and self.dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("training with dropout needs an rng")
-            x = ad.mul(x, dropout_mask(x.shape, self.dropout_rate,
-                                       rng.spawn(1)))
+        x = _conv_bn_relu(images, self.conv1, self.bn1, training)
         poses = primary_capsules_forward(x, self.primary)
         # the relu output (63 MB at 32 full-size images) is not held through
         # the transform and routing; a training tape still keeps it
@@ -160,26 +158,24 @@ class ScnEncoder:
 
 
 class StandardEncoder:
-    """Small plain-CNN comparator: two conv-bn-relu stages, flatten, dense."""
+    """Small plain-CNN comparator: two conv-bn-relu stages (9x9 stride 3 to
+    32 channels, then 5x5 stride 2 to 64 channels), flatten, dense."""
 
-    def __init__(self, seed: int, ch1: int = 32, ch2: int = 64,
-                 embed_dim: int = 20, input_size: int = 100,
-                 dropout_rate: float = 0.0):
+    def __init__(self, seed: int, embed_dim: int = 20, input_size: int = 100):
         self.input_size = input_size
-        self.dropout_rate = dropout_rate
         s1 = _conv_out(input_size, 9, 3)
         s2 = _conv_out(s1, 5, 2)
         if s2 < 1:
             raise ShapeError(f"input size {input_size} too small")
-        self.conv1 = conv2d_init(1, ch1, 9, stride=3,
-                                 seed=derive_seed(seed, 1), name="conv1")
-        self.bn1 = BatchNormParams(ch1, name="bn1")
-        self.conv2 = conv2d_init(ch1, ch2, 5, stride=2,
-                                 seed=derive_seed(seed, 2), name="conv2")
-        self.bn2 = BatchNormParams(ch2, name="bn2")
-        self.flat_dim = ch2 * s2 * s2
+        self.conv1 = conv2d_init(1, 32, 9, stride=3,
+                                 seed=derive_seed(seed, 1))
+        self.bn1 = BatchNormParams(32)
+        self.conv2 = conv2d_init(32, 64, 5, stride=2,
+                                 seed=derive_seed(seed, 2))
+        self.bn2 = BatchNormParams(64)
+        self.flat_dim = 64 * s2 * s2
         self.fc = dense_init(self.flat_dim, embed_dim,
-                             seed=derive_seed(seed, 3), name="fc")
+                             seed=derive_seed(seed, 3))
 
     def named_parameters(self) -> list:
         out = []
@@ -202,23 +198,9 @@ class StandardEncoder:
 
     def encode(self, images: Tensor, training: bool,
                rng: Optional[SplitMix64] = None) -> Tensor:
-        s = self.input_size
-        if images.data.ndim != 4 or images.shape[1] != 1 or \
-                images.shape[2] != s or images.shape[3] != s:
-            raise ShapeError(f"encoder expects [N,1,{s},{s}] images, got "
-                             f"{list(images.shape)}")
-        x = ad.relu(batchnorm_forward(conv2d_forward(images, self.conv1),
-                                      self.bn1, training))
-        if training and self.dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("training with dropout needs an rng")
-            x = ad.mul(x, dropout_mask(x.shape, self.dropout_rate,
-                                       rng.spawn(1)))
-        x = ad.relu(batchnorm_forward(conv2d_forward(x, self.conv2),
-                                      self.bn2, training))
-        if training and self.dropout_rate > 0.0:
-            x = ad.mul(x, dropout_mask(x.shape, self.dropout_rate,
-                                       rng.spawn(2)))
+        _check_images(images, self.input_size)
+        x = _conv_bn_relu(images, self.conv1, self.bn1, training)
+        x = _conv_bn_relu(x, self.conv2, self.bn2, training)
         flat = ad.reshape(x, [images.shape[0], self.flat_dim])
         out = dense_forward(flat, self.fc)
         return ad.l2norm(out, axis=1, eps=1e-18)
@@ -294,6 +276,10 @@ def double_margin_loss(d: Tensor, y, m_n: float = 0.2,
 # ---------------------------------------------------------------------------
 # decision rule
 
+def _is_match(d: np.ndarray, threshold: float, metric: str) -> np.ndarray:
+    return d > threshold if metric == "manhattan_exp" else d < threshold
+
+
 def predict_match(d: np.ndarray, threshold: float, metric: str) -> np.ndarray:
     """Boolean match predictions; similarity metrics compare above threshold."""
     d = np.asarray(d, dtype=np.float64)
@@ -302,10 +288,9 @@ def predict_match(d: np.ndarray, threshold: float, metric: str) -> np.ndarray:
     if metric == "manhattan_exp":
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold {threshold} outside [0, 1]")
-        return d > threshold
-    if threshold < 0.0:
+    elif threshold < 0.0:
         raise ValueError(f"threshold {threshold} must be >= 0")
-    return d < threshold
+    return _is_match(d, threshold, metric)
 
 
 def sweep_threshold(d: np.ndarray, y: np.ndarray, metric: str,
@@ -317,8 +302,9 @@ def sweep_threshold(d: np.ndarray, y: np.ndarray, metric: str,
     best_thr, best_acc = grid[0], -1.0
     is_match = (y == 0)
     for thr in grid:
-        pred = d > thr if metric == "manhattan_exp" else d < thr
-        acc = float((pred == is_match).mean())
+        # not predict_match: its range checks would reject a grid point of a
+        # cosine distance that rounds to just below 0
+        acc = float((_is_match(d, thr, metric) == is_match).mean())
         if acc > best_acc:
             best_thr, best_acc = float(thr), acc
     return best_thr, best_acc

@@ -397,7 +397,8 @@ def test_desk_shapes_route_as_one_group(monkeypatch):
 
 def test_primary_parameter_count_full_width():
     p = caps.PrimaryCapsuleParams(in_ch=256, n_types=32, d=8, seed=1)
-    assert p.parameter_count() == 8 * (9 * 9 * 256 * 32 + 32) == 5308672
+    assert sum(t.size for _, t in p.named_parameters("primary")) \
+        == 8 * (9 * 9 * 256 * 32 + 32) == 5308672
 
 
 def test_primary_zero_features_zero_poses():
@@ -505,7 +506,8 @@ def test_primary_kernel_blocks_match_per_dimension_init():
 
 def test_capsule_layer_parameter_count_logged_true_count():
     p = caps.CapsuleLayerParams(2048, 32, 8, 16, seed=8)
-    assert p.parameter_count() == 2048 * 32 * 8 * 16 == 8388608
+    assert sum(t.size for _, t in p.named_parameters("face")) \
+        == 2048 * 32 * 8 * 16 == 8388608
 
 
 def test_capsule_layer_zero_grid_zero_output():
@@ -558,7 +560,8 @@ def test_capsule_layer_w_is_the_transposed_draw():
                       derive_seed(7, 3)).data
     assert p.W.data.flags.c_contiguous
     assert np.array_equal(p.W.data, draw.transpose(0, 2, 1, 3))
-    assert p.W.requires_grad and p.W.name == "face/W"
+    assert p.W.requires_grad
+    assert p.named_parameters("face") == [("face/W", p.W)]
 
 
 # (n_lower, N, n_upper, d_in, d_out): lower count below, equal to and not a

@@ -70,7 +70,8 @@ def test_scn_data_dir_env(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("key", ["pos_ratio", "detach_routing", "concrete_t",
-                                 "standard_concrete", "threshold_points"])
+                                 "standard_concrete", "threshold_points",
+                                 "dropout_rate"])
 def test_removed_config_flag_usage_error(key, tmp_path, capsys):
     rc = cli.main(_train_args(tmp_path / "run", f"--{key}", "true"))
     assert rc == 2
@@ -85,6 +86,16 @@ def test_train_bad_choice_usage_error_writes_nothing(key, value, tmp_path,
     rc = cli.main(_train_args(tmp_path / "run", f"--{key}", value))
     assert rc == 2
     assert f"{key} must be one of" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("command", ["train", "gridsearch"])
+def test_too_small_input_size_usage_error_writes_nothing(command, tmp_path,
+                                                        capsys):
+    rc = cli.main([command, *MICRO_FLAGS, "--output_dir",
+                   str(tmp_path / "run"), "--input_size", "20"])
+    assert rc == 2
+    assert "too small" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run")
 
 

@@ -41,9 +41,8 @@ def test_finalize_defaults_att_vs_lfw():
     dict(model="resnet"), dict(dataset="mnist"), dict(loss="triplet"),
     dict(metric="hamming"), dict(m=-1.0), dict(m_n=0.5, m_p=0.2),
     dict(epochs=0), dict(batch_size=0), dict(alpha=0.0),
-    dict(holdout=-1), dict(kfold_k=1),
-    dict(dropout_rate=1.0), dict(metric="manhattan_exp", m=2.0),
-    dict(stop_below=-0.1), dict(routing_iters=0), dict(dropout_rate=-0.1),
+    dict(holdout=-1), dict(kfold_k=1), dict(metric="manhattan_exp", m=2.0),
+    dict(stop_below=-0.1), dict(routing_iters=0), dict(max_subjects=-1),
 ])
 def test_validate_rejects(bad):
     cfg = dataclasses.replace(hz.RunConfig(), **bad).finalize()
@@ -86,7 +85,7 @@ def test_unknown_config_key_rejected(tmp_path):
 # keys that older configs carry; their values are now fixed by the code
 REMOVED_KEYS = {"pos_ratio": "0.5", "detach_routing": "False",
                 "concrete_t": "0.1", "standard_concrete": "False",
-                "threshold_points": "101"}
+                "threshold_points": "101", "dropout_rate": "0.0"}
 
 
 @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))

@@ -372,7 +372,8 @@ def test_full_size_conv1_forms_one_patch_group(patch_groups):
 
 def test_conv_parameter_count():
     p = make_conv(1, 256, 9, 3, 0, 8)
-    assert p.parameter_count() == 256 * 1 * 9 * 9 + 256 == 20992
+    assert sum(t.size for _, t in p.named_parameters("conv1")) \
+        == 256 * 1 * 9 * 9 + 256 == 20992
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +541,8 @@ def test_dense_sum_example():
 
 def test_dense_parameter_count_512_20():
     p = layers.dense_init(512, 20, seed=1)
-    assert p.parameter_count() == 512 * 20 + 20 == 10260
+    assert sum(t.size for _, t in p.named_parameters("fc")) \
+        == 512 * 20 + 20 == 10260
 
 
 def test_dense_shape_error():
@@ -599,16 +601,3 @@ def test_glorot_bound_conv_9x9():
     assert np.abs(vals).max() <= bound
     assert np.abs(vals).max() > 0.98 * bound  # 20k draws reach near the edge
     assert abs(vals.mean()) < 0.01 * bound
-
-
-# ---------------------------------------------------------------------------
-# dropout helper
-
-def test_dropout_mask_values_and_mean():
-    mask = layers.dropout_mask([10000], 0.2, SplitMix64(50)).data
-    assert set(np.unique(mask)).issubset({0.0, 1.25})
-    assert abs(mask.mean() - 1.0) < 0.02
-    ident = layers.dropout_mask([5], 0.0, SplitMix64(51)).data
-    np.testing.assert_array_equal(ident, np.ones(5))
-    with pytest.raises(ValueError):
-        layers.dropout_mask([5], 1.0, SplitMix64(52))

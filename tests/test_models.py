@@ -6,6 +6,7 @@ import pytest
 from siamcaps import autodiff as ad
 from siamcaps import models
 from siamcaps.autodiff import Graph, ShapeError, Tensor, backward
+from siamcaps.harness import RunConfig, build_run_encoder
 from siamcaps.rng import SplitMix64
 
 TINY = dict(conv_channels=4, primary_types=3, face_caps=4, face_d=4,
@@ -102,38 +103,32 @@ def test_clamp_dropout_p():
     assert np.all(enc.dropout_p.data <= 0.99)
 
 
-def test_standard_dropout_changes_training_output():
-    enc = tiny_encoder(dropout_rate=0.5)
-    x = tiny_images(4)
-    a = enc.encode(x, training=True, rng=SplitMix64(1)).data
-    b = enc.encode(x, training=True, rng=SplitMix64(2)).data
-    assert np.abs(a - b).max() > 1e-9
-    c = enc.encode(x, training=True, rng=SplitMix64(1)).data
-    np.testing.assert_array_equal(a, c)
-
-
 def test_normalize_at_concat_variant():
     enc = tiny_encoder(normalize_at="concat")
     emb = enc.encode(tiny_images(2), training=False)
     assert emb.shape == (2, 5)  # normalization placement is internal
 
 
-def test_named_parameters_unique_and_complete():
-    enc = tiny_encoder(mode="sdropcapnet")
+@pytest.mark.parametrize("model", ["scn", "sdropcapnet", "standard"])
+def test_named_parameters_unique_and_complete(model):
+    enc = build_run_encoder(RunConfig(model=model, **TINY).finalize())
     names = [n for n, _ in enc.named_parameters()]
     assert len(names) == len(set(names))
-    assert "conv1/kernel" in names and "face/W" in names
-    assert "dropout_p" in names
+    assert "conv1/kernel" in names
+    assert ("dropout_p" in names) == (model == "sdropcapnet")
     assert enc.parameter_count() == sum(t.size
                                         for _, t in enc.named_parameters())
+    if model != "standard":
+        assert "face/W" in names
+        assert sum(enc.layer_parameter_counts().values()) \
+            == enc.parameter_count()
 
 
 # ---------------------------------------------------------------------------
 # standard baseline encoder
 
 def test_standard_encoder_shape_and_norms():
-    enc = models.StandardEncoder(4, input_size=37, embed_dim=5, ch1=4,
-                                 ch2=6)
+    enc = models.StandardEncoder(4, input_size=37, embed_dim=5)
     emb = enc.encode(tiny_images(3), training=False)
     assert emb.shape == (3, 5)
     assert np.abs(np.linalg.norm(emb.data, axis=1) - 1.0).max() < 1e-9
@@ -142,18 +137,24 @@ def test_standard_encoder_shape_and_norms():
 def test_standard_encoder_default_flat_dim():
     enc = models.StandardEncoder(seed=5)
     assert enc.flat_dim == 64 * 14 * 14 == 12544
-    assert enc.fc.parameter_count() == 12544 * 20 + 20
+    assert sum(t.size for _, t in enc.fc.named_parameters("fc")) \
+        == 12544 * 20 + 20
 
 
 def test_public_names_resolve_and_removed_ones_are_gone():
     import siamcaps
-    from siamcaps import capsules
+    from siamcaps import capsules, layers
     for name in siamcaps.__all__:
         assert getattr(siamcaps, name) is not None, name
     for module, name in ((siamcaps, "CapsuleGrid"), (capsules, "CapsuleGrid"),
                          (siamcaps, "build_encoder"),
-                         (models, "build_encoder")):
+                         (models, "build_encoder"),
+                         (layers, "dropout_mask")):
         assert not hasattr(module, name), (module.__name__, name)
+    for cls in (layers.Conv2dParams, layers.BatchNormParams,
+                layers.DenseParams, capsules.PrimaryCapsuleParams,
+                capsules.CapsuleLayerParams):
+        assert not hasattr(cls, "parameter_count"), cls.__name__
 
 
 # ---------------------------------------------------------------------------
