@@ -8,10 +8,12 @@ capsules' input every map is channels-last.  Kernels are stored
 [O, kh, kw, C], so a patch of a channels-last input is kh runs of kw*C
 contiguous elements and the kernel is an [O, kh*kw*C] matrix as it lies.
 
-Convolution (im2col and GEMM, Chellapilla, Puri & Simard 2006) is one tape
-node.  Its forward gathers the patches of a group of images, within
-PATCH_BYTES, into rows of an [images*Ho*Wo, kh*kw*C] matrix and runs GEMMs
-of at most GEMM_ROWS rows into its rows of a single [N*Ho*Wo, O] output.
+Convolution has two forwards.  A convolution that makes a tape node (any
+of x, kernel or bias tracked: every training step) runs im2col and GEMM
+(Chellapilla, Puri & Simard 2006).  Its forward gathers the patches of a
+group of images, within PATCH_BYTES, into rows of an [images*Ho*Wo,
+kh*kw*C] matrix and runs GEMMs of at most GEMM_ROWS rows into its rows of a
+single [N*Ho*Wo, O] output, adding the bias to each block as it lands.
 Every split of the rows that the tests check, by image group or by
 GEMM_ROWS, leaves each output row bitwise as the whole-batch GEMM computes
 it; PATCH_BYTES is still set where only the full-size primary capsules
@@ -21,6 +23,23 @@ lands in the kernel's storage order, and, for a tracked input, the patch
 cotangent.  That is folded back into a channels-last buffer with one add
 per s x s block of kernel offsets, ceil(k/s)^2 adds in all, and copied out
 once in the input's own memory order.
+
+A graph-free convolution (no input tracked: every eval pass) whose kernel
+spans ceil(k/s) = 3 blocks of s offsets and whose patch row K = k*k*C is
+at least WINOGRAD_K takes a Winograd F(4x4, 3x3) forward instead (Lavin &
+Gray, "Fast Algorithms for Convolutional Neural Networks", CVPR 2016).
+After a space-to-depth by s it is a 3x3 stride-1 convolution over s*s*C
+channels, and F(4x4, 3x3) computes each 4x4 output tile with 36 multiplies
+per input and output channel where im2col takes 144.  It runs in blocks of
+input channels whose buffers, with its accumulator, stay within
+PATCH_BYTES, and it transforms the kernel block by block on every call, so
+neither the transformed kernel nor the transformed input ever exists
+whole.  At the full-size primary capsules and 32 images
+it takes about 170 ms against 315 ms for im2col, and its error against
+im2col was at most 2e-14 of the output's largest magnitude (the tests
+allow 1e-12).  The rule keeps conv1 and every desk-scale and Standard
+convolution on im2col, so their outputs are bitwise those of training's
+forward.
 
 Batch normalization (Ioffe & Szegedy 2015) is one tape node over the
 [N*H*W, C] view of its input, with the closed-form vjp.  The naive
@@ -36,10 +55,11 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .rng import derive_seed
 
-# bytes of patch matrix that the convolution forward, and again its vjp,
-# builds at once; each runs its GEMMs over groups of images that fit.  At
-# full size the primary capsules' patches take 10.6 MB an image, so a group
-# is 12 images; conv1 at 32 images (20 MB) and every desk-size convolution
+# bytes of patch matrix that the im2col forward, and again its vjp, builds
+# at once; each runs its GEMMs over groups of images that fit, and the
+# Winograd forward sizes its blocks of input channels to fit.  At full size
+# the primary capsules' patches take 10.6 MB an image, so a group is 12
+# images; conv1 at 32 images (20 MB) and every desk-size convolution
 # are one group.  With 6-image groups (64 MiB) the primary GEMM ran 20%
 # slower than with one
 PATCH_BYTES = 128 << 20
@@ -50,6 +70,40 @@ PATCH_BYTES = 128 << 20
 # capsules' groups (768 rows at full size) stay whole: in 256-row blocks
 # their GEMM ran 20% slower
 GEMM_ROWS = 1024
+# patch row length K = k*k*C from which a graph-free convolution with
+# ceil(k/s) = 3 takes the Winograd forward.  Winograd pays a kernel
+# transform per call and im2col does not, so the crossover moves with the
+# batch as well as with K.  On a 2-vCPU AVX-512 host with 2 BLAS threads,
+# against im2col: the desk-scale primary capsules (K = 2,592, 16 images of
+# 19x19 -> 4x4) took 2.2 ms against 1.9, Standard's conv2 (K = 800) 2.8
+# against 2.2; on the full-size 31x31 -> 8x8 grid at 32 images, K = 5,184
+# took 49 ms against 93 and K = 20,736 (the primary capsules) 184 against
+# 317.  8,192 sits above every desk-scale and Standard convolution and below
+# the full-size primary capsules
+WINOGRAD_K = 8192
+
+# Winograd F(4x4, 3x3) at the points 0, +-1, +-2 and infinity (Lavin & Gray
+# 2016): a 4x4 output tile is AT [(G g G^T) * (BT d BT^T)] AT^T for a 6x6
+# input tile d and a 3x3 kernel g.  As Kronecker products on row-major
+# flattened tiles they are the [36, 36], [36, 9] and [16, 36] matrices
+# below
+_BT = np.array([[4, 0, -5, 0, 1, 0],
+                [0, -4, -4, 1, 1, 0],
+                [0, 4, -4, -1, 1, 0],
+                [0, -2, -1, 2, 1, 0],
+                [0, 2, -1, -2, 1, 0],
+                [0, 4, 0, -5, 0, 1]], dtype=float)
+_G = np.array([[1 / 4, 0, 0],
+               [-1 / 6, -1 / 6, -1 / 6],
+               [-1 / 6, 1 / 6, -1 / 6],
+               [1 / 24, 1 / 12, 1 / 6],
+               [1 / 24, -1 / 12, 1 / 6],
+               [0, 0, 1]])
+_AT = np.array([[1, 1, 1, 1, 1, 0],
+                [0, 1, -1, 2, -2, 0],
+                [0, 1, 1, 4, 4, 0],
+                [0, 1, -1, 8, -8, 1]], dtype=float)
+_BB, _GG, _AA = np.kron(_BT, _BT), np.kron(_G, _G), np.kron(_AT, _AT)
 
 
 def glorot_uniform(shape, fan_in: int, fan_out: int, seed: int) -> Tensor:
@@ -127,6 +181,84 @@ def _gather(cols: np.ndarray, lo: int, hi: int,
     return rows
 
 
+def _winograd_forward(xt: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                      s: int, pad: int, ho: int, wo: int) -> np.ndarray:
+    """The [N*Ho*Wo, O] convolution, plus bias, of a channels-last input xt
+    [N, H, W, C] with an [O, k, k, C] kernel at stride s, for
+    ceil(k/s) = 3, by Winograd F(4x4, 3x3).
+
+    Kernel offset u = s*a + r reads input row s*(i + a) + r for output row
+    i, so the convolution is a 3x3 stride-1 one over the s x s
+    space-to-depth of xt, with C' = s*s*C channels and the kernel
+    zero-padded to 3s.  Each block of input channels gathers its 6x6 input
+    tiles and its kernel taps, transforms both, and adds the 36 GEMMs
+    [tiles, C'_blk] @ [C'_blk, O] into one [36, tiles, O] accumulator.
+    """
+    n, h, w, c = xt.shape
+    o, k = kernel.shape[:2]
+    th, tw = -(-ho // 4), -(-wo // 4)  # 4x4 output tiles per column, row
+    tiles = n * th * tw
+    # the tiles read s*(4*th + 2) rows; zero rows past the input feed only
+    # zero kernel taps or the cropped outputs of a ragged last tile
+    eh = max(0, s * (4 * th + 2) - h - 2 * pad)
+    ew = max(0, s * (4 * tw + 2) - w - 2 * pad)
+    if pad or eh or ew:
+        xt = np.pad(xt, ((0, 0), (pad, pad + eh), (pad, pad + ew), (0, 0)))
+    sn, sh, sw, sc = xt.strides
+    # tile[pi, pj, n, ti, tj, r, q, c]
+    #     = xt[n, s*(4*ti + pi) + r, s*(4*tj + pj) + q, c]
+    tile = np.lib.stride_tricks.as_strided(
+        xt, (6, 6, n, th, tw, s, s, c),
+        (s * sh, s * sw, sn, 4 * s * sh, 4 * s * sw, sh, sw, sc),
+        writeable=False)
+    # the accumulator and one block's product are fixed; each input channel
+    # of a block adds s*s columns to its tiles (gathered and transformed)
+    # and to its kernel taps (gathered and transformed)
+    acc = np.empty((36, tiles, o))
+    prod = np.empty_like(acc)
+    blocks = byte_chunks(c, 8 * s * s * (72 * tiles + 45 * o),
+                         PATCH_BYTES - acc.nbytes - prod.nbytes)
+    width = s * s * (blocks[0][1] - blocks[0][0])
+    tbuf, vbuf = np.empty(36 * tiles * width), np.empty(36 * tiles * width)
+    gbuf, ubuf = np.empty(9 * o * width), np.empty(36 * o * width)
+    for lo, hi in blocks:
+        cb = s * s * (hi - lo)
+        d = tbuf[:36 * tiles * cb].reshape(36, tiles * cb)
+        np.copyto(d.reshape(6, 6, n, th, tw, s, s, hi - lo),
+                  tile[..., lo:hi])
+        v = np.matmul(_BB, d, out=vbuf[:d.size].reshape(d.shape))
+        # g[a, b, o, r, q, c] = kernel[o, s*a + r, s*b + q, c], zero past k
+        g = gbuf[:9 * o * cb].reshape(3, 3, o, s, s, hi - lo)
+        if k < 3 * s:
+            g.fill(0.0)
+        for a in range(3):
+            rl = min(s, k - s * a)
+            for b in range(3):
+                ql = min(s, k - s * b)
+                g[a, b, :, :rl, :ql] = kernel[:, s * a:s * a + rl,
+                                              s * b:s * b + ql, lo:hi]
+        u = np.matmul(_GG, g.reshape(9, o * cb),
+                      out=ubuf[:36 * o * cb].reshape(36, o * cb))
+        vb = v.reshape(36, tiles, cb)
+        ub = u.reshape(36, o, cb).transpose(0, 2, 1)
+        if lo == 0:
+            np.matmul(vb, ub, out=acc)
+        else:
+            acc += np.matmul(vb, ub, out=prod)
+    del tbuf, vbuf, gbuf, ubuf
+    # y[4*i + j] holds output pixel (4*ti + i, 4*tj + j) of every tile
+    y = np.matmul(_AA, acc.reshape(36, tiles * o),
+                  out=prod.reshape(36, tiles * o)[:16])
+    y = y.reshape(16, n, th, tw, o)
+    out = np.empty((n, ho, wo, o))
+    for i in range(4):
+        for j in range(4):
+            dst = out[:, i::4, j::4]
+            np.add(y[4 * i + j, :, :dst.shape[1], :dst.shape[2]], bias,
+                   out=dst)
+    return out.reshape(-1, o)
+
+
 def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4 [N,C,H,W], got "
@@ -145,6 +277,13 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
     # a view of a channels-last input, which every encoder conv past conv1
     # reads; conv1's [N, 1, H, W] images are channels-last as they lie
     xt = x.data.transpose(0, 2, 3, 1)
+    ka = -(-kh // s)  # blocks of s kernel offsets along each kernel axis
+    if (ka == 3 and kh * kw * c >= WINOGRAD_K
+            and not any(ad.tracked(t) for t in (x, p.kernel, p.bias))):
+        # graph-free: no vjp will read the patches, so no tape node
+        out = _winograd_forward(xt, p.kernel.data, p.bias.data, s, pad,
+                                ho, wo)
+        return Tensor(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
     if pad:
         xt = np.pad(xt, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     cols = _conv_cols(xt, kh, kw, s, ho, wo)
@@ -160,14 +299,14 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
     out = np.empty((n * hw, o))
     for lo, hi in groups:
         rows, dst = _gather(cols, lo, hi, patches), out[lo * hw:hi * hw]
+        # the bias is added to each block while it is in cache
         for r in range(0, len(rows), GEMM_ROWS):
             np.matmul(rows[r:r + GEMM_ROWS], kmat.T,
                       out=dst[r:r + GEMM_ROWS])
+            dst[r:r + GEMM_ROWS] += p.bias.data
     del patches
-    out += p.bias.data
     # a graph-constant input (raw images) needs no cotangent and no fold
     need_gx = ad.tracked(x)
-    ka = -(-kh // s)  # blocks of s kernel offsets along each kernel axis
 
     def vjp(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, o)

@@ -265,18 +265,26 @@ def full_conv1_input(n):
     return Tensor(x), p, 9 * 9 * 31 * 31 * 8
 
 
+def tape_forward(x, p):
+    """conv2d_forward with a tracked kernel, so it makes a tape node and
+    runs im2col whatever the shape."""
+    p.kernel.requires_grad = True
+    with ad.Graph():
+        return layers.conv2d_forward(x, p)
+
+
 @pytest.mark.parametrize("per_group", [1, 2, 3])
 def test_conv_forward_in_image_groups_is_bitwise_one_gemm(monkeypatch,
                                                           per_group):
     # 5 images in groups of 1, 2 or 3: two of the runs end in a ragged
     # group; for the full-size primary capsules and for conv1
     cases = [full_primary_input(5), full_conv1_input(5)]
-    wholes = [layers.conv2d_forward(x, p).data for x, p, _ in cases]
+    wholes = [tape_forward(x, p).data for x, p, _ in cases]
     for (x, p, image_bytes), whole in zip(cases, wholes):
         assert 5 * image_bytes <= layers.PATCH_BYTES
         monkeypatch.setattr(layers, "PATCH_BYTES",
                             per_group * image_bytes + 7)
-        got = layers.conv2d_forward(x, p).data
+        got = tape_forward(x, p).data
         assert got.strides == whole.strides
         assert got.tobytes() == whole.tobytes()
 
@@ -288,7 +296,7 @@ def test_conv_forward_holds_one_group_of_patches(monkeypatch):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = layers.conv2d_forward(x, p)
+        out = tape_forward(x, p)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -368,6 +376,116 @@ def test_full_size_conv1_forms_one_patch_group(patch_groups):
     x = SplitMix64(18).uniform(32 * 100 * 100).reshape(32, 1, 100, 100)
     layers.conv2d_forward(Tensor(x), p)
     assert patch_groups == [[(0, 32)]]
+
+
+# ---------------------------------------------------------------------------
+# Winograd forward (graph-free convolutions with ceil(k/s) = 3 and a long
+# patch row)
+
+@pytest.fixture
+def winograd_calls(monkeypatch):
+    """The kernel shape of each Winograd forward run while it is used."""
+    real, calls = layers._winograd_forward, []
+
+    def spy(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(layers, "_winograd_forward", spy)
+    return calls
+
+
+def channels_last_input(n, c, h, w, seed):
+    x = SplitMix64(seed).uniform(n * h * w * c, -1, 1)
+    return Tensor(x.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+
+
+def relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,c,o,k,s,pad,h,w", [
+    (1, 256, 256, 9, 3, 0, 31, 31),  # the full-size primary capsules
+    (5, 256, 256, 9, 3, 0, 31, 31),  # in two blocks of input channels
+    (2, 256, 16, 9, 3, 0, 37, 37),   # 10x10 output: ragged last tiles
+    (2, 256, 16, 9, 3, 0, 31, 40),   # rectangular, 8x11 output
+    (2, 256, 16, 9, 3, 2, 29, 29),   # padded, 9x9 output
+    (3, 336, 16, 5, 2, 1, 20, 17),   # 5x5 stride 2: the kernel padded to 6
+])
+def test_winograd_forward_matches_im2col(winograd_calls, n, c, o, k, s, pad,
+                                         h, w):
+    assert k * k * c >= layers.WINOGRAD_K
+    p = make_conv(c, o, k, s, pad, 900 + h + w)
+    x = channels_last_input(n, c, h, w, 950 + n + h + w)
+    got = layers.conv2d_forward(x, p).data
+    want = tape_forward(x, p).data
+    assert len(winograd_calls) == 1
+    assert got.shape == want.shape and got.strides == want.strides
+    assert relative_gap(got, want) < 1e-12
+
+
+def test_winograd_forward_holds_its_budget(monkeypatch, winograd_calls):
+    # the whole transformed kernel would be 36 * 256 * 2304 * 8 bytes (170
+    # MB) and the whole transformed input 36 * 20 * 2304 * 8 (13.3 MB), more
+    # than the 1-image bound allows
+    x, p, image_bytes = full_primary_input(5)
+    outs = []
+    for images in (1, 2, 3):
+        budget = images * image_bytes
+        monkeypatch.setattr(layers, "PATCH_BYTES", budget)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = layers.conv2d_forward(x, p)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < budget + out.data.nbytes + (1 << 20), images
+        outs.append(out.data)
+    assert len(winograd_calls) == 3
+    assert relative_gap(outs[0], outs[2]) < 1e-12
+    assert relative_gap(outs[1], outs[2]) < 1e-12
+
+
+def test_winograd_forward_is_deterministic(winograd_calls):
+    x, p, _ = full_primary_input(2)
+    a = layers.conv2d_forward(x, p).data
+    b = layers.conv2d_forward(x, p).data
+    assert len(winograd_calls) == 2
+    assert a.tobytes() == b.tobytes()
+
+
+DEMO_03 = dict(conv_channels=8, primary_types=4, primary_d=4, face_caps=8,
+               face_d=8, embed_dim=10, routing_iters=3, input_size=37)
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("conv1", dict(input_size=100)),                 # full-size conv1
+    ("scn", DESK),
+    ("standard", dict(input_size=64)),
+    ("scn", dict(DESK, routing_iters=4, input_size=100)),
+    ("scn", DEMO_03),
+])
+def test_other_convs_keep_im2col_graph_free(winograd_calls, kind, cfg):
+    # conv1 and every desk-scale and Standard convolution stay below
+    # WINOGRAD_K, so eval gives the bitwise outputs of training's forward
+    if kind == "conv1":
+        convs = [make_conv(1, 256, 9, 3, 0, 21)]
+    elif kind == "scn":
+        enc = models.ScnEncoder(0, **cfg)
+        convs = [enc.conv1, enc.primary.conv]
+    else:
+        enc = models.StandardEncoder(0, **cfg)
+        convs = [enc.conv1, enc.conv2]
+    size = cfg["input_size"]
+    for i, conv in enumerate(convs):
+        x = channels_last_input(32, conv.kernel.shape[3], size, size, 40 + i)
+        free = layers.conv2d_forward(x, conv).data
+        tape = tape_forward(x, conv).data
+        assert free.strides == tape.strides
+        assert free.tobytes() == tape.tobytes()
+        size = (size - conv.kernel.shape[1]) // conv.stride + 1
+    assert winograd_calls == []
 
 
 def test_conv_parameter_count():

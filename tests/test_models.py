@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from siamcaps import autodiff as ad
-from siamcaps import models
+from siamcaps import layers, models
 from siamcaps.autodiff import Graph, ShapeError, Tensor, backward
-from siamcaps.harness import RunConfig, build_run_encoder
+from siamcaps.data import PairBatch
+from siamcaps.harness import RunConfig, build_run_encoder, eval_distances
 from siamcaps.rng import SplitMix64
 
 TINY = dict(conv_channels=4, primary_types=3, face_caps=4, face_d=4,
@@ -60,6 +61,32 @@ def test_full_width_parameter_counts():
     assert counts["face"] == 2048 * 32 * 8 * 16
     assert enc.parameter_count() == sum(counts.values())
     assert enc.n_lower == 2048
+
+
+def test_full_size_eval_distances_match_the_tape_path(monkeypatch):
+    # graph-free eval runs the primary capsules' convolution by Winograd;
+    # under a graph the tracked weights keep every convolution on im2col.
+    # 1e-10 is the benchmark's chunked-against-per-pair eval tolerance
+    real, calls = layers._winograd_forward, []
+
+    def spy(xt, *args):
+        calls.append(len(xt))
+        return real(xt, *args)
+
+    monkeypatch.setattr(layers, "_winograd_forward", spy)
+    enc = models.ScnEncoder(seed=4)
+    rng = SplitMix64(6)
+    left, right = (Tensor(rng.uniform(2 * 100 * 100).reshape(2, 1, 100, 100))
+                   for _ in range(2))
+    pairs = PairBatch(left, right, np.array([0.0, 1.0]))
+    cfg = RunConfig()
+    free, _ = eval_distances(enc, pairs, cfg, chunk=2)
+    per_pair, _ = eval_distances(enc, pairs, cfg, chunk=1)
+    with Graph():
+        tape, _ = eval_distances(enc, pairs, cfg, chunk=2)
+    assert calls == [4, 2, 2]
+    assert np.abs(free - tape).max() < 1e-10
+    assert np.abs(per_pair - free).max() < 1e-10
 
 
 def test_wrong_spatial_size_error():
