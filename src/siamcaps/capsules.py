@@ -64,15 +64,14 @@ def squash(s: Tensor, axis: int = -1) -> Tensor:
 class RoutingState:
     """Plain-numpy record of one routing pass, for auditing it.
 
-    b [N, n_lower, n_upper] holds the final log priors, c the final
-    couplings in the same layout, and c_history the couplings of every
-    iteration in order, so that row sums and agreement monotonicity can be
-    checked.  None of them is on the tape.
+    b [N, n_lower, n_upper] holds the final log priors and c_history the
+    couplings of every iteration in order, in the same layout, so that row
+    sums and agreement monotonicity can be checked; the final couplings are
+    c_history[-1].  None of them is on the tape.
     """
 
-    def __init__(self, b: np.ndarray, c: np.ndarray, c_history: list):
+    def __init__(self, b: np.ndarray, c_history: list):
         self.b = b
-        self.c = c
         self.c_history = c_history
 
 
@@ -131,7 +130,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
         # about twice as fast on contiguous memory; this copies nothing for
         # the capsule layer's u_hat, only for one laid out another way
         ut = np.ascontiguousarray(ut)
-    groups = _route_groups(n, ut[:1].nbytes)
+    groups = byte_chunks(n, ut[:1].nbytes, ROUTE_BYTES)
     c_history: list[np.ndarray] = []
     vs, bs = [], []
     for lo, hi in groups:
@@ -181,14 +180,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
         return (gu,)
 
     out = ad._emit("dynamic_route", _joined(vs), [u_hat], vjp)
-    return out, RoutingState(_joined(bs).transpose(0, 2, 1), c_history[-1],
-                             c_history)
-
-
-def _route_groups(n: int, sample_bytes: int) -> list:
-    """Sample ranges [lo, hi) that hold at most ROUTE_BYTES of u_hat each,
-    or one sample each when a sample is larger; one empty range for N = 0."""
-    return byte_chunks(n, sample_bytes, ROUTE_BYTES)
+    return out, RoutingState(_joined(bs).transpose(0, 2, 1), c_history)
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -213,7 +205,7 @@ class PrimaryCapsuleParams:
         self.in_ch = in_ch
         self.n_types = n_types
         self.d = d
-        blocks = [conv2d_init(in_ch, n_types, ksize, stride, 0,
+        blocks = [conv2d_init(in_ch, n_types, ksize, stride,
                               derive_seed(seed, dim)).kernel.data
                   for dim in range(d)]
         self.conv = Conv2dParams(

@@ -97,20 +97,15 @@ def load_pgm(raw: bytes) -> Tensor:
     return Tensor(img[None, :, :])
 
 
-def save_pgm(image, maxval: int = 255, binary: bool = True) -> bytes:
-    """Encode a [1,H,W] or [H,W] array in [0,1] as PGM bytes."""
+def save_pgm(image) -> bytes:
+    """Encode a [1,H,W] or [H,W] array in [0,1] as 8-bit binary (P5) PGM
+    bytes."""
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
     if arr.ndim == 3:
         arr = arr[0]
-    q = np.clip(np.rint(arr * maxval), 0, maxval).astype(np.int64)
+    q = np.clip(np.rint(arr * 255), 0, 255).astype(np.int64)
     h, w = q.shape
-    if binary:
-        head = f"P5\n{w} {h}\n{maxval}\n".encode()
-        if maxval > 255:
-            return head + q.astype(">u2").tobytes()
-        return head + q.astype(np.uint8).tobytes()
-    body = "\n".join(" ".join(str(v) for v in row) for row in q)
-    return f"P2\n{w} {h}\n{maxval}\n{body}\n".encode()
+    return f"P5\n{w} {h}\n255\n".encode() + q.astype(np.uint8).tobytes()
 
 
 def to_grayscale(arr: np.ndarray) -> np.ndarray:
@@ -158,11 +153,10 @@ def preprocess(image, target: int = 100) -> Tensor:
 
 
 class FaceDataset:
-    """(subject_id, [1,H,W] image) records plus a source tag."""
+    """(subject_id, [1,H,W] image) records."""
 
-    def __init__(self, images: list, source: str):
+    def __init__(self, images: list):
         self.images = images
-        self.source = source
 
     def subjects(self) -> list:
         return sorted({sid for sid, _ in self.images})
@@ -183,10 +177,9 @@ class SplitSpec:
     subjects.  A partial overlap is refused.
     """
 
-    def __init__(self, train_subjects, test_subjects, seed: int):
+    def __init__(self, train_subjects, test_subjects):
         self.train_subjects = frozenset(train_subjects)
         self.test_subjects = frozenset(test_subjects)
-        self.seed = seed
         if self.train_subjects & self.test_subjects and \
                 self.train_subjects != self.test_subjects:
             raise ValueError("train and test subjects overlap")
@@ -254,7 +247,7 @@ def load_att(root: str, target: int = 100) -> FaceDataset:
     if not records:
         raise FileNotFoundError(f"no s<K>/<J>.pgm images under {root!r}")
     records.sort(key=lambda r: r[0])
-    return FaceDataset(records, "att")
+    return FaceDataset(records)
 
 
 def load_lfw(root: str, target: int = 100,
@@ -295,7 +288,7 @@ def load_lfw(root: str, target: int = 100,
             records.extend((sid, img) for img in imgs)
     if not records:
         raise FileNotFoundError(f"no usable subjects under {root!r}")
-    return FaceDataset(records, "lfw")
+    return FaceDataset(records)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +303,7 @@ def split_subjects(ds: FaceDataset, n_holdout: int, seed: int) -> SplitSpec:
     SplitMix64(derive_seed(seed, 11)).shuffle(order)
     test = order[:n_holdout]
     train = order[n_holdout:]
-    return SplitSpec(train, test, seed)
+    return SplitSpec(train, test)
 
 
 def kfold(ds: FaceDataset, k: int, seed: int) -> list:
@@ -329,7 +322,7 @@ def kfold(ds: FaceDataset, k: int, seed: int) -> list:
         folds.append(order[pos:pos + size])
         pos += size
     return [SplitSpec([s for f in folds[:i] + folds[i + 1:] for s in f],
-                      folds[i], seed) for i in range(k)]
+                      folds[i]) for i in range(k)]
 
 
 def sample_pairs(ds: FaceDataset, subjects, n_pairs: int, pos_ratio: float,
@@ -429,7 +422,7 @@ def synth_dataset(n_subjects: int, n_per_subject: int, seed: int,
     for s in range(n_subjects):
         for i in range(n_per_subject):
             records.append((s, synth_instance(seed, s, i, size)))
-    return FaceDataset(records, "synthetic")
+    return FaceDataset(records)
 
 
 def export_orl_layout(ds: FaceDataset, root: str) -> None:

@@ -28,7 +28,7 @@ def _rand(rng, *shape, scale=1.0):
 
 def _check_conv(seed):
     rng = SplitMix64(seed)
-    p = conv2d_init(2, 3, ksize=3, stride=2, padding=1, seed=seed + 1)
+    p = conv2d_init(2, 3, ksize=3, stride=2, seed=seed + 1)
     x = _rand(rng, 2, 2, 7, 7)
 
     def f(x_, k_, b_):

@@ -198,8 +198,11 @@ def write_lines(path: str, lines) -> None:
 
 
 def echo_config(cfg: RunConfig, path: str) -> None:
+    """Every field but output_dir, which names the host's directory and
+    not the run, so a run's config.txt reads the same wherever it ran."""
     write_lines(path, (f"{f.name} = {getattr(cfg, f.name)}"
-                       for f in dataclasses.fields(RunConfig)))
+                       for f in dataclasses.fields(RunConfig)
+                       if f.name != "output_dir"))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ def make_split(ds: FaceDataset, cfg: RunConfig) -> SplitSpec:
     if cfg.holdout > 0:
         return split_subjects(ds, cfg.holdout, cfg.seed)
     # no holdout: test on train
-    return SplitSpec(ds.subjects(), ds.subjects(), cfg.seed)
+    return SplitSpec(ds.subjects(), ds.subjects())
 
 
 def build_run_encoder(cfg: RunConfig):
@@ -283,9 +286,7 @@ def eval_distances(encoder, pairs, cfg: RunConfig, chunk: int = 16):
     convolution works within layers.PATCH_BYTES (128 MiB) whatever the
     chunk.  Routing reads u_hat one sample at a time there (see
     capsules.ROUTE_BYTES), so the chunk does not set routing's cache
-    footprint either.  The default chunk is also where Winograd pays: per
-    pass of 2, 8 and 32 full-size images it took about 55, 87 and 184 ms
-    against 25, 90 and 317 ms for im2col.
+    footprint either.
     """
     parts = []
     for lo in range(0, len(pairs), chunk):
@@ -349,12 +350,13 @@ class EvalResult:
     nonmatch_counts: np.ndarray
 
 
-def density_histogram(d: np.ndarray, labels: np.ndarray, bins: int = 50):
-    """Separate match/non-match histograms over a shared range."""
+def density_histogram(d: np.ndarray, labels: np.ndarray):
+    """Separate match/non-match histograms in 50 bins over a shared
+    range."""
     lo, hi = float(d.min()), float(d.max())
     if hi <= lo:
         hi = lo + 1e-12
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, 51)
     match_counts, _ = np.histogram(d[labels == 0], bins=edges)
     nonmatch_counts, _ = np.histogram(d[labels == 1], bins=edges)
     return edges, match_counts, nonmatch_counts

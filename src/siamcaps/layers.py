@@ -25,8 +25,8 @@ per s x s block of kernel offsets, ceil(k/s)^2 adds in all, and copied out
 once in the input's own memory order.
 
 A graph-free convolution (no input tracked: every eval pass) whose kernel
-spans ceil(k/s) = 3 blocks of s offsets and whose patch row K = k*k*C is
-at least WINOGRAD_K takes a Winograd F(4x4, 3x3) forward instead (Lavin &
+spans exactly three strides (k = 3s) and whose patch row K = k*k*C is at
+least WINOGRAD_K takes a Winograd F(4x4, 3x3) forward instead (Lavin &
 Gray, "Fast Algorithms for Convolutional Neural Networks", CVPR 2016).
 After a space-to-depth by s it is a 3x3 stride-1 convolution over s*s*C
 channels, and F(4x4, 3x3) computes each 4x4 output tile with 36 multiplies
@@ -40,6 +40,8 @@ im2col was at most 2e-14 of the output's largest magnitude (the tests
 allow 1e-12).  The rule keeps conv1 and every desk-scale and Standard
 convolution on im2col, so their outputs are bitwise those of training's
 forward.
+
+Convolutions are unpadded: an output pixel reads only input pixels.
 
 Batch normalization (Ioffe & Szegedy 2015) is one tape node over the
 [N*H*W, C] view of its input, with the closed-form vjp.  The naive
@@ -71,15 +73,14 @@ PATCH_BYTES = 128 << 20
 # their GEMM ran 20% slower
 GEMM_ROWS = 1024
 # patch row length K = k*k*C from which a graph-free convolution with
-# ceil(k/s) = 3 takes the Winograd forward.  Winograd pays a kernel
-# transform per call and im2col does not, so the crossover moves with the
-# batch as well as with K.  On a 2-vCPU AVX-512 host with 2 BLAS threads,
-# against im2col: the desk-scale primary capsules (K = 2,592, 16 images of
-# 19x19 -> 4x4) took 2.2 ms against 1.9, Standard's conv2 (K = 800) 2.8
-# against 2.2; on the full-size 31x31 -> 8x8 grid at 32 images, K = 5,184
-# took 49 ms against 93 and K = 20,736 (the primary capsules) 184 against
-# 317.  8,192 sits above every desk-scale and Standard convolution and below
-# the full-size primary capsules
+# k = 3s takes the Winograd forward.  Winograd pays a kernel transform per
+# call and im2col does not, so the crossover moves with the batch as well
+# as with K.  On a 2-vCPU AVX-512 host with 2 BLAS threads, against
+# im2col: the desk-scale primary capsules (K = 2,592, 16 images of
+# 19x19 -> 4x4) took 2.2 ms against 1.9; on the full-size 31x31 -> 8x8
+# grid at 32 images, K = 5,184 took 49 ms against 93 and K = 20,736 (the
+# primary capsules) 184 against 317.  8,192 sits above every desk-scale
+# convolution and conv1 and below the full-size primary capsules
 WINOGRAD_K = 8192
 
 # Winograd F(4x4, 3x3) at the points 0, +-1, +-2 and infinity (Lavin & Gray
@@ -118,27 +119,25 @@ class Conv2dParams:
     input channel.
     """
 
-    def __init__(self, kernel: Tensor, bias: Tensor, stride: int = 1,
-                 padding: int = 0):
+    def __init__(self, kernel: Tensor, bias: Tensor, stride: int = 1):
         if kernel.data.ndim != 4:
             raise ShapeError(f"conv kernel must be rank 4, got "
                              f"{list(kernel.shape)}")
         if kernel.shape[1] != kernel.shape[2]:
             raise ShapeError(f"conv kernels must be square, got "
                              f"{kernel.shape[1]}x{kernel.shape[2]}")
-        if stride < 1 or padding < 0:
-            raise ValueError(f"bad stride/padding ({stride}, {padding})")
+        if stride < 1:
+            raise ValueError(f"bad stride {stride}")
         self.kernel = kernel
         self.bias = bias
         self.stride = stride
-        self.padding = padding
 
     def named_parameters(self, prefix: str) -> list:
         return [(prefix + "/kernel", self.kernel), (prefix + "/bias", self.bias)]
 
 
 def conv2d_init(in_ch: int, out_ch: int, ksize: int, stride: int = 1,
-                padding: int = 0, seed: int = 0) -> Conv2dParams:
+                seed: int = 0) -> Conv2dParams:
     """Glorot-uniform [out_ch, ksize, ksize, in_ch] kernel and zero bias.
 
     The values are the SplitMix64 draw of an [out_ch, in_ch, ksize, ksize]
@@ -151,7 +150,7 @@ def conv2d_init(in_ch: int, out_ch: int, ksize: int, stride: int = 1,
     kernel = Tensor(np.ascontiguousarray(draw.transpose(0, 2, 3, 1)),
                     requires_grad=True)
     bias = ad.zeros([out_ch], requires_grad=True)
-    return Conv2dParams(kernel, bias, stride, padding)
+    return Conv2dParams(kernel, bias, stride)
 
 
 def byte_chunks(n: int, item_bytes: int, budget: int) -> list:
@@ -163,8 +162,8 @@ def byte_chunks(n: int, item_bytes: int, budget: int) -> list:
 
 def _conv_cols(xt: np.ndarray, kh: int, kw: int, stride: int,
                ho: int, wo: int) -> np.ndarray:
-    """6-d view (N, Ho, Wo, kh, kw, C) of the patches of a padded
-    [N, Hp, Wp, C] input; no copy."""
+    """6-d view (N, Ho, Wo, kh, kw, C) of the patches of an [N, H, W, C]
+    input; no copy."""
     sn, sh, sw, sc = xt.strides
     shape = (xt.shape[0], ho, wo, kh, kw, xt.shape[3])
     strides = (sn, sh * stride, sw * stride, sh, sw, sc)
@@ -182,28 +181,28 @@ def _gather(cols: np.ndarray, lo: int, hi: int,
 
 
 def _winograd_forward(xt: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-                      s: int, pad: int, ho: int, wo: int) -> np.ndarray:
+                      s: int, ho: int, wo: int) -> np.ndarray:
     """The [N*Ho*Wo, O] convolution, plus bias, of a channels-last input xt
-    [N, H, W, C] with an [O, k, k, C] kernel at stride s, for
-    ceil(k/s) = 3, by Winograd F(4x4, 3x3).
+    [N, H, W, C] with an [O, 3s, 3s, C] kernel at stride s, by Winograd
+    F(4x4, 3x3).
 
     Kernel offset u = s*a + r reads input row s*(i + a) + r for output row
     i, so the convolution is a 3x3 stride-1 one over the s x s
-    space-to-depth of xt, with C' = s*s*C channels and the kernel
-    zero-padded to 3s.  Each block of input channels gathers its 6x6 input
-    tiles and its kernel taps, transforms both, and adds the 36 GEMMs
-    [tiles, C'_blk] @ [C'_blk, O] into one [36, tiles, O] accumulator.
+    space-to-depth of xt, with C' = s*s*C channels.  Each block of input
+    channels gathers its 6x6 input tiles and its kernel taps, transforms
+    both, and adds the 36 GEMMs [tiles, C'_blk] @ [C'_blk, O] into one
+    [36, tiles, O] accumulator.
     """
     n, h, w, c = xt.shape
-    o, k = kernel.shape[:2]
+    o = kernel.shape[0]
     th, tw = -(-ho // 4), -(-wo // 4)  # 4x4 output tiles per column, row
     tiles = n * th * tw
     # the tiles read s*(4*th + 2) rows; zero rows past the input feed only
-    # zero kernel taps or the cropped outputs of a ragged last tile
-    eh = max(0, s * (4 * th + 2) - h - 2 * pad)
-    ew = max(0, s * (4 * tw + 2) - w - 2 * pad)
-    if pad or eh or ew:
-        xt = np.pad(xt, ((0, 0), (pad, pad + eh), (pad, pad + ew), (0, 0)))
+    # the cropped outputs of a ragged last tile
+    eh = max(0, s * (4 * th + 2) - h)
+    ew = max(0, s * (4 * tw + 2) - w)
+    if eh or ew:
+        xt = np.pad(xt, ((0, 0), (0, eh), (0, ew), (0, 0)))
     sn, sh, sw, sc = xt.strides
     # tile[pi, pj, n, ti, tj, r, q, c]
     #     = xt[n, s*(4*ti + pi) + r, s*(4*tj + pj) + q, c]
@@ -227,16 +226,10 @@ def _winograd_forward(xt: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
         np.copyto(d.reshape(6, 6, n, th, tw, s, s, hi - lo),
                   tile[..., lo:hi])
         v = np.matmul(_BB, d, out=vbuf[:d.size].reshape(d.shape))
-        # g[a, b, o, r, q, c] = kernel[o, s*a + r, s*b + q, c], zero past k
+        # g[a, b, o, r, q, c] = kernel[o, s*a + r, s*b + q, c]
         g = gbuf[:9 * o * cb].reshape(3, 3, o, s, s, hi - lo)
-        if k < 3 * s:
-            g.fill(0.0)
-        for a in range(3):
-            rl = min(s, k - s * a)
-            for b in range(3):
-                ql = min(s, k - s * b)
-                g[a, b, :, :rl, :ql] = kernel[:, s * a:s * a + rl,
-                                              s * b:s * b + ql, lo:hi]
+        np.copyto(g, kernel[..., lo:hi].reshape(
+            o, 3, s, 3, s, hi - lo).transpose(1, 3, 0, 2, 4, 5))
         u = np.matmul(_GG, g.reshape(9, o * cb),
                       out=ubuf[:36 * o * cb].reshape(36, o * cb))
         vb = v.reshape(36, tiles, cb)
@@ -267,25 +260,21 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
     o, kh, kw, ck = p.kernel.shape
     if c != ck:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {ck}")
-    s, pad = p.stride, p.padding
-    ho = (h + 2 * pad - kh) // s + 1
-    wo = (w + 2 * pad - kw) // s + 1
-    if ho < 1 or wo < 1 or kh > h + 2 * pad or kw > w + 2 * pad:
+    s = p.stride
+    if kh > h or kw > w:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} does not fit input "
-                         f"{h}x{w} with padding {pad}")
+                         f"{h}x{w}")
+    ho = (h - kh) // s + 1
+    wo = (w - kw) // s + 1
 
     # a view of a channels-last input, which every encoder conv past conv1
     # reads; conv1's [N, 1, H, W] images are channels-last as they lie
     xt = x.data.transpose(0, 2, 3, 1)
-    ka = -(-kh // s)  # blocks of s kernel offsets along each kernel axis
-    if (ka == 3 and kh * kw * c >= WINOGRAD_K
+    if (kh == 3 * s and kh * kw * c >= WINOGRAD_K
             and not any(ad.tracked(t) for t in (x, p.kernel, p.bias))):
         # graph-free: no vjp will read the patches, so no tape node
-        out = _winograd_forward(xt, p.kernel.data, p.bias.data, s, pad,
-                                ho, wo)
+        out = _winograd_forward(xt, p.kernel.data, p.bias.data, s, ho, wo)
         return Tensor(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
-    if pad:
-        xt = np.pad(xt, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     cols = _conv_cols(xt, kh, kw, s, ho, wo)
     hw = ho * wo
     groups = byte_chunks(n, cols[:1].nbytes, PATCH_BYTES)
@@ -316,7 +305,8 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
         # the temporary buffers: in the other order the heap kept both, and
         # desk_train's peak RSS rose by about 2 MB
         gx = np.empty_like(x.data) if need_gx else None
-        # the padded input gradient, [n, Hb, Wb, C] with Hb = s*(Ho + ka)
+        ka = -(-kh // s)  # blocks of s kernel offsets along each kernel axis
+        # the input gradient, [n, Hb, Wb, C] with Hb = s*(Ho + ka) >= H
         # rows split as (Ho + ka, s): kernel offset u = s*a + r of output
         # row i lands in row block i + a at phase r
         gx6 = np.zeros((n, ho + ka, s, wo + ka, s, c)) if need_gx else None
@@ -347,7 +337,7 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
         # the reductions of the layers below sum in memory order, so the
         # input's layout keeps their gradients independent of how gx was
         # accumulated
-        gx[...] = gxt[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+        gx[...] = gxt[:, :h, :w].transpose(0, 3, 1, 2)
         return (gx, gk.reshape(kshape), gb)
 
     return ad._emit("conv2d", out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2),

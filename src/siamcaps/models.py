@@ -293,12 +293,12 @@ def predict_match(d: np.ndarray, threshold: float, metric: str) -> np.ndarray:
     return _is_match(d, threshold, metric)
 
 
-def sweep_threshold(d: np.ndarray, y: np.ndarray, metric: str,
-                    points: int = 101):
-    """Exhaustive accuracy sweep over [min(D), max(D)]; first best wins."""
+def sweep_threshold(d: np.ndarray, y: np.ndarray, metric: str):
+    """Accuracy sweep over 101 evenly spaced thresholds in [min(D),
+    max(D)]; the first best wins."""
     d = np.asarray(d, dtype=np.float64)
     y = np.asarray(y)
-    grid = np.linspace(d.min(), d.max(), points)
+    grid = np.linspace(d.min(), d.max(), 101)
     best_thr, best_acc = grid[0], -1.0
     is_match = (y == 0)
     for thr in grid:

@@ -6,12 +6,15 @@ correction is applied, and the base rate decays as alpha/sqrt(t) unless
 flat_lr is set.  Updates mutate parameter data in place; state tensors are
 plain numpy arrays keyed by parameter name.
 
-The update is memory-bound, so each parameter is processed in blocks of
-BLOCK elements of its flat arrays: every update of a block (m, v, v_hat, w)
-runs while the block sits in cache, with two preallocated scratch buffers
-and no whole-array temporaries.  The elementwise operations are those of
-the whole-array formula in the same order, so the result is bitwise the
-same.  A step is all-or-nothing: every parameter is checked before t or
+Each parameter is processed in blocks of BLOCK elements of its flat
+arrays: every update of a block (m, v, v_hat, w) runs while the block sits
+in cache, with two preallocated scratch buffers and no whole-array
+temporaries.  The update is not memory-bound but bound by its 13 ufunc
+passes per block through cache: over the 13.7M full-size parameters on a
+2-vCPU AVX-512 host it took 131 ms, where streaming its 9 array passes
+(988 MB) at that host's 17 GB/s would take about 58 ms.  The elementwise
+operations are those of the whole-array formula in the same order, so the
+result is bitwise the same.  A step is all-or-nothing: every parameter is checked before t or
 any weight moves.  Once a parameter is updated its .grad is set to None, so
 a step's gradients (110 MB at full size) are not held through the next
 forward and backward; a rejected step leaves every .grad in place.
@@ -24,6 +27,11 @@ import numpy as np
 # elements per block: m, v, v_hat, w, g and two scratch buffers of this
 # size (1.8 MB of float64) stay in a typical L2 cache
 BLOCK = 32768
+# AMSGrad's moment decay rates and denominator guard, at the constants of
+# Reddi, Kale & Kumar ("On the Convergence of Adam and Beyond", ICLR 2018)
+THETA1 = 0.9
+THETA2 = 0.999
+EPS = 1e-8
 
 
 class OptimState:
@@ -43,18 +51,15 @@ class OptimState:
 
 
 def amsgrad_step(params: list, state: OptimState, alpha: float,
-                 theta1: float = 0.9, theta2: float = 0.999,
-                 eps: float = 1e-8, flat_lr: bool = False) -> None:
+                 flat_lr: bool = False) -> None:
     """One update over [(name, Tensor)] pairs whose .grad is populated;
     each .grad it applies is set to None.
 
     m <- t1*m + (1-t1)*g;  v <- t2*v + (1-t2)*g^2;  v_hat <- max(v_hat, v);
     w <- w - alpha_t * m / (sqrt(v_hat) + eps),  alpha_t = alpha/sqrt(t),
-    with the step counter t starting at 1.
+    with t1, t2, eps = THETA1, THETA2, EPS and the step counter t starting
+    at 1.
     """
-    if not 0.0 <= theta1 < 1.0 or not 0.0 <= theta2 < 1.0:
-        raise ValueError(f"theta1/theta2 must lie in [0, 1), got "
-                         f"({theta1}, {theta2})")
     params = [(name, p) for name, p in params if p.grad is not None]
     for name, p in params:
         if p.grad.shape != p.data.shape:
@@ -82,17 +87,17 @@ def amsgrad_step(params: list, state: OptimState, alpha: float,
             blk = slice(lo, lo + BLOCK)
             gb, mb, vb, vhb = g[blk], m[blk], v[blk], v_hat[blk]
             tmp, den = buf[:gb.size], buf2[:gb.size]
-            np.multiply(gb, 1.0 - theta1, out=tmp)
-            mb *= theta1
+            np.multiply(gb, 1.0 - THETA1, out=tmp)
+            mb *= THETA1
             mb += tmp
             np.multiply(gb, gb, out=tmp)
-            tmp *= 1.0 - theta2
-            vb *= theta2
+            tmp *= 1.0 - THETA2
+            vb *= THETA2
             vb += tmp
             np.maximum(vhb, vb, out=vhb)
             np.multiply(mb, alpha_t, out=tmp)
             np.sqrt(vhb, out=den)
-            den += eps
+            den += EPS
             tmp /= den
             w[blk] -= tmp
         p.grad = None

@@ -252,7 +252,7 @@ def test_fused_route_matches_tape_reference():
                 ad.backward(ad.sum_(ad.mul(out[0], w)))
             if route is caps.dynamic_route:
                 v, state = out
-                out = (v, state.b, state.c, state.c_history)
+                out = (v, state.b, state.c_history[-1], state.c_history)
             got.append((out, u.grad))
         ((v, b, c, hist), gu), ((v_ref, b_ref, c_ref, hist_ref), gu_ref) = got
         tag = (shape, iterations, act)
@@ -336,7 +336,7 @@ def routed(u_np, layout, tracked, act):
         v, state = caps.dynamic_route(u, 3, act)
         if tracked:
             ad.backward(ad.sum_(ad.mul(v, w)))
-    return [v.data, state.b, state.c] + state.c_history, u.grad
+    return [v.data, state.b, state.c_history[-1]] + state.c_history, u.grad
 
 
 @pytest.mark.parametrize("per_group,groups", [
@@ -351,10 +351,10 @@ def test_grouped_route_equals_whole_batch_bitwise(per_group, groups,
     cases = [(layout, tracked, act)
              for layout in ("nlud", "nuld") for tracked in (True, False)
              for act in ("squash", "tanh")]
-    assert caps._route_groups(5, sample_bytes) == [(0, 5)]
+    assert caps.byte_chunks(5, sample_bytes, caps.ROUTE_BYTES) == [(0, 5)]
     whole = [routed(u_np, *case) for case in cases]
     monkeypatch.setattr(caps, "ROUTE_BYTES", per_group * sample_bytes + 7)
-    assert caps._route_groups(5, sample_bytes) == groups
+    assert caps.byte_chunks(5, sample_bytes, caps.ROUTE_BYTES) == groups
     for case, (want, gu_want) in zip(cases, whole):
         got, gu = routed(u_np, *case)
         assert len(got) == len(want) == 6
@@ -375,13 +375,13 @@ def test_desk_shapes_route_as_one_group(monkeypatch):
                        face_caps=16, face_d=8, input_size=64, batch_size=8,
                        routing_iters=2).finalize()
     enc = hz.build_run_encoder(cfg)
-    real, seen = caps._route_groups, []
+    real, seen = caps.byte_chunks, []
 
-    def spy(n, sample_bytes):
-        seen.append(real(n, sample_bytes))
+    def spy(n, sample_bytes, budget):
+        seen.append(real(n, sample_bytes, budget))
         return seen[-1]
 
-    monkeypatch.setattr(caps, "_route_groups", spy)
+    monkeypatch.setattr(caps, "byte_chunks", spy)
     size = (16, 1, cfg.input_size, cfg.input_size)
     pairs = PairBatch(Tensor(rand_uhat(size, 1, 1.0)),
                       Tensor(rand_uhat(size, 2, 1.0)), np.zeros(16))
@@ -495,7 +495,7 @@ def test_primary_kernel_blocks_match_per_dimension_init():
                                   seed=seed)
     assert p.conv.kernel.shape == (d * t, 3, 3, in_ch)
     for dim in range(d):
-        ref = conv2d_init(in_ch, t, 3, 3, 0, derive_seed(seed, dim))
+        ref = conv2d_init(in_ch, t, 3, 3, derive_seed(seed, dim))
         assert np.array_equal(p.conv.kernel.data[dim * t:(dim + 1) * t],
                               ref.kernel.data)
     assert np.array_equal(p.conv.bias.data, np.zeros(d * t))

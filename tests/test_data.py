@@ -62,13 +62,12 @@ def test_pgm_error_codes_distinct():
     assert e.value.code == "truncated"
 
 
-def test_pgm_round_trip_binary_and_ascii():
+def test_pgm_round_trip():
     rng = SplitMix64(1)
     img = rng.uniform(64).reshape(8, 8)
     quantized = np.rint(img * 255) / 255.0
-    for binary in (True, False):
-        back = load_pgm(save_pgm(img, binary=binary))
-        np.testing.assert_allclose(back.data[0], quantized, atol=1e-12)
+    back = load_pgm(save_pgm(img))
+    np.testing.assert_allclose(back.data[0], quantized, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,6 @@ def test_att_loader_round_trip_metadata(tmp_path):
     ds = synth_dataset(4, 3, seed=5, size=24)
     data.export_orl_layout(ds, str(tmp_path / "orl"))
     loaded = load_att(str(tmp_path / "orl"), target=24)
-    assert loaded.source == "att"
     assert loaded.subjects() == [1, 2, 3, 4]
     assert len(loaded) == 12
     by = loaded.by_subject()
@@ -166,7 +164,6 @@ def test_lfw_loader_pgm_mirror(tmp_path):
             (d / f"{i}.pgm").write_bytes(
                 save_pgm(rng.uniform(16 * 16).reshape(16, 16)))
     ds = data.load_lfw(str(root), target=16)
-    assert ds.source == "lfw"
     assert len(ds.subjects()) == 2  # single-image subject dropped
     assert len(ds) == 5
 
@@ -198,13 +195,13 @@ def test_split_subjects_zero_holdout_and_error():
 
 
 def test_split_spec_identical_sets_are_the_no_holdout_protocol():
-    spec = data.SplitSpec([3, 1, 2], [1, 2, 3], 0)
+    spec = data.SplitSpec([3, 1, 2], [1, 2, 3])
     assert spec.train_subjects == spec.test_subjects == frozenset({1, 2, 3})
 
 
 def test_split_spec_partial_overlap_rejected():
     with pytest.raises(ValueError, match="overlap"):
-        data.SplitSpec([1, 2], [2, 3], 0)
+        data.SplitSpec([1, 2], [2, 3])
 
 
 def test_sample_pairs_label_ratio_exact():
@@ -246,13 +243,13 @@ def test_sample_pairs_respects_subject_filter():
 def test_sample_pairs_single_image_subject():
     imgs = [(0, Tensor(np.zeros((1, 8, 8))))]
     imgs += [(1, Tensor(np.ones((1, 8, 8)))) for _ in range(3)]
-    ds = FaceDataset(imgs, "synthetic")
+    ds = FaceDataset(imgs)
     batch = sample_pairs(ds, [0, 1], 10, 1.0, seed=16)
     for i, j in batch.index_pairs:  # subject 0 cannot form a positive pair
         assert ds.images[i][0] == 1
-    only_single = FaceDataset(imgs[:1] * 2, "synthetic")
+    only_single = FaceDataset(imgs[:1] * 2)
     with pytest.raises(ValueError):
-        sample_pairs(FaceDataset([imgs[0]], "synthetic"), [0], 4, 1.0, 17)
+        sample_pairs(FaceDataset([imgs[0]]), [0], 4, 1.0, 17)
 
 
 def test_pair_batch_slice():

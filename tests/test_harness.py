@@ -260,6 +260,11 @@ def test_determinism_bitwise_except_wall_ms(tmp_path):
     assert sorted(ck_a) == sorted(ck_b)
     for name in ck_a:
         assert ck_a[name].tobytes() == ck_b[name].tobytes(), name
+    # the run directories differ, and config.txt does not name them
+    config_a, config_b = (open(os.path.join(r.run_dir, "config.txt"),
+                               "rb").read() for r in (a, b))
+    assert a.run_dir != b.run_dir
+    assert config_a == config_b
 
 
 def test_seed_changes_results(tmp_path):

@@ -12,14 +12,13 @@ from siamcaps.autodiff import ShapeError, Tensor, grad_check
 from siamcaps.rng import SplitMix64, derive_seed
 
 
-def naive_conv2d_scalar(x, k, b, stride, pad):
+def naive_conv2d_scalar(x, k, b, stride):
     """Seven nested scalar loops; the slowest, most literal reference.
     x is [N, C, H, W] and k [O, kh, kw, C]."""
     n_, c_, h_, w_ = x.shape
     o_, kh, kw, _ = k.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (h_ + 2 * pad - kh) // stride + 1
-    wo = (w_ + 2 * pad - kw) // stride + 1
+    ho = (h_ - kh) // stride + 1
+    wo = (w_ - kw) // stride + 1
     out = np.zeros((n_, o_, ho, wo))
     for n in range(n_):
         for o in range(o_):
@@ -29,94 +28,90 @@ def naive_conv2d_scalar(x, k, b, stride, pad):
                     for c in range(c_):
                         for u in range(kh):
                             for v in range(kw):
-                                acc += (xp[n, c, i * stride + u,
-                                           j * stride + v] * k[o, u, v, c])
+                                acc += (x[n, c, i * stride + u,
+                                          j * stride + v] * k[o, u, v, c])
                     out[n, o, i, j] = acc
     return out
 
 
-def naive_conv2d_patch(x, k, b, stride, pad):
+def naive_conv2d_patch(x, k, b, stride):
     """Patch-extraction reference: independent indexing, per-pixel reduce."""
     h_, w_ = x.shape[2], x.shape[3]
     o_, kh, kw, _ = k.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (h_ + 2 * pad - kh) // stride + 1
-    wo = (w_ + 2 * pad - kw) // stride + 1
+    ho = (h_ - kh) // stride + 1
+    wo = (w_ - kw) // stride + 1
     out = np.zeros((x.shape[0], o_, ho, wo))
     for i in range(ho):
         for j in range(wo):
-            patch = xp[:, :, i * stride:i * stride + kh,
-                       j * stride:j * stride + kw]
+            patch = x[:, :, i * stride:i * stride + kh,
+                      j * stride:j * stride + kw]
             out[:, :, i, j] = np.tensordot(
                 patch, k, axes=([1, 2, 3], [3, 1, 2])) + b
     return out
 
 
-def naive_conv2d_input_vjp(g, k, x_shape, stride, pad):
+def naive_conv2d_input_vjp(g, k, x_shape, stride):
     """Input cotangent, patch by patch: every output pixel adds
-    g[:, :, i, j] . k into the padded patch it read."""
-    n_, c_, h_, w_ = x_shape
+    g[:, :, i, j] . k into the patch it read."""
     kh, kw = k.shape[1], k.shape[2]
-    gxp = np.zeros((n_, c_, h_ + 2 * pad, w_ + 2 * pad))
+    gx = np.zeros(x_shape)
     for i in range(g.shape[2]):
         for j in range(g.shape[3]):
-            gxp[:, :, i * stride:i * stride + kh,
-                j * stride:j * stride + kw] += np.tensordot(
-                    g[:, :, i, j], k, axes=([1], [0])).transpose(0, 3, 1, 2)
-    return gxp[:, :, pad:pad + h_, pad:pad + w_]
+            gx[:, :, i * stride:i * stride + kh,
+               j * stride:j * stride + kw] += np.tensordot(
+                   g[:, :, i, j], k, axes=([1], [0])).transpose(0, 3, 1, 2)
+    return gx
 
 
-def naive_conv2d_kernel_vjp(g, x, kshape, stride, pad):
+def naive_conv2d_kernel_vjp(g, x, kshape, stride):
     """Kernel cotangent [O, kh, kw, C], patch by patch: every output pixel
-    adds g[:, :, i, j] times the padded patch it read."""
+    adds g[:, :, i, j] times the patch it read."""
     kh, kw = kshape[1], kshape[2]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     gk = np.zeros(kshape)
     for i in range(g.shape[2]):
         for j in range(g.shape[3]):
-            patch = xp[:, :, i * stride:i * stride + kh,
-                       j * stride:j * stride + kw]
+            patch = x[:, :, i * stride:i * stride + kh,
+                      j * stride:j * stride + kw]
             gk += np.tensordot(g[:, :, i, j], patch,
                                axes=([0], [0])).transpose(0, 2, 3, 1)
     return gk
 
 
 def conv_grid():
-    """(h, kh, stride, pad) over sizes, kernels, strides and paddings,
-    skipping kernels that do not fit."""
-    cases = itertools.product([1, 3, 7, 14, 32], [1, 3, 5, 9],
-                              [1, 2, 3], [0, 1, 2])
-    return [(h, kh, stride, pad) for h, kh, stride, pad in cases
-            if kh <= h + 2 * pad]
+    """(h, kh, stride) over sizes, kernels and strides, skipping kernels
+    that do not fit."""
+    cases = itertools.product([1, 3, 5, 7, 9, 14, 20, 32], [1, 3, 5, 7, 9],
+                              [1, 2, 3, 4])
+    return [(h, kh, stride) for h, kh, stride in cases if kh <= h]
 
 
-def make_conv(in_ch, out_ch, ksize, stride, pad, seed):
+def make_conv(in_ch, out_ch, ksize, stride, seed):
     rng = SplitMix64(seed)
     kernel = Tensor(rng.uniform(out_ch * in_ch * ksize * ksize, -1, 1)
                     .reshape(out_ch, ksize, ksize, in_ch))
     bias = Tensor(rng.uniform(out_ch, -1, 1))
-    return layers.Conv2dParams(kernel, bias, stride, pad)
+    return layers.Conv2dParams(kernel, bias, stride)
 
 
 # ---------------------------------------------------------------------------
 # convolution
 
 def test_conv_output_size_100_to_31():
-    p = make_conv(1, 2, 9, 3, 0, 1)
+    p = make_conv(1, 2, 9, 3, 1)
     x = Tensor(SplitMix64(2).uniform(100 * 100).reshape(1, 1, 100, 100))
     assert layers.conv2d_forward(x, p).shape == (1, 2, 31, 31)
 
 
 def test_conv_1x1_identity():
     p = layers.Conv2dParams(Tensor(np.ones((1, 1, 1, 1))),
-                            Tensor(np.zeros(1)), 1, 0)
+                            Tensor(np.zeros(1)), 1)
     x = Tensor(SplitMix64(3).uniform(25).reshape(1, 1, 5, 5))
     np.testing.assert_array_equal(layers.conv2d_forward(x, p).data, x.data)
 
 
 def test_conv_3x3_ones_sums_to_nine():
     p = layers.Conv2dParams(Tensor(np.ones((1, 3, 3, 1))),
-                            Tensor(np.zeros(1)), 1, 0)
+                            Tensor(np.zeros(1)), 1)
     x = Tensor(np.ones((1, 1, 3, 3)))
     out = layers.conv2d_forward(x, p)
     assert out.shape == (1, 1, 1, 1)
@@ -124,27 +119,27 @@ def test_conv_3x3_ones_sums_to_nine():
 
 
 def test_conv_matches_scalar_reference():
-    for stride, pad in [(1, 0), (2, 1), (3, 2)]:
-        p = make_conv(2, 3, 3, stride, pad, 10 + stride)
+    for stride in (1, 2, 3):
+        p = make_conv(2, 3, 3, stride, 10 + stride)
         x = Tensor(SplitMix64(20 + stride).uniform(2 * 2 * 8 * 9, -1, 1)
                    .reshape(2, 2, 8, 9))
         got = layers.conv2d_forward(x, p).data
         want = naive_conv2d_scalar(x.data, p.kernel.data, p.bias.data,
-                                   stride, pad)
+                                   stride)
         assert np.abs(got - want).max() < 1e-10
 
 
 def test_conv_grid_sweep_matches_patch_reference():
     checked = 0
-    for h, kh, stride, pad in conv_grid():
-        p = make_conv(2, 3, kh, stride, pad, 100 + checked)
+    for h, kh, stride in conv_grid():
+        p = make_conv(2, 3, kh, stride, 100 + checked)
         x = Tensor(SplitMix64(200 + checked).uniform(2 * 2 * h * h, -1, 1)
                    .reshape(2, 2, h, h))
         got = layers.conv2d_forward(x, p).data
         want = naive_conv2d_patch(x.data, p.kernel.data, p.bias.data,
-                                  stride, pad)
+                                  stride)
         assert got.shape == want.shape
-        assert np.abs(got - want).max() < 1e-10, (h, kh, stride, pad)
+        assert np.abs(got - want).max() < 1e-10, (h, kh, stride)
         checked += 1
     assert checked > 100
 
@@ -152,8 +147,8 @@ def test_conv_grid_sweep_matches_patch_reference():
 def test_conv_input_cotangent_matches_patch_reference():
     # the grid sweep plus the full-size primary shape (31 -> 8, 9x9 stride 3)
     checked = zero_tails = 0
-    for h, kh, stride, pad in conv_grid() + [(31, 9, 3, 0)]:
-        p = make_conv(2, 3, kh, stride, pad, 300 + checked)
+    for h, kh, stride in conv_grid() + [(31, 9, 3)]:
+        p = make_conv(2, 3, kh, stride, 300 + checked)
         x = Tensor(SplitMix64(400 + checked).uniform(2 * 2 * h * h, -1, 1)
                    .reshape(2, 2, h, h), requires_grad=True)
         with ad.Graph() as graph:
@@ -163,13 +158,13 @@ def test_conv_input_cotangent_matches_patch_reference():
         # a strided cotangent: an [Ho, N, Wo, O] array seen as [N, O, Ho, Wo]
         g = (SplitMix64(500 + checked).uniform(out.size, -1, 1)
              .reshape(ho, n, wo, o).transpose(1, 3, 0, 2))
-        want = naive_conv2d_input_vjp(g, p.kernel.data, x.shape, stride, pad)
+        want = naive_conv2d_input_vjp(g, p.kernel.data, x.shape, stride)
         # input rows and columns past the last window get exact zeros
-        tail = (ho - 1) * stride + kh - pad
+        tail = (ho - 1) * stride + kh
         for gg in (g, np.ascontiguousarray(g)):
             gx = vjp(gg)[0]
             assert gx.shape == x.shape
-            assert np.abs(gx - want).max() < 1e-10, (h, kh, stride, pad)
+            assert np.abs(gx - want).max() < 1e-10, (h, kh, stride)
             assert not gx[:, :, tail:, :].any()
             assert not gx[:, :, :, tail:].any()
         zero_tails += tail < h
@@ -182,7 +177,7 @@ def test_conv_input_cotangent_keeps_input_memory_order():
     # a conv's output is [C, N, H, W] in memory, and the batchnorm below the
     # next conv reduces in memory order: handing gx back in x's own layout
     # keeps those gradients bitwise independent of how gx is accumulated
-    p = make_conv(4, 3, 3, 2, 0, 12)
+    p = make_conv(4, 3, 3, 2, 12)
     base = SplitMix64(13).uniform(4 * 2 * 9 * 9, -1, 1).reshape(4, 2, 9, 9)
     for data in (base.transpose(1, 0, 2, 3),
                  np.ascontiguousarray(base.transpose(1, 0, 2, 3))):
@@ -195,13 +190,13 @@ def test_conv_input_cotangent_keeps_input_memory_order():
 
 
 def test_conv_rejects_oversized_kernel():
-    p = make_conv(1, 1, 5, 1, 0, 4)
+    p = make_conv(1, 1, 5, 1, 4)
     with pytest.raises(ShapeError, match="does not fit"):
         layers.conv2d_forward(Tensor(np.ones((1, 1, 3, 3))), p)
 
 
 def test_conv_rejects_channel_mismatch():
-    p = make_conv(3, 2, 3, 1, 0, 5)
+    p = make_conv(3, 2, 3, 1, 5)
     with pytest.raises(ShapeError, match="channels"):
         layers.conv2d_forward(Tensor(np.ones((1, 2, 5, 5))), p)
 
@@ -213,11 +208,11 @@ def test_conv_rejects_rectangular_kernel():
 
 
 def test_conv_grad_check():
-    p = make_conv(2, 3, 3, 2, 1, 6)
+    p = make_conv(2, 3, 3, 2, 6)
     x = Tensor(SplitMix64(7).uniform(2 * 2 * 6 * 6, -1, 1).reshape(2, 2, 6, 6))
 
     def f(x, k, b):
-        q = layers.Conv2dParams(k, b, 2, 1)
+        q = layers.Conv2dParams(k, b, 2)
         return ad.sum_(ad.square(layers.conv2d_forward(x, q)))
 
     err = grad_check(f, [x, p.kernel, p.bias], eps=1e-5)
@@ -231,7 +226,7 @@ def test_conv_constant_input_gets_no_cotangent():
     g = SplitMix64(10).uniform(2 * 3 * 3 * 3, -1, 1).reshape(2, 3, 3, 3)
 
     def cotangents(tracked):
-        p = make_conv(2, 3, 3, 2, 0, 11)
+        p = make_conv(2, 3, 3, 2, 11)
         p.kernel.requires_grad = p.bias.requires_grad = True
         x = Tensor(x_np.copy(), requires_grad=tracked)
         with ad.Graph() as graph:
@@ -251,7 +246,7 @@ def full_primary_input(n):
     """n images at the full-size primary capsules' input shape, [N, 256, 31,
     31], lying channels-last in memory as the relu output that feeds them
     does; with the primary convolution and its patch bytes per image."""
-    p = make_conv(256, 256, 9, 3, 0, 14)
+    p = make_conv(256, 256, 9, 3, 14)
     x = SplitMix64(15).uniform(256 * n * 31 * 31, -1, 1)
     x = x.reshape(n, 31, 31, 256).transpose(0, 3, 1, 2)
     return Tensor(x), p, 256 * 9 * 9 * 8 * 8 * 8
@@ -260,7 +255,7 @@ def full_primary_input(n):
 def full_conv1_input(n):
     """n full-size [N, 1, 100, 100] images, with conv1 (1 -> 256 channels,
     9x9 stride 3) and its patch bytes per image."""
-    p = make_conv(1, 256, 9, 3, 0, 19)
+    p = make_conv(1, 256, 9, 3, 19)
     x = SplitMix64(20).uniform(n * 100 * 100).reshape(n, 1, 100, 100)
     return Tensor(x), p, 9 * 9 * 31 * 31 * 8
 
@@ -320,15 +315,16 @@ def patch_groups(monkeypatch):
 @pytest.mark.parametrize("per_group", [1, 2, 3])
 def test_conv_vjp_in_image_groups_matches_reference(monkeypatch, patch_groups,
                                                     per_group):
-    # 5 images in groups of 1, 2 or 3: channels-last, C-contiguous and
-    # padded inputs, and the StandardEncoder's 5x5 stride-2 conv2
-    cases = [(4, 3, 13, 3, 2, 0, True), (4, 3, 13, 3, 2, 0, False),
-             (4, 3, 13, 3, 2, 2, True), (32, 64, 19, 5, 2, 0, True)]
-    for seed, (c, o, h, k, s, pad, last) in enumerate(cases):
-        ho = (h + 2 * pad - k) // s + 1
+    # 5 images in groups of 1, 2 or 3: channels-last and C-contiguous
+    # inputs, one whose last row no window reads, and the StandardEncoder's
+    # 5x5 stride-2 conv2
+    cases = [(4, 3, 13, 3, 2, True), (4, 3, 13, 3, 2, False),
+             (4, 3, 14, 3, 2, True), (32, 64, 19, 5, 2, True)]
+    for seed, (c, o, h, k, s, last) in enumerate(cases):
+        ho = (h - k) // s + 1
         monkeypatch.setattr(layers, "PATCH_BYTES",
                             per_group * ho * ho * k * k * c * 8 + 7)
-        p = make_conv(c, o, k, s, pad, 600 + seed)
+        p = make_conv(c, o, k, s, 600 + seed)
         x = SplitMix64(700 + seed).uniform(5 * c * h * h, -1, 1)
         x = (x.reshape(5, h, h, c).transpose(0, 3, 1, 2) if last
              else x.reshape(5, c, h, h))
@@ -337,16 +333,16 @@ def test_conv_vjp_in_image_groups_matches_reference(monkeypatch, patch_groups,
             out = layers.conv2d_forward(xt, p)
             vjp = graph.nodes[-1][3]
         assert len(patch_groups[-1]) == -(-5 // per_group)
-        want = naive_conv2d_patch(x, p.kernel.data, p.bias.data, s, pad)
+        want = naive_conv2d_patch(x, p.kernel.data, p.bias.data, s)
         assert np.abs(out.data - want).max() < 1e-10
         g = SplitMix64(800 + seed).uniform(out.size, -1, 1).reshape(out.shape)
         gx, gk, gb = vjp(g)
-        tag = (c, o, h, k, s, pad, last, per_group)
+        tag = (c, o, h, k, s, last, per_group)
         assert gx.strides == x.strides, tag
         assert np.abs(gx - naive_conv2d_input_vjp(
-            g, p.kernel.data, x.shape, s, pad)).max() < 1e-10, tag
+            g, p.kernel.data, x.shape, s)).max() < 1e-10, tag
         assert np.abs(gk - naive_conv2d_kernel_vjp(
-            g, x, p.kernel.shape, s, pad)).max() < 1e-10, tag
+            g, x, p.kernel.shape, s)).max() < 1e-10, tag
         assert np.abs(gb - g.sum(axis=(0, 2, 3))).max() < 1e-10, tag
 
 
@@ -372,15 +368,15 @@ def test_desk_convs_form_one_patch_group(patch_groups, kind, cfg):
 
 
 def test_full_size_conv1_forms_one_patch_group(patch_groups):
-    p = make_conv(1, 256, 9, 3, 0, 17)
+    p = make_conv(1, 256, 9, 3, 17)
     x = SplitMix64(18).uniform(32 * 100 * 100).reshape(32, 1, 100, 100)
     layers.conv2d_forward(Tensor(x), p)
     assert patch_groups == [[(0, 32)]]
 
 
 # ---------------------------------------------------------------------------
-# Winograd forward (graph-free convolutions with ceil(k/s) = 3 and a long
-# patch row)
+# Winograd forward (graph-free convolutions with k = 3s and a long patch
+# row)
 
 @pytest.fixture
 def winograd_calls(monkeypatch):
@@ -404,18 +400,21 @@ def relative_gap(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-@pytest.mark.parametrize("n,c,o,k,s,pad,h,w", [
-    (1, 256, 256, 9, 3, 0, 31, 31),  # the full-size primary capsules
-    (5, 256, 256, 9, 3, 0, 31, 31),  # in two blocks of input channels
-    (2, 256, 16, 9, 3, 0, 37, 37),   # 10x10 output: ragged last tiles
-    (2, 256, 16, 9, 3, 0, 31, 40),   # rectangular, 8x11 output
-    (2, 256, 16, 9, 3, 2, 29, 29),   # padded, 9x9 output
-    (3, 336, 16, 5, 2, 1, 20, 17),   # 5x5 stride 2: the kernel padded to 6
+# case ids read n-c-o-k-s-0-h-w: the 0 is the padding, always zero, kept in
+# the ids so that the case names stay stable
+@pytest.mark.parametrize("n,c,o,k,s,h,w", [
+    pytest.param(1, 256, 256, 9, 3, 31, 31,  # the full-size primary capsules
+                 id="1-256-256-9-3-0-31-31"),
+    pytest.param(5, 256, 256, 9, 3, 31, 31,  # in two blocks of input channels
+                 id="5-256-256-9-3-0-31-31"),
+    pytest.param(2, 256, 16, 9, 3, 37, 37,   # 10x10 output: ragged last tiles
+                 id="2-256-16-9-3-0-37-37"),
+    pytest.param(2, 256, 16, 9, 3, 31, 40,   # rectangular, 8x11 output
+                 id="2-256-16-9-3-0-31-40"),
 ])
-def test_winograd_forward_matches_im2col(winograd_calls, n, c, o, k, s, pad,
-                                         h, w):
+def test_winograd_forward_matches_im2col(winograd_calls, n, c, o, k, s, h, w):
     assert k * k * c >= layers.WINOGRAD_K
-    p = make_conv(c, o, k, s, pad, 900 + h + w)
+    p = make_conv(c, o, k, s, 900 + h + w)
     x = channels_last_input(n, c, h, w, 950 + n + h + w)
     got = layers.conv2d_forward(x, p).data
     want = tape_forward(x, p).data
@@ -447,6 +446,20 @@ def test_winograd_forward_holds_its_budget(monkeypatch, winograd_calls):
     assert relative_gap(outs[1], outs[2]) < 1e-12
 
 
+def test_winograd_needs_a_kernel_of_three_strides(winograd_calls):
+    # 5x5 stride 2 spans ceil(k/s) = 3 blocks of offsets with a long patch
+    # row (K = 8,400), but k < 3s: graph-free, it runs im2col and is
+    # bitwise the tape forward
+    p = make_conv(336, 16, 5, 2, 937)
+    assert 5 * 5 * 336 >= layers.WINOGRAD_K
+    x = channels_last_input(3, 336, 20, 17, 990)
+    free = layers.conv2d_forward(x, p).data
+    tape = tape_forward(x, p).data
+    assert winograd_calls == []
+    assert free.strides == tape.strides
+    assert free.tobytes() == tape.tobytes()
+
+
 def test_winograd_forward_is_deterministic(winograd_calls):
     x, p, _ = full_primary_input(2)
     a = layers.conv2d_forward(x, p).data
@@ -470,7 +483,7 @@ def test_other_convs_keep_im2col_graph_free(winograd_calls, kind, cfg):
     # conv1 and every desk-scale and Standard convolution stay below
     # WINOGRAD_K, so eval gives the bitwise outputs of training's forward
     if kind == "conv1":
-        convs = [make_conv(1, 256, 9, 3, 0, 21)]
+        convs = [make_conv(1, 256, 9, 3, 21)]
     elif kind == "scn":
         enc = models.ScnEncoder(0, **cfg)
         convs = [enc.conv1, enc.primary.conv]
@@ -489,7 +502,7 @@ def test_other_convs_keep_im2col_graph_free(winograd_calls, kind, cfg):
 
 
 def test_conv_parameter_count():
-    p = make_conv(1, 256, 9, 3, 0, 8)
+    p = make_conv(1, 256, 9, 3, 8)
     assert sum(t.size for _, t in p.named_parameters("conv1")) \
         == 256 * 1 * 9 * 9 + 256 == 20992
 

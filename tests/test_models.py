@@ -169,19 +169,40 @@ def test_standard_encoder_default_flat_dim():
 
 
 def test_public_names_resolve_and_removed_ones_are_gone():
+    import inspect
+
     import siamcaps
-    from siamcaps import capsules, layers
+    from siamcaps import capsules, data, harness, layers, optim
     for name in siamcaps.__all__:
         assert getattr(siamcaps, name) is not None, name
     for module, name in ((siamcaps, "CapsuleGrid"), (capsules, "CapsuleGrid"),
                          (siamcaps, "build_encoder"),
                          (models, "build_encoder"),
-                         (layers, "dropout_mask")):
+                         (layers, "dropout_mask"),
+                         (capsules, "_route_groups")):
         assert not hasattr(module, name), (module.__name__, name)
     for cls in (layers.Conv2dParams, layers.BatchNormParams,
                 layers.DenseParams, capsules.PrimaryCapsuleParams,
                 capsules.CapsuleLayerParams):
         assert not hasattr(cls, "parameter_count"), cls.__name__
+    u = Tensor(np.zeros((1, 2, 2, 3)))
+    objects = (capsules.dynamic_route(u, 1, "tanh")[1],
+               data.SplitSpec([1], [2]),
+               data.FaceDataset([]),
+               layers.conv2d_init(1, 1, 1))
+    for obj, field in zip(objects, ("c", "seed", "source", "padding")):
+        assert not hasattr(obj, field), (type(obj).__name__, field)
+    for fn, gone in ((layers.conv2d_init, "padding"),
+                     (layers.Conv2dParams, "padding"),
+                     (optim.amsgrad_step, "theta1"),
+                     (optim.amsgrad_step, "theta2"),
+                     (optim.amsgrad_step, "eps"),
+                     (models.sweep_threshold, "points"),
+                     (harness.density_histogram, "bins"),
+                     (data.save_pgm, "maxval"),
+                     (data.save_pgm, "binary")):
+        assert gone not in inspect.signature(fn).parameters, \
+            (fn.__name__, gone)
 
 
 # ---------------------------------------------------------------------------

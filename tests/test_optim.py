@@ -157,10 +157,6 @@ def test_validation_errors():
     params[0][1].grad = np.zeros(2)
     with pytest.raises(ValueError, match="shape"):
         amsgrad_step(params, OptimState(), alpha=0.01)
-    params = one_param([1.0])
-    params[0][1].grad = np.zeros(1)
-    with pytest.raises(ValueError, match="theta"):
-        amsgrad_step(params, OptimState(), alpha=0.01, theta1=1.0)
 
 
 def test_sgd_and_amsgrad_first_step_same_sign():
