@@ -8,6 +8,8 @@ priors updated with prediction/output dot products.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import autodiff as ad
@@ -27,6 +29,18 @@ BLOCK = 16
 # cache.  At full size one sample's u_hat is 8 MiB, so a group is one sample;
 # at desk size (128 KiB a sample) a train batch or an eval chunk is one group
 ROUTE_BYTES = 8 << 20
+# bytes of u_hat per group of samples that a graph-free capsule layer
+# transforms and routes at once through one reused u_hat buffer: 4
+# samples at full size (8 MiB each), so a 32-image eval chunk holds
+# 32 MiB of u_hat rather than 268 MB; a desk eval chunk (4 MiB) is one
+# group.  Transform plus routing of 32 full-size images by group size,
+# median ms of 7 (first row) and 9 calls on 2 BLAS threads:
+#     group   1    2    4    8   16   32
+#     ms    411  292  275  286  263  307
+#     ms    328  274  231  255  239  230
+# a one-sample group re-reads all of W (67 MB) per sample; from 2 samples
+# up the time is flat within noise, so memory sets the budget
+LAYER_BYTES = 32 << 20
 
 
 def squash_kernel(s: np.ndarray, axis: int = -1):
@@ -68,11 +82,28 @@ class RoutingState:
     couplings of every iteration in order, in the same layout, so that row
     sums and agreement monotonicity can be checked; the final couplings are
     c_history[-1].  None of them is on the tape.
+
+    Routing runs over groups of samples, and the state holds each group's
+    own arrays as the recurrence made them: groups is one (b, [c per
+    iteration]) per group, each [g, n_upper, n_lower].  b and c_history
+    are built from them on first read: b as a [N, n_lower, n_upper] view
+    of the joined groups, each c_history entry as a fresh C-contiguous
+    [N, n_lower, n_upper] copy.  A pass that nothing audits copies nothing.
     """
 
-    def __init__(self, b: np.ndarray, c_history: list):
-        self.b = b
-        self.c_history = c_history
+    def __init__(self, groups: list):
+        self.groups = groups
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return _joined([b for b, _ in self.groups]).transpose(0, 2, 1)
+
+    @cached_property
+    def c_history(self) -> list:
+        steps = zip(*(cs for _, cs in self.groups))  # one tuple per iteration
+        return [np.concatenate([c.transpose(0, 2, 1) for c in parts],
+                               out=np.empty(self.b.shape))
+                for parts in steps]
 
 
 def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
@@ -131,17 +162,14 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
         # the capsule layer's u_hat, only for one laid out another way
         ut = np.ascontiguousarray(ut)
     groups = byte_chunks(n, ut[:1].nbytes, ROUTE_BYTES)
-    c_history: list[np.ndarray] = []
-    vs, bs = [], []
+    vs, states = [], []
     for lo, hi in groups:
-        u_g, steps = ut[lo:hi], []
+        u_g, steps, cs = ut[lo:hi], [], []
         b = np.zeros((hi - lo, n_upper, n_lower))
         for it in range(iterations):
             c, c_vjp = (ad.softmax_kernel(b, axis=1) if it
                         else (np.full_like(b, 1.0 / n_upper), None))
-            if lo == 0:
-                c_history.append(np.empty((n, n_lower, n_upper)))
-            c_history[it][lo:hi] = c.transpose(0, 2, 1)
+            cs.append(c)
             s = np.matmul(c[:, :, None, :], u_g)[:, :, 0, :]
             v, v_vjp = act(s)
             if saved is not None:
@@ -149,7 +177,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
             if it < iterations - 1:
                 b = b + np.matmul(u_g, v[:, :, :, None])[:, :, :, 0]
         vs.append(v)
-        bs.append(b)
+        states.append((b, cs))
         if saved is not None:
             saved.append(steps)
 
@@ -180,7 +208,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
         return (gu,)
 
     out = ad._emit("dynamic_route", _joined(vs), [u_hat], vjp)
-    return out, RoutingState(_joined(bs).transpose(0, 2, 1), c_history)
+    return out, RoutingState(states)
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -277,18 +305,27 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
 
     Forms the predictions u_hat_ij = W_ij u_i for every lower capsule i and
     parent j, then runs dynamic_route with the layer's activation.  Returns
-    v [N, n_upper, d_out], or (v, RoutingState) with return_state.  The
-    poses must match W: n_lower capsules of pose size d_in.
+    v [N, n_upper, d_out], or (v, RoutingState) with return_state; the
+    state covers all N samples.  The poses must match W: n_lower capsules
+    of pose size d_in.
 
-    The transform is one tape node.  Its forward runs the batched GEMM
-    [lc, N, d_in] @ [lc, d_in, upper*d_out] over blocks of lc = BLOCK lower
-    capsules and scatters each block, while it is in cache, into one
-    C-contiguous [N, upper, lower, d_out] array.  Routing gets its
-    [N, lower, upper, d_out] view, so the layout its batched products read
-    is already in memory and neither u_hat nor W is copied.  The vjp
-    gathers the cotangent of u_hat block by block and runs two GEMMs: the
-    gradient of W, written in W's storage order, and the pose cotangent,
-    returned in the poses' own memory order.
+    The transform runs the batched GEMM [lc, g, d_in] @ [lc, d_in,
+    upper*d_out] over blocks of lc = BLOCK lower capsules and scatters each
+    block, while it is in cache, into one C-contiguous [g, upper, lower,
+    d_out] array.  Routing gets its [g, lower, upper, d_out] view, so the
+    layout its batched products read is already in memory and neither
+    u_hat nor W is copied.
+
+    A graph-free pass runs transform and routing over groups of g samples
+    whose u_hat fits LAYER_BYTES, reusing one u_hat buffer, so the whole
+    batch's u_hat never exists at once; each group writes its rows of v.
+    Nothing mixes samples, so the groups compute the rows the whole batch
+    would (bit for bit from two samples a group up; a one-sample GEMM may
+    round differently).  A tracked pass is one group of the whole batch:
+    the tape holds one capsule_transform node and one dynamic_route node.
+    The transform's vjp gathers the cotangent of u_hat block by block and
+    runs two GEMMs: the gradient of W, written in W's storage order, and
+    the pose cotangent, returned in the poses' own memory order.
     """
     n_lower, d_in, n_upper, d_out = p.W.shape
     if poses.data.ndim != 3 or poses.shape[1:] != (n_lower, d_in):
@@ -299,14 +336,12 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
     u_t = u.transpose(1, 0, 2)  # [L, N, i] view
     w_m = w.reshape(n_lower, d_in, n_upper * d_out)
     blocks = [(lo, min(lo + lc, n_lower)) for lo in range(0, n_lower, lc)]
-    uh = np.empty((n, n_upper, n_lower, d_out))
-    buf = np.empty((lc, n, n_upper * d_out))
-    for lo, hi in blocks:
-        prod = np.matmul(u_t[lo:hi], w_m[lo:hi], out=buf[:hi - lo])
-        uh[:, :, lo:hi] = prod.reshape(hi - lo, n, n_upper,
-                                       d_out).transpose(1, 2, 0, 3)
+    sample = n_upper * n_lower * d_out * w.itemsize  # one sample's u_hat
+    tracked = ad.tracked(poses) or ad.tracked(p.W)
+    groups = byte_chunks(n, sample, n * sample if tracked else LAYER_BYTES)
+    uh = np.empty((groups[0][1], n_upper, n_lower, d_out))
 
-    def vjp(g):
+    def vjp(g):  # tracked, so one group: the whole batch
         gu = np.empty_like(u)
         gw = np.empty_like(w)  # C-contiguous, as w is
         g_in = np.empty((n, n_upper, lc, d_out))
@@ -327,11 +362,22 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
             gu[:, lo:hi] = gu_blk[:k].transpose(1, 0, 2)
         return gu, gw
 
-    u_hat = ad._emit("capsule_transform", uh.transpose(0, 2, 1, 3),
-                     [poses, p.W], vjp)
-    v, state = dynamic_route(u_hat, iterations, p.activation_kind)
+    vs, states = [], []
+    for s0, s1 in groups:
+        uh_g, buf = uh[:s1 - s0], np.empty((lc, s1 - s0, n_upper * d_out))
+        for lo, hi in blocks:
+            prod = np.matmul(u_t[lo:hi, s0:s1], w_m[lo:hi], out=buf[:hi - lo])
+            uh_g[:, :, lo:hi] = prod.reshape(hi - lo, s1 - s0, n_upper,
+                                             d_out).transpose(1, 2, 0, 3)
+        u_hat = ad._emit("capsule_transform", uh_g.transpose(0, 2, 1, 3),
+                         [poses, p.W], vjp)
+        v, state = dynamic_route(u_hat, iterations, p.activation_kind)
+        vs.append(v)
+        if return_state:
+            states += state.groups
+    v = vs[0] if len(vs) == 1 else Tensor(np.concatenate([v.data for v in vs]))
     if return_state:
-        return v, state
+        return v, RoutingState(states)
     return v
 
 

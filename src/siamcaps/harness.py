@@ -282,9 +282,11 @@ def eval_distances(encoder, pairs, cfg: RunConfig, chunk: int = 16):
 
     chunk bounds the transient buffers of one encoder pass: a chunk of
     pairs runs 2*chunk images through the network at once.  At full size
-    the largest is u_hat (268 MB for the default 32 images); the primary
-    convolution works within layers.PATCH_BYTES (128 MiB) whatever the
-    chunk.  Routing reads u_hat one sample at a time there (see
+    the largest buffers no longer grow with it: the primary convolution
+    works within layers.PATCH_BYTES (128 MiB), and the capsule layer
+    transforms and routes groups of 4 images whose u_hat fits
+    capsules.LAYER_BYTES (32 MiB) where the default 32 images' u_hat
+    would be 268 MB.  Routing reads u_hat one sample at a time there (see
     capsules.ROUTE_BYTES), so the chunk does not set routing's cache
     footprint either.
     """

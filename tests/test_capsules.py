@@ -368,7 +368,8 @@ def test_grouped_route_equals_whole_batch_bitwise(per_group, groups,
 
 
 def test_desk_shapes_route_as_one_group(monkeypatch):
-    # the criterion-8 model routes a train batch and an eval chunk whole
+    # the criterion-8 model transforms and routes a train batch and an eval
+    # chunk whole: each pass groups once in the layer, once in routing
     from siamcaps import harness as hz
     from siamcaps.data import PairBatch
     cfg = hz.RunConfig(dataset="att", conv_channels=32, primary_types=8,
@@ -389,7 +390,8 @@ def test_desk_shapes_route_as_one_group(monkeypatch):
         hz.pair_distances(enc, pairs.slice(0, cfg.batch_size), cfg,
                           training=True, rng=SplitMix64(3))
     hz.eval_distances(enc, pairs, cfg)  # its default chunk, 16 pairs
-    assert seen == [[(0, 2 * cfg.batch_size)], [(0, 32)]]
+    train, chunk = [(0, 2 * cfg.batch_size)], [(0, 32)]
+    assert seen == [train, train, chunk, chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +662,78 @@ def test_capsule_layer_matches_einsum_and_tape_routing_oracle(case,
     np.testing.assert_allclose(
         p.W.grad, np.einsum("nli,nluo->liuo", poses_np, u_ref.grad),
         rtol=0, atol=1e-10)
+
+
+def _layer_and_poses(n, n_lower, n_upper, d_in, d_out, act, seed):
+    p = caps.CapsuleLayerParams(n_lower, n_upper, d_in, d_out,
+                                activation_kind=act, seed=seed)
+    poses = SplitMix64(seed).uniform(n * n_lower * d_in, -1, 1)
+    return p, poses.reshape(n, n_lower, d_in)
+
+
+@pytest.mark.parametrize("act", ["squash", "tanh"])
+def test_streamed_layer_equals_whole_batch(act, monkeypatch):
+    # a graph-free layer split into groups of 3, 3 and 1 samples against
+    # the same layer run as one group; a tracked one stays one group
+    n, n_lower, n_upper, d_in, d_out = 7, caps.BLOCK + 5, 3, 4, 5
+    p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out, act, 170)
+    sample = n_lower * n_upper * d_out * 8
+    assert n * sample <= caps.LAYER_BYTES
+    v_whole, st_whole = caps.capsule_layer_forward(Tensor(poses_np), p, 3,
+                                                   return_state=True)
+    seen = []
+    real_route = caps.dynamic_route
+
+    def spy(u_hat, *args):
+        seen.append(u_hat.shape[0])
+        return real_route(u_hat, *args)
+
+    monkeypatch.setattr(caps, "dynamic_route", spy)
+    monkeypatch.setattr(caps, "LAYER_BYTES", 3 * sample + 7)
+    v, state = caps.capsule_layer_forward(Tensor(poses_np), p, 3,
+                                          return_state=True)
+    assert seen == [3, 3, 1]
+    tol = 1e-12 * np.abs(v_whole.data).max()
+    np.testing.assert_allclose(v.data, v_whole.data, rtol=0, atol=tol)
+    assert state.b.shape == st_whole.b.shape == (n, n_lower, n_upper)
+    np.testing.assert_allclose(state.b, st_whole.b, rtol=0,
+                               atol=1e-12 * np.abs(st_whole.b).max())
+    assert len(state.c_history) == len(st_whole.c_history) == 3
+    for c, c_whole in zip(state.c_history, st_whole.c_history):
+        assert c.shape == (n, n_lower, n_upper) and c.flags.c_contiguous
+        np.testing.assert_allclose(c, c_whole, rtol=0, atol=1e-12)
+
+    seen.clear()
+    poses = Tensor(poses_np, requires_grad=True)
+    with ad.Graph() as g:
+        v_tracked = caps.capsule_layer_forward(poses, p, 3)
+        assert [node[0] for node in g.nodes] == ["capsule_transform",
+                                                 "dynamic_route"]
+    assert seen == [n]
+    np.testing.assert_allclose(v_tracked.data, v_whole.data, rtol=0,
+                               atol=tol)
+
+
+def test_streamed_layer_memory_bound(monkeypatch):
+    # graph-free, the layer holds one group's u_hat (the budget) and as
+    # much again for the transform's block buffer and routing's per-group
+    # couplings and log priors, never the whole batch's u_hat
+    import tracemalloc
+    n, n_lower, n_upper, d_in, d_out = 16, 8 * caps.BLOCK, 8, 4, 16
+    p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out,
+                                   "squash", 171)
+    poses = Tensor(poses_np)
+    sample = n_lower * n_upper * d_out * 8
+    budget = 3 * sample
+    monkeypatch.setattr(caps, "LAYER_BYTES", budget)
+    caps.capsule_layer_forward(poses, p, 3)  # warm numpy's own caches
+    tracemalloc.start()
+    try:
+        caps.capsule_layer_forward(poses, p, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * budget < n * sample / 2
 
 
 def test_capsule_layer_shape_errors():
