@@ -348,7 +348,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    """max(a, 0) in a's memory order; a NaN passes through."""
+    """max(a, 0) elementwise, in a's layout; a NaN passes through."""
     out = np.maximum(a.data, 0.0)
     # the mask is taken from the output, which a caller usually keeps, only
     # when the backward runs

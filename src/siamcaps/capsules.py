@@ -246,7 +246,7 @@ class PrimaryCapsuleParams:
 
 def primary_capsules_forward(features: Tensor,
                              params: PrimaryCapsuleParams) -> Tensor:
-    """Squashed primary-capsule poses [N, gh*gw*n_types, d] of features.
+    """Squashed poses [N, gh*gw*n_types, d] of features [N, H, W, C].
 
     One convolution computes every pose dimension of every capsule type.
     Capsules are ordered by grid row, grid column, then type, and capsule
@@ -254,19 +254,11 @@ def primary_capsules_forward(features: Tensor,
     dim*n_types + type at that grid position.  The grid size follows from
     the convolution; the capsule count and pose size are the result's shape.
     """
-    if features.data.ndim != 4:
-        raise ShapeError(f"features must be rank 4, got "
-                         f"{list(features.shape)}")
-    if features.shape[1] != params.in_ch:
-        raise ShapeError(f"primary capsules expect {params.in_ch} input "
-                         f"channels, got {features.shape[1]}")
     n, t, d = features.shape[0], params.n_types, params.d
-    # [N, d*n_types, gh, gw], channels-last in memory, so the reshape and
-    # the transpose are views and only the last reshape copies
-    m = conv2d_forward(features, params.conv)
-    grid_h, grid_w = m.shape[2], m.shape[3]
-    m = ad.transpose(ad.reshape(m, [n, d, t, grid_h, grid_w]),
-                     (0, 3, 4, 2, 1))  # [N, gh, gw, n_types, d]
+    m = conv2d_forward(features, params.conv)  # [N, gh, gw, d*n_types]
+    grid_h, grid_w = m.shape[1], m.shape[2]
+    m = ad.transpose(ad.reshape(m, [n, grid_h, grid_w, d, t]),
+                     (0, 1, 2, 4, 3))  # [N, gh, gw, n_types, d]
     return squash(ad.reshape(m, [n, grid_h * grid_w * t, d]), axis=2)
 
 
@@ -317,8 +309,9 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
     u_hat nor W is copied.
 
     A graph-free pass runs transform and routing over groups of g samples
-    whose u_hat fits LAYER_BYTES, reusing one u_hat buffer, so the whole
-    batch's u_hat never exists at once; each group writes its rows of v.
+    whose u_hat fits LAYER_BYTES, reusing one u_hat buffer and one block
+    buffer, so the whole batch's u_hat never exists at once; each group
+    writes its rows of v and drops its routing state.
     Nothing mixes samples, so the groups compute the rows the whole batch
     would (bit for bit from two samples a group up; a one-sample GEMM may
     round differently).  A tracked pass is one group of the whole batch:
@@ -363,10 +356,11 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
         return gu, gw
 
     vs, states = [], []
+    buf = np.empty((lc, groups[0][1], n_upper * d_out))  # one GEMM block
     for s0, s1 in groups:
-        uh_g, buf = uh[:s1 - s0], np.empty((lc, s1 - s0, n_upper * d_out))
+        uh_g, blk = uh[:s1 - s0], buf[:, :s1 - s0]
         for lo, hi in blocks:
-            prod = np.matmul(u_t[lo:hi, s0:s1], w_m[lo:hi], out=buf[:hi - lo])
+            prod = np.matmul(u_t[lo:hi, s0:s1], w_m[lo:hi], out=blk[:hi - lo])
             uh_g[:, :, lo:hi] = prod.reshape(hi - lo, s1 - s0, n_upper,
                                              d_out).transpose(1, 2, 0, 3)
         u_hat = ad._emit("capsule_transform", uh_g.transpose(0, 2, 1, 3),
@@ -375,6 +369,7 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
         vs.append(v)
         if return_state:
             states += state.groups
+        del u_hat, state
     v = vs[0] if len(vs) == 1 else Tensor(np.concatenate([v.data for v in vs]))
     if return_state:
         return v, RoutingState(states)

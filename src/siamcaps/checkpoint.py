@@ -38,12 +38,24 @@ class CheckpointError(ValueError):
 
 
 def encode_tensors(entries: list) -> bytes:
-    """Serialize [(name, array)] pairs to checkpoint bytes.
+    """Serialize [(name, array)] pairs to checkpoint bytes."""
+    buf = io.BytesIO()
+    _write_tensors(buf, entries)
+    return buf.getvalue()
 
-    Array data goes into the one output buffer straight from the arrays
-    (views, not copies), so encoding holds the checkpoint in memory once.
-    """
-    payload = [struct.pack("<HI", VERSION, len(entries))]
+
+def _write_tensors(fh, entries: list) -> None:
+    """Write [(name, array)] pairs to a binary file as checkpoint bytes, a
+    piece at a time under a running crc, each array from its own memory."""
+    crc = 0
+
+    def put(piece) -> None:
+        nonlocal crc
+        fh.write(piece)
+        crc = zlib.crc32(piece, crc)
+
+    fh.write(MAGIC)
+    put(struct.pack("<HI", VERSION, len(entries)))
     for name, arr in entries:
         arr = np.ascontiguousarray(arr, dtype="<f8")
         nb = name.encode("utf-8")
@@ -51,15 +63,10 @@ def encode_tensors(entries: list) -> bytes:
             raise CheckpointError(f"tensor name too long: {name[:32]!r}...")
         if arr.ndim > 0xFF:
             raise CheckpointError(f"tensor rank {arr.ndim} too large")
-        payload.append(struct.pack("<H", len(nb)))
-        payload.append(nb)
-        payload.append(struct.pack("<B", arr.ndim))
-        payload.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        payload.append(arr)
-    crc = 0
-    for piece in payload:
-        crc = zlib.crc32(piece, crc)
-    return b"".join([MAGIC, *payload, struct.pack("<I", crc)])
+        put(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim,
+                        *arr.shape))
+        put(arr)
+    fh.write(struct.pack("<I", crc))
 
 
 def decode_tensors(raw: bytes) -> list:
@@ -117,7 +124,7 @@ def _read_tensors(fh) -> list:
 def save_checkpoint(encoder, optim_state, path: str) -> None:
     """Write model parameters, batchnorm buffers, and optimizer moments.
 
-    The bytes go to path + ".tmp" in the same directory, which then
+    The bytes stream to path + ".tmp" in the same directory, which then
     replaces path in one rename, so a failed save leaves the previous file
     intact and no temp file behind.  No fsync: power loss is out of scope.
     """
@@ -133,7 +140,7 @@ def save_checkpoint(encoder, optim_state, path: str) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(encode_tensors(entries))
+            _write_tensors(fh, entries)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

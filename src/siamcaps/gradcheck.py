@@ -30,6 +30,7 @@ def _check_conv(seed):
     rng = SplitMix64(seed)
     p = conv2d_init(2, 3, ksize=3, stride=2, seed=seed + 1)
     x = _rand(rng, 2, 2, 7, 7)
+    x.data = x.data.transpose(0, 2, 3, 1).copy()  # the draw as [N, H, W, C]
 
     def f(x_, k_, b_):
         p.kernel, p.bias = k_, b_
@@ -42,6 +43,7 @@ def _check_batchnorm(seed):
     rng = SplitMix64(seed)
     p = BatchNormParams(3)
     x = _rand(rng, 4, 3, 2, 2)
+    x.data = x.data.transpose(0, 2, 3, 1).copy()  # the draw as [N, H, W, C]
 
     def f(x_, g_, b_):
         p.gamma, p.beta = g_, b_

@@ -1,12 +1,10 @@
 """Convolution, batch normalization, dense layers, and initialization.
 
 Layers are parameter containers plus pure forward functions on the autodiff
-tape.  Feature maps are [N, C, H, W] logically and channels-last
-([N, H, W, C]) in memory: a convolution writes its output that way, and
-batchnorm and relu keep the layout, so from conv1's output to the primary
-capsules' input every map is channels-last.  Kernels are stored
-[O, kh, kw, C], so a patch of a channels-last input is kh runs of kw*C
-contiguous elements and the kernel is an [O, kh*kw*C] matrix as it lies.
+tape.  Feature maps are [N, H, W, C] tensors, and a convolution or
+batchnorm returns a C-contiguous one.  Kernels are stored [O, kh, kw, C],
+so a patch of a C-contiguous input is kh runs of kw*C contiguous elements
+and the kernel is an [O, kh*kw*C] matrix as it lies.
 
 Convolution has two forwards.  A convolution that makes a tape node (any
 of x, kernel or bias tracked: every training step) runs im2col and GEMM
@@ -20,7 +18,7 @@ it; PATCH_BYTES is still set where only the full-size primary capsules
 split into groups.  The vjp gathers each group's patches again into a
 buffer of its own and runs two GEMMs per group: the kernel gradient, which
 lands in the kernel's storage order, and, for a tracked input, the patch
-cotangent.  That is folded back into a channels-last buffer with one add
+cotangent.  That is folded back into an [N, H, W, C] buffer with one add
 per s x s block of kernel offsets, ceil(k/s)^2 adds in all, and copied out
 once in the input's own memory order.
 
@@ -44,7 +42,7 @@ forward.
 Convolutions are unpadded: an output pixel reads only input pixels.
 
 Batch normalization (Ioffe & Szegedy 2015) is one tape node over the
-[N*H*W, C] view of its input, with the closed-form vjp.  The naive
+[N*H*W, C] reshape of its input, with the closed-form vjp.  The naive
 references that convolution must match (within 1e-10), and the chain of
 tape primitives that batch normalization must match (within 1e-12), live
 in the test suite."""
@@ -82,6 +80,9 @@ GEMM_ROWS = 1024
 # primary capsules) 184 against 317.  8,192 sits above every desk-scale
 # convolution and conv1 and below the full-size primary capsules
 WINOGRAD_K = 8192
+# batchnorm's running-statistics momentum and variance epsilon, every run's
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 # Winograd F(4x4, 3x3) at the points 0, +-1, +-2 and infinity (Lavin & Gray
 # 2016): a 4x4 output tile is AT [(G g G^T) * (BT d BT^T)] AT^T for a 6x6
@@ -160,14 +161,14 @@ def byte_chunks(n: int, item_bytes: int, budget: int) -> list:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)] or [(0, 0)]
 
 
-def _conv_cols(xt: np.ndarray, kh: int, kw: int, stride: int,
+def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int,
                ho: int, wo: int) -> np.ndarray:
     """6-d view (N, Ho, Wo, kh, kw, C) of the patches of an [N, H, W, C]
     input; no copy."""
-    sn, sh, sw, sc = xt.strides
-    shape = (xt.shape[0], ho, wo, kh, kw, xt.shape[3])
+    sn, sh, sw, sc = x.strides
+    shape = (x.shape[0], ho, wo, kh, kw, x.shape[3])
     strides = (sn, sh * stride, sw * stride, sh, sw, sc)
-    return np.lib.stride_tricks.as_strided(xt, shape, strides, writeable=False)
+    return np.lib.stride_tricks.as_strided(x, shape, strides, writeable=False)
 
 
 def _gather(cols: np.ndarray, lo: int, hi: int,
@@ -180,20 +181,20 @@ def _gather(cols: np.ndarray, lo: int, hi: int,
     return rows
 
 
-def _winograd_forward(xt: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+def _winograd_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                       s: int, ho: int, wo: int) -> np.ndarray:
-    """The [N*Ho*Wo, O] convolution, plus bias, of a channels-last input xt
+    """The C-contiguous [N, Ho, Wo, O] convolution, plus bias, of an input x
     [N, H, W, C] with an [O, 3s, 3s, C] kernel at stride s, by Winograd
     F(4x4, 3x3).
 
     Kernel offset u = s*a + r reads input row s*(i + a) + r for output row
     i, so the convolution is a 3x3 stride-1 one over the s x s
-    space-to-depth of xt, with C' = s*s*C channels.  Each block of input
+    space-to-depth of x, with C' = s*s*C channels.  Each block of input
     channels gathers its 6x6 input tiles and its kernel taps, transforms
     both, and adds the 36 GEMMs [tiles, C'_blk] @ [C'_blk, O] into one
     [36, tiles, O] accumulator.
     """
-    n, h, w, c = xt.shape
+    n, h, w, c = x.shape
     o = kernel.shape[0]
     th, tw = -(-ho // 4), -(-wo // 4)  # 4x4 output tiles per column, row
     tiles = n * th * tw
@@ -202,12 +203,12 @@ def _winograd_forward(xt: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     eh = max(0, s * (4 * th + 2) - h)
     ew = max(0, s * (4 * tw + 2) - w)
     if eh or ew:
-        xt = np.pad(xt, ((0, 0), (0, eh), (0, ew), (0, 0)))
-    sn, sh, sw, sc = xt.strides
+        x = np.pad(x, ((0, 0), (0, eh), (0, ew), (0, 0)))
+    sn, sh, sw, sc = x.strides
     # tile[pi, pj, n, ti, tj, r, q, c]
-    #     = xt[n, s*(4*ti + pi) + r, s*(4*tj + pj) + q, c]
+    #     = x[n, s*(4*ti + pi) + r, s*(4*tj + pj) + q, c]
     tile = np.lib.stride_tricks.as_strided(
-        xt, (6, 6, n, th, tw, s, s, c),
+        x, (6, 6, n, th, tw, s, s, c),
         (s * sh, s * sw, sn, 4 * s * sh, 4 * s * sw, sh, sw, sc),
         writeable=False)
     # the accumulator and one block's product are fixed; each input channel
@@ -249,14 +250,15 @@ def _winograd_forward(xt: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
             dst = out[:, i::4, j::4]
             np.add(y[4 * i + j, :, :dst.shape[1], :dst.shape[2]], bias,
                    out=dst)
-    return out.reshape(-1, o)
+    return out
 
 
 def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
+    """The convolution [N, Ho, Wo, O], C-contiguous, of x [N, H, W, C]."""
     if x.data.ndim != 4:
-        raise ShapeError(f"conv2d input must be rank 4 [N,C,H,W], got "
+        raise ShapeError(f"conv2d input must be rank 4 [N,H,W,C], got "
                          f"{list(x.shape)}")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     o, kh, kw, ck = p.kernel.shape
     if c != ck:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {ck}")
@@ -267,15 +269,12 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
     ho = (h - kh) // s + 1
     wo = (w - kw) // s + 1
 
-    # a view of a channels-last input, which every encoder conv past conv1
-    # reads; conv1's [N, 1, H, W] images are channels-last as they lie
-    xt = x.data.transpose(0, 2, 3, 1)
     if (kh == 3 * s and kh * kw * c >= WINOGRAD_K
             and not any(ad.tracked(t) for t in (x, p.kernel, p.bias))):
         # graph-free: no vjp will read the patches, so no tape node
-        out = _winograd_forward(xt, p.kernel.data, p.bias.data, s, ho, wo)
-        return Tensor(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
-    cols = _conv_cols(xt, kh, kw, s, ho, wo)
+        return Tensor(_winograd_forward(x.data, p.kernel.data, p.bias.data,
+                                        s, ho, wo))
+    cols = _conv_cols(x.data, kh, kw, s, ho, wo)
     hw = ho * wo
     groups = byte_chunks(n, cols[:1].nbytes, PATCH_BYTES)
     group_rows = (groups[0][1] - groups[0][0]) * hw
@@ -298,7 +297,7 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
     need_gx = ad.tracked(x)
 
     def vjp(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, o)
+        g2 = g.reshape(-1, o)
         gb = g2.sum(axis=0)
         gk = np.empty_like(kmat)
         # gx, returned in the input's own memory order, is allocated before
@@ -333,33 +332,28 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
         del patches
         if not need_gx:
             return (None, gk.reshape(kshape), gb)
-        gxt = gx6.reshape(n, s * (ho + ka), s * (wo + ka), c)
         # the reductions of the layers below sum in memory order, so the
         # input's layout keeps their gradients independent of how gx was
         # accumulated
-        gx[...] = gxt[:, :h, :w].transpose(0, 3, 1, 2)
+        gx[...] = gx6.reshape(n, s * (ho + ka), s * (wo + ka), c)[:, :h, :w]
         return (gx, gk.reshape(kshape), gb)
 
-    return ad._emit("conv2d", out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2),
+    return ad._emit("conv2d", out.reshape(n, ho, wo, o),
                     [x, p.kernel, p.bias], vjp)
 
 
 class BatchNormParams:
     """Per-channel affine normalization with running statistics.
 
-    Running stats live outside the graph (plain arrays) and use the biased
-    batch variance, matching the normalization itself.
+    Running stats live outside the graph (plain arrays), move by
+    BN_MOMENTUM and use the biased batch variance, as the normalization does.
     """
 
-    def __init__(self, ch: int, momentum: float = 0.1, eps: float = 1e-5):
-        if eps <= 0:
-            raise ValueError("epsilon must be positive")
+    def __init__(self, ch: int):
         self.gamma = ad.ones([ch], requires_grad=True)
         self.beta = ad.zeros([ch], requires_grad=True)
         self.running_mean = np.zeros(ch)
         self.running_var = np.ones(ch)
-        self.momentum = momentum
-        self.eps = eps
 
     @property
     def channels(self) -> int:
@@ -374,12 +368,11 @@ class BatchNormParams:
 
 
 def batchnorm_forward(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
-    """gamma * (x - mean) / sqrt(var + eps) + beta per channel of x
-    [N, C, ...], as one tape node.
+    """gamma * (x - mean) / sqrt(var + BN_EPS) + beta per channel of x
+    [..., C], as one tape node.
 
-    It works on the [M, C] view of x with the channel axis moved last (M
-    rows, one per image and position): a view of a channels-last input, one
-    copy otherwise.  The output is channels-last.  Training normalizes with
+    It works on the [M, C] reshape of x (M rows, one per image and
+    position): a view of a C-contiguous input.  Training normalizes with
     the batch mean and biased variance and folds them into the running
     statistics in place; eval normalizes with the running statistics, in
     place on the one output array.  The vjp is the closed form
@@ -390,11 +383,10 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
     if x.data.ndim < 2:
         raise ShapeError(f"batchnorm input must be rank >= 2, got "
                          f"{list(x.shape)}")
-    if x.shape[1] != p.channels:
-        raise ShapeError(f"batchnorm: input has {x.shape[1]} channels, "
+    if x.shape[-1] != p.channels:
+        raise ShapeError(f"batchnorm: input has {x.shape[-1]} channels, "
                          f"params have {p.channels}")
-    moved = np.moveaxis(x.data, 1, -1)
-    x2 = moved.reshape(-1, p.channels)
+    x2 = x.data.reshape(-1, p.channels)
     gamma = p.gamma.data
     if training:
         if x.shape[0] < 2:
@@ -402,24 +394,23 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
         mu = x2.mean(axis=0)
         xhat = x2 - mu
         var = np.einsum("mc,mc->c", xhat, xhat) / len(x2)
-        inv = 1.0 / np.sqrt(var + p.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv
         out = xhat * gamma
         # in place, so the arrays named_buffers hands out stay the live ones
-        m = p.momentum
         for run, batch in ((p.running_mean, mu), (p.running_var, var)):
-            run *= 1 - m
-            run += m * batch
+            run *= 1 - BN_MOMENTUM
+            run += BN_MOMENTUM * batch
     else:
         shift = p.running_mean.copy()
-        inv = 1.0 / np.sqrt(p.running_var + p.eps)
+        inv = 1.0 / np.sqrt(p.running_var + BN_EPS)
         out = x2 - shift
         out *= inv
         out *= gamma
     out += p.beta.data
 
     def vjp(g):
-        gy = np.moveaxis(g, 1, -1).reshape(x2.shape)
+        gy = g.reshape(x2.shape)
         xh = xhat if training else (x2 - shift) * inv
         g_gamma = np.einsum("mc,mc->c", gy, xh)
         g_beta = gy.sum(axis=0)
@@ -431,10 +422,10 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
             gx *= gamma * inv
         else:
             gx = gy * (gamma * inv)
-        return (np.moveaxis(gx.reshape(moved.shape), -1, 1), g_gamma, g_beta)
+        return (gx.reshape(x.shape), g_gamma, g_beta)
 
-    return ad._emit("batchnorm", np.moveaxis(out.reshape(moved.shape), -1, 1),
-                    [x, p.gamma, p.beta], vjp)
+    return ad._emit("batchnorm", out.reshape(x.shape), [x, p.gamma, p.beta],
+                    vjp)
 
 
 class DenseParams:

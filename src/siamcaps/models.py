@@ -35,11 +35,13 @@ def _conv_out(size: int, k: int, stride: int) -> int:
     return (size - k) // stride + 1
 
 
-def _check_images(images: Tensor, size: int) -> None:
+def _image_map(images: Tensor, size: int) -> Tensor:
+    """[N,1,S,S] images viewed as the [N,S,S,1] map the layers take."""
     if images.data.ndim != 4 or images.shape[1] != 1 or \
             images.shape[2] != size or images.shape[3] != size:
         raise ShapeError(f"encoder expects [N,1,{size},{size}] images, got "
                          f"{list(images.shape)}")
+    return Tensor(images.data.reshape(images.shape[0], size, size, 1))
 
 
 def _conv_bn_relu(x: Tensor, conv: Conv2dParams, bn: BatchNormParams,
@@ -128,9 +130,9 @@ class ScnEncoder:
 
     def encode(self, images: Tensor, training: bool,
                rng: Optional[SplitMix64] = None) -> Tensor:
-        _check_images(images, self.input_size)
         n = images.shape[0]
-        x = _conv_bn_relu(images, self.conv1, self.bn1, training)
+        x = _conv_bn_relu(_image_map(images, self.input_size), self.conv1,
+                          self.bn1, training)
         poses = primary_capsules_forward(x, self.primary)
         # the relu output (63 MB at 32 full-size images) is not held through
         # the transform and routing; a training tape still keeps it
@@ -198,10 +200,11 @@ class StandardEncoder:
 
     def encode(self, images: Tensor, training: bool,
                rng: Optional[SplitMix64] = None) -> Tensor:
-        _check_images(images, self.input_size)
-        x = _conv_bn_relu(images, self.conv1, self.bn1, training)
+        x = _conv_bn_relu(_image_map(images, self.input_size), self.conv1,
+                          self.bn1, training)
         x = _conv_bn_relu(x, self.conv2, self.bn2, training)
-        flat = ad.reshape(x, [images.shape[0], self.flat_dim])
+        flat = ad.reshape(ad.transpose(x, (0, 3, 1, 2)),  # fc's row order
+                          [images.shape[0], self.flat_dim])
         out = dense_forward(flat, self.fc)
         return ad.l2norm(out, axis=1, eps=1e-18)
 

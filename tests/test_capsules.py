@@ -408,13 +408,13 @@ def test_primary_zero_features_zero_poses():
                                   seed=2)
     # zero bias already; zero input then maps to zero
     p.conv.bias.data[:] = 0.0
-    poses = caps.primary_capsules_forward(Tensor(np.zeros((1, 4, 5, 5))), p)
+    poses = caps.primary_capsules_forward(Tensor(np.zeros((1, 5, 5, 4))), p)
     assert np.all(poses.data == 0.0)
 
 
 def test_primary_grid_shape_full_width():
     p = caps.PrimaryCapsuleParams(in_ch=256, n_types=32, d=8, seed=3)
-    poses = caps.primary_capsules_forward(Tensor(np.zeros((1, 256, 31, 31))),
+    poses = caps.primary_capsules_forward(Tensor(np.zeros((1, 31, 31, 256))),
                                           p)
     assert poses.shape == (1, 8 * 8 * 32, 8) == (1, 2048, 8)
 
@@ -422,7 +422,7 @@ def test_primary_grid_shape_full_width():
 def test_primary_reduced_width_shape():
     p = caps.PrimaryCapsuleParams(in_ch=32, n_types=8, d=8, seed=4)
     poses = caps.primary_capsules_forward(
-        Tensor(SplitMix64(5).uniform(32 * 31 * 31).reshape(1, 32, 31, 31)), p)
+        Tensor(SplitMix64(5).uniform(32 * 31 * 31).reshape(1, 31, 31, 32)), p)
     assert poses.shape == (1, 8 * 8 * 8, 8)
     norms = np.linalg.norm(poses.data, axis=2)
     assert np.all(norms < 1.0)  # squash applied per pose
@@ -431,7 +431,7 @@ def test_primary_reduced_width_shape():
 def test_primary_channel_mismatch_error():
     p = caps.PrimaryCapsuleParams(in_ch=8, n_types=2, d=2, ksize=3, seed=6)
     with pytest.raises(ShapeError, match="channels"):
-        caps.primary_capsules_forward(Tensor(np.zeros((1, 4, 9, 9))), p)
+        caps.primary_capsules_forward(Tensor(np.zeros((1, 9, 9, 4))), p)
 
 
 def test_primary_pose_stacking_order():
@@ -443,7 +443,7 @@ def test_primary_pose_stacking_order():
     for dim in range(3):
         p.conv.bias.data[2 * dim:2 * dim + 2] = [10.0 * dim + 1.0,
                                                  10.0 * dim + 2.0]
-    poses = caps.primary_capsules_forward(Tensor(np.zeros((1, 1, 2, 2))), p)
+    poses = caps.primary_capsules_forward(Tensor(np.zeros((1, 2, 2, 1))), p)
     # undo squash by checking direction ratios instead of magnitudes
     pose_type0 = poses.data[0, 0]  # (h=0,w=0,type=0)
     pose_type1 = poses.data[0, 1]  # (h=0,w=0,type=1)
@@ -459,16 +459,17 @@ def test_primary_matches_per_dimension_convolutions():
     p = caps.PrimaryCapsuleParams(in_ch=in_ch, n_types=t, d=d, ksize=3,
                                   stride=2, seed=11)
     p.conv.bias.data[:] = SplitMix64(12).uniform(d * t, -0.5, 0.5)
-    x = Tensor(SplitMix64(13).uniform(n * in_ch * 9 * 9, -1.0, 1.0)
-               .reshape(n, in_ch, 9, 9))
+    x = Tensor(np.ascontiguousarray(
+        SplitMix64(13).uniform(n * in_ch * 9 * 9, -1.0, 1.0)
+        .reshape(n, in_ch, 9, 9).transpose(0, 2, 3, 1)))
     poses = caps.primary_capsules_forward(x, p)
     planes = []
     for dim in range(d):
         block = slice(dim * t, (dim + 1) * t)
         conv = Conv2dParams(Tensor(p.conv.kernel.data[block]),
                             Tensor(p.conv.bias.data[block]), stride=2)
-        m = conv2d_forward(x, conv).data  # [N, t, gh, gw]
-        planes.append(m.transpose(0, 2, 3, 1).reshape(n, -1))
+        m = conv2d_forward(x, conv).data  # [N, gh, gw, t]
+        planes.append(m.reshape(n, -1))
     want = caps.squash(Tensor(np.stack(planes, axis=2)), axis=2).data
     assert want.shape == (n, 4 * 4 * t, d)
     np.testing.assert_allclose(poses.data, want, rtol=0, atol=1e-10)
@@ -478,8 +479,9 @@ def test_primary_grad_check_input_kernel_bias():
     p = caps.PrimaryCapsuleParams(in_ch=2, n_types=2, d=3, ksize=3, stride=2,
                                   seed=14)
     p.conv.bias.data[:] = SplitMix64(15).uniform(6, -0.5, 0.5)
-    x = Tensor(SplitMix64(16).uniform(2 * 7 * 7, -1.0, 1.0)
-               .reshape(1, 2, 7, 7))
+    x = Tensor(np.ascontiguousarray(
+        SplitMix64(16).uniform(2 * 7 * 7, -1.0, 1.0)
+        .reshape(1, 2, 7, 7).transpose(0, 2, 3, 1)))
     weights = Tensor(SplitMix64(17).uniform(3 * 3 * 2 * 3, -1.0, 1.0)
                      .reshape(1, 18, 3))
 
@@ -715,9 +717,9 @@ def test_streamed_layer_equals_whole_batch(act, monkeypatch):
 
 
 def test_streamed_layer_memory_bound(monkeypatch):
-    # graph-free, the layer holds one group's u_hat (the budget) and as
-    # much again for the transform's block buffer and routing's per-group
-    # couplings and log priors, never the whole batch's u_hat
+    # graph-free, the layer holds one group's u_hat (the budget), one
+    # transform block buffer and one group's couplings and log priors,
+    # never the whole batch's u_hat
     import tracemalloc
     n, n_lower, n_upper, d_in, d_out = 16, 8 * caps.BLOCK, 8, 4, 16
     p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out,
@@ -733,7 +735,7 @@ def test_streamed_layer_memory_bound(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * budget < n * sample / 2
+    assert peak <= 1.7 * budget < n * sample / 2
 
 
 def test_capsule_layer_shape_errors():

@@ -156,6 +156,24 @@ def test_encoder_state_round_trip(tmp_path):
     assert out1.tobytes() == out2.tobytes()
 
 
+def test_saved_file_is_the_encoded_bytes(tmp_path):
+    # save streams the header pieces and the array data to the file: they
+    # are the bytes encode_tensors lays out for the same entries
+    images = SplitMix64(7).uniform(2 * TINY["input_size"] ** 2).reshape(
+        2, 1, TINY["input_size"], TINY["input_size"])
+    enc = ScnEncoder(seed=3, **TINY)
+    state = OptimState()
+    _train_one_step(enc, state, images)
+    path = str(tmp_path / "model.ckpt")
+    ckpt.save_checkpoint(enc, state, path)
+    entries = list(ckpt.load_checkpoint(path).items())
+    names = ["model/" + n for n, _ in enc.named_parameters()]
+    assert [n for n, _ in entries[:len(names)]] == names
+    assert "optim/t" in dict(entries)
+    with open(path, "rb") as fh:
+        assert fh.read() == ckpt.encode_tensors(entries)
+
+
 def test_restore_shape_mismatch_names_tensor(tmp_path):
     enc = ScnEncoder(seed=3, **TINY)
     path = str(tmp_path / "model.ckpt")
@@ -266,9 +284,11 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     _train_one_step(enc, state, images)  # the next save would differ
 
     def boom(*args, **kwargs):
+        if hasattr(args[0], "write"):  # the temp file: fail partway
+            args[0].write(ckpt.MAGIC)
         raise OSError("disk full")
 
-    for target, name in ((ckpt, "encode_tensors"), (ckpt.os, "replace")):
+    for target, name in ((ckpt, "_write_tensors"), (ckpt.os, "replace")):
         with monkeypatch.context() as m:
             m.setattr(target, name, boom)
             with pytest.raises(OSError, match="disk full"):

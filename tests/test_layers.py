@@ -77,6 +77,16 @@ def naive_conv2d_kernel_vjp(g, x, kshape, stride):
     return gk
 
 
+def nhwc(a):
+    """An [N, C, H, W] array as a C-contiguous [N, H, W, C] feature map."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def nchw(a):
+    """An [N, H, W, C] array viewed as the references' [N, C, H, W]."""
+    return a.transpose(0, 3, 1, 2)
+
+
 def conv_grid():
     """(h, kh, stride) over sizes, kernels and strides, skipping kernels
     that do not fit."""
@@ -98,21 +108,21 @@ def make_conv(in_ch, out_ch, ksize, stride, seed):
 
 def test_conv_output_size_100_to_31():
     p = make_conv(1, 2, 9, 3, 1)
-    x = Tensor(SplitMix64(2).uniform(100 * 100).reshape(1, 1, 100, 100))
-    assert layers.conv2d_forward(x, p).shape == (1, 2, 31, 31)
+    x = Tensor(SplitMix64(2).uniform(100 * 100).reshape(1, 100, 100, 1))
+    assert layers.conv2d_forward(x, p).shape == (1, 31, 31, 2)
 
 
 def test_conv_1x1_identity():
     p = layers.Conv2dParams(Tensor(np.ones((1, 1, 1, 1))),
                             Tensor(np.zeros(1)), 1)
-    x = Tensor(SplitMix64(3).uniform(25).reshape(1, 1, 5, 5))
+    x = Tensor(SplitMix64(3).uniform(25).reshape(1, 5, 5, 1))
     np.testing.assert_array_equal(layers.conv2d_forward(x, p).data, x.data)
 
 
 def test_conv_3x3_ones_sums_to_nine():
     p = layers.Conv2dParams(Tensor(np.ones((1, 3, 3, 1))),
                             Tensor(np.zeros(1)), 1)
-    x = Tensor(np.ones((1, 1, 3, 3)))
+    x = Tensor(np.ones((1, 3, 3, 1)))
     out = layers.conv2d_forward(x, p)
     assert out.shape == (1, 1, 1, 1)
     assert out.data.reshape(-1)[0] == 9.0
@@ -121,23 +131,21 @@ def test_conv_3x3_ones_sums_to_nine():
 def test_conv_matches_scalar_reference():
     for stride in (1, 2, 3):
         p = make_conv(2, 3, 3, stride, 10 + stride)
-        x = Tensor(SplitMix64(20 + stride).uniform(2 * 2 * 8 * 9, -1, 1)
-                   .reshape(2, 2, 8, 9))
-        got = layers.conv2d_forward(x, p).data
-        want = naive_conv2d_scalar(x.data, p.kernel.data, p.bias.data,
-                                   stride)
-        assert np.abs(got - want).max() < 1e-10
+        x = (SplitMix64(20 + stride).uniform(2 * 2 * 8 * 9, -1, 1)
+             .reshape(2, 2, 8, 9))
+        got = layers.conv2d_forward(Tensor(nhwc(x)), p).data
+        want = naive_conv2d_scalar(x, p.kernel.data, p.bias.data, stride)
+        assert np.abs(nchw(got) - want).max() < 1e-10
 
 
 def test_conv_grid_sweep_matches_patch_reference():
     checked = 0
     for h, kh, stride in conv_grid():
         p = make_conv(2, 3, kh, stride, 100 + checked)
-        x = Tensor(SplitMix64(200 + checked).uniform(2 * 2 * h * h, -1, 1)
-                   .reshape(2, 2, h, h))
-        got = layers.conv2d_forward(x, p).data
-        want = naive_conv2d_patch(x.data, p.kernel.data, p.bias.data,
-                                  stride)
+        x = (SplitMix64(200 + checked).uniform(2 * 2 * h * h, -1, 1)
+             .reshape(2, 2, h, h))
+        got = nchw(layers.conv2d_forward(Tensor(nhwc(x)), p).data)
+        want = naive_conv2d_patch(x, p.kernel.data, p.bias.data, stride)
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-10, (h, kh, stride)
         checked += 1
@@ -149,24 +157,26 @@ def test_conv_input_cotangent_matches_patch_reference():
     checked = zero_tails = 0
     for h, kh, stride in conv_grid() + [(31, 9, 3)]:
         p = make_conv(2, 3, kh, stride, 300 + checked)
-        x = Tensor(SplitMix64(400 + checked).uniform(2 * 2 * h * h, -1, 1)
-                   .reshape(2, 2, h, h), requires_grad=True)
+        x = (SplitMix64(400 + checked).uniform(2 * 2 * h * h, -1, 1)
+             .reshape(2, 2, h, h))
+        xt = Tensor(nhwc(x), requires_grad=True)
         with ad.Graph() as graph:
-            out = layers.conv2d_forward(x, p)
+            out = layers.conv2d_forward(xt, p)
             vjp = graph.nodes[-1][3]
-        n, o, ho, wo = out.shape
-        # a strided cotangent: an [Ho, N, Wo, O] array seen as [N, O, Ho, Wo]
+        n, ho, wo, o = out.shape
+        # a strided cotangent: an [Ho, N, Wo, O] array seen as [N, Ho, Wo, O]
         g = (SplitMix64(500 + checked).uniform(out.size, -1, 1)
-             .reshape(ho, n, wo, o).transpose(1, 3, 0, 2))
-        want = naive_conv2d_input_vjp(g, p.kernel.data, x.shape, stride)
+             .reshape(ho, n, wo, o).transpose(1, 0, 2, 3))
+        want = naive_conv2d_input_vjp(nchw(g), p.kernel.data, x.shape,
+                                      stride)
         # input rows and columns past the last window get exact zeros
         tail = (ho - 1) * stride + kh
         for gg in (g, np.ascontiguousarray(g)):
             gx = vjp(gg)[0]
-            assert gx.shape == x.shape
-            assert np.abs(gx - want).max() < 1e-10, (h, kh, stride)
+            assert gx.shape == xt.shape
+            assert np.abs(nchw(gx) - want).max() < 1e-10, (h, kh, stride)
+            assert not gx[:, tail:, :, :].any()
             assert not gx[:, :, tail:, :].any()
-            assert not gx[:, :, :, tail:].any()
         zero_tails += tail < h
         checked += 1
     assert checked > 100
@@ -174,13 +184,14 @@ def test_conv_input_cotangent_matches_patch_reference():
 
 
 def test_conv_input_cotangent_keeps_input_memory_order():
-    # a conv's output is [C, N, H, W] in memory, and the batchnorm below the
-    # next conv reduces in memory order: handing gx back in x's own layout
-    # keeps those gradients bitwise independent of how gx is accumulated
+    # the layers below a conv reduce their cotangents in memory order, so
+    # handing gx back in x's own layout keeps their gradients bitwise
+    # independent of how gx is accumulated: for a C-contiguous [N, H, W, C]
+    # map, as a relu hands on, and for a view of [C, N, H, W] memory
     p = make_conv(4, 3, 3, 2, 12)
     base = SplitMix64(13).uniform(4 * 2 * 9 * 9, -1, 1).reshape(4, 2, 9, 9)
-    for data in (base.transpose(1, 0, 2, 3),
-                 np.ascontiguousarray(base.transpose(1, 0, 2, 3))):
+    for data in (base.transpose(1, 2, 3, 0),
+                 np.ascontiguousarray(base.transpose(1, 2, 3, 0))):
         x = Tensor(data, requires_grad=True)
         with ad.Graph() as graph:
             out = layers.conv2d_forward(x, p)
@@ -192,13 +203,13 @@ def test_conv_input_cotangent_keeps_input_memory_order():
 def test_conv_rejects_oversized_kernel():
     p = make_conv(1, 1, 5, 1, 4)
     with pytest.raises(ShapeError, match="does not fit"):
-        layers.conv2d_forward(Tensor(np.ones((1, 1, 3, 3))), p)
+        layers.conv2d_forward(Tensor(np.ones((1, 3, 3, 1))), p)
 
 
 def test_conv_rejects_channel_mismatch():
     p = make_conv(3, 2, 3, 1, 5)
     with pytest.raises(ShapeError, match="channels"):
-        layers.conv2d_forward(Tensor(np.ones((1, 2, 5, 5))), p)
+        layers.conv2d_forward(Tensor(np.ones((1, 5, 5, 2))), p)
 
 
 def test_conv_rejects_rectangular_kernel():
@@ -209,7 +220,8 @@ def test_conv_rejects_rectangular_kernel():
 
 def test_conv_grad_check():
     p = make_conv(2, 3, 3, 2, 6)
-    x = Tensor(SplitMix64(7).uniform(2 * 2 * 6 * 6, -1, 1).reshape(2, 2, 6, 6))
+    x = Tensor(nhwc(SplitMix64(7).uniform(2 * 2 * 6 * 6, -1, 1)
+                    .reshape(2, 2, 6, 6)))
 
     def f(x, k, b):
         q = layers.Conv2dParams(k, b, 2)
@@ -222,8 +234,9 @@ def test_conv_grad_check():
 def test_conv_constant_input_gets_no_cotangent():
     # raw images are graph constants: the vjp returns no input cotangent,
     # and the kernel and bias gradients are those of a tracked input
-    x_np = SplitMix64(9).uniform(2 * 2 * 7 * 7, -1, 1).reshape(2, 2, 7, 7)
-    g = SplitMix64(10).uniform(2 * 3 * 3 * 3, -1, 1).reshape(2, 3, 3, 3)
+    x_np = nhwc(SplitMix64(9).uniform(2 * 2 * 7 * 7, -1, 1)
+                .reshape(2, 2, 7, 7))
+    g = nhwc(SplitMix64(10).uniform(2 * 3 * 3 * 3, -1, 1).reshape(2, 3, 3, 3))
 
     def cotangents(tracked):
         p = make_conv(2, 3, 3, 2, 11)
@@ -243,20 +256,18 @@ def test_conv_constant_input_gets_no_cotangent():
 
 
 def full_primary_input(n):
-    """n images at the full-size primary capsules' input shape, [N, 256, 31,
-    31], lying channels-last in memory as the relu output that feeds them
-    does; with the primary convolution and its patch bytes per image."""
+    """n images at the full-size primary capsules' input shape, [N, 31, 31,
+    256]; with the primary convolution and its patch bytes per image."""
     p = make_conv(256, 256, 9, 3, 14)
     x = SplitMix64(15).uniform(256 * n * 31 * 31, -1, 1)
-    x = x.reshape(n, 31, 31, 256).transpose(0, 3, 1, 2)
-    return Tensor(x), p, 256 * 9 * 9 * 8 * 8 * 8
+    return Tensor(x.reshape(n, 31, 31, 256)), p, 256 * 9 * 9 * 8 * 8 * 8
 
 
 def full_conv1_input(n):
-    """n full-size [N, 1, 100, 100] images, with conv1 (1 -> 256 channels,
-    9x9 stride 3) and its patch bytes per image."""
+    """n full-size images as [N, 100, 100, 1] maps, with conv1 (1 -> 256
+    channels, 9x9 stride 3) and its patch bytes per image."""
     p = make_conv(1, 256, 9, 3, 19)
-    x = SplitMix64(20).uniform(n * 100 * 100).reshape(n, 1, 100, 100)
+    x = SplitMix64(20).uniform(n * 100 * 100).reshape(n, 100, 100, 1)
     return Tensor(x), p, 9 * 9 * 31 * 31 * 8
 
 
@@ -315,9 +326,9 @@ def patch_groups(monkeypatch):
 @pytest.mark.parametrize("per_group", [1, 2, 3])
 def test_conv_vjp_in_image_groups_matches_reference(monkeypatch, patch_groups,
                                                     per_group):
-    # 5 images in groups of 1, 2 or 3: channels-last and C-contiguous
-    # inputs, one whose last row no window reads, and the StandardEncoder's
-    # 5x5 stride-2 conv2
+    # 5 images in groups of 1, 2 or 3: C-contiguous inputs and views of
+    # [N, C, H, W] memory, one whose last row no window reads, and the
+    # StandardEncoder's 5x5 stride-2 conv2
     cases = [(4, 3, 13, 3, 2, True), (4, 3, 13, 3, 2, False),
              (4, 3, 14, 3, 2, True), (32, 64, 19, 5, 2, True)]
     for seed, (c, o, h, k, s, last) in enumerate(cases):
@@ -326,24 +337,24 @@ def test_conv_vjp_in_image_groups_matches_reference(monkeypatch, patch_groups,
                             per_group * ho * ho * k * k * c * 8 + 7)
         p = make_conv(c, o, k, s, 600 + seed)
         x = SplitMix64(700 + seed).uniform(5 * c * h * h, -1, 1)
-        x = (x.reshape(5, h, h, c).transpose(0, 3, 1, 2) if last
-             else x.reshape(5, c, h, h))
+        x = (x.reshape(5, h, h, c) if last
+             else x.reshape(5, c, h, h).transpose(0, 2, 3, 1))
         xt = Tensor(x, requires_grad=True)
         with ad.Graph() as graph:
             out = layers.conv2d_forward(xt, p)
             vjp = graph.nodes[-1][3]
         assert len(patch_groups[-1]) == -(-5 // per_group)
-        want = naive_conv2d_patch(x, p.kernel.data, p.bias.data, s)
-        assert np.abs(out.data - want).max() < 1e-10
+        want = naive_conv2d_patch(nchw(x), p.kernel.data, p.bias.data, s)
+        assert np.abs(nchw(out.data) - want).max() < 1e-10
         g = SplitMix64(800 + seed).uniform(out.size, -1, 1).reshape(out.shape)
         gx, gk, gb = vjp(g)
         tag = (c, o, h, k, s, last, per_group)
         assert gx.strides == x.strides, tag
-        assert np.abs(gx - naive_conv2d_input_vjp(
-            g, p.kernel.data, x.shape, s)).max() < 1e-10, tag
+        assert np.abs(nchw(gx) - naive_conv2d_input_vjp(
+            nchw(g), p.kernel.data, nchw(x).shape, s)).max() < 1e-10, tag
         assert np.abs(gk - naive_conv2d_kernel_vjp(
-            g, x, p.kernel.shape, s)).max() < 1e-10, tag
-        assert np.abs(gb - g.sum(axis=(0, 2, 3))).max() < 1e-10, tag
+            nchw(g), nchw(x), p.kernel.shape, s)).max() < 1e-10, tag
+        assert np.abs(gb - g.sum(axis=(0, 1, 2))).max() < 1e-10, tag
 
 
 DESK = dict(conv_channels=32, primary_types=8, primary_d=8, face_caps=16,
@@ -367,9 +378,35 @@ def test_desk_convs_form_one_patch_group(patch_groups, kind, cfg):
     assert patch_groups == [[(0, 32)]] * 2
 
 
+def test_desk_encoder_hands_maps_on_without_copies(monkeypatch):
+    # conv2d_forward, batchnorm_forward and relu return C-contiguous
+    # [N, H, W, C] maps, and the primary capsules' reshape and transpose of
+    # their convolution's output are views of it: up to the pose reshape, a
+    # taped desk step copies no feature map into another layout
+    emitted, real = [], ad._emit
+
+    def spy(op, out, inputs, vjp):
+        emitted.append((op, out))
+        return real(op, out, inputs, vjp)
+
+    monkeypatch.setattr(ad, "_emit", spy)
+    enc = models.ScnEncoder(0, **DESK)
+    images = Tensor(SplitMix64(22).uniform(16 * 64 * 64)
+                    .reshape(16, 1, 64, 64))
+    with ad.Graph():
+        enc.encode(images, training=True)
+    assert [op for op, _ in emitted[:6]] == [
+        "conv2d", "batchnorm", "relu", "conv2d", "reshape", "transpose"]
+    maps = [out for _, out in emitted[:4]]
+    for out, shape in zip(maps, [(16, 19, 19, 32)] * 3 + [(16, 4, 4, 64)]):
+        assert out.shape == shape and out.flags.c_contiguous
+    for _, view in emitted[4:6]:
+        assert np.shares_memory(view, maps[3])
+
+
 def test_full_size_conv1_forms_one_patch_group(patch_groups):
     p = make_conv(1, 256, 9, 3, 17)
-    x = SplitMix64(18).uniform(32 * 100 * 100).reshape(32, 1, 100, 100)
+    x = SplitMix64(18).uniform(32 * 100 * 100).reshape(32, 100, 100, 1)
     layers.conv2d_forward(Tensor(x), p)
     assert patch_groups == [[(0, 32)]]
 
@@ -393,7 +430,7 @@ def winograd_calls(monkeypatch):
 
 def channels_last_input(n, c, h, w, seed):
     x = SplitMix64(seed).uniform(n * h * w * c, -1, 1)
-    return Tensor(x.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+    return Tensor(x.reshape(n, h, w, c))
 
 
 def relative_gap(got, want):
@@ -420,6 +457,7 @@ def test_winograd_forward_matches_im2col(winograd_calls, n, c, o, k, s, h, w):
     want = tape_forward(x, p).data
     assert len(winograd_calls) == 1
     assert got.shape == want.shape and got.strides == want.strides
+    assert got.flags.c_contiguous
     assert relative_gap(got, want) < 1e-12
 
 
@@ -512,38 +550,39 @@ def test_conv_parameter_count():
 
 def test_batchnorm_normalizes_training_batch():
     p = layers.BatchNormParams(3)
-    x = Tensor(SplitMix64(30).normal(8 * 3 * 5 * 5, mu=2.0, sigma=4.0)
-               .reshape(8, 3, 5, 5))
+    x = Tensor(nhwc(SplitMix64(30).normal(8 * 3 * 5 * 5, mu=2.0, sigma=4.0)
+                    .reshape(8, 3, 5, 5)))
     out = layers.batchnorm_forward(x, p, training=True).data
-    mean = out.mean(axis=(0, 2, 3))
-    var = out.var(axis=(0, 2, 3))
+    mean = out.mean(axis=(0, 1, 2))
+    var = out.var(axis=(0, 1, 2))
     assert np.abs(mean).max() < 1e-8
     assert np.abs(var - 1.0).max() < 1e-4  # eps=1e-5 shrinks var slightly
 
 
 def test_batchnorm_already_normalized_is_identity():
-    p = layers.BatchNormParams(2, eps=1e-12)
-    raw = SplitMix64(31).normal(64 * 2).reshape(64, 2, 1, 1)
-    raw = (raw - raw.mean(axis=(0, 2, 3), keepdims=True))
-    raw = raw / raw.std(axis=(0, 2, 3), keepdims=True)
+    # up to the 1 / sqrt(1 + BN_EPS) that the epsilon scales by
+    p = layers.BatchNormParams(2)
+    raw = nhwc(SplitMix64(31).normal(64 * 2).reshape(64, 2, 1, 1))
+    raw = (raw - raw.mean(axis=(0, 1, 2), keepdims=True))
+    raw = raw / raw.std(axis=(0, 1, 2), keepdims=True)
     out = layers.batchnorm_forward(Tensor(raw), p, training=True).data
-    assert np.abs(out - raw).max() < 1e-6
+    assert np.abs(out - raw / np.sqrt(1 + layers.BN_EPS)).max() < 1e-6
 
 
 def test_batchnorm_gamma_zero_gives_beta():
     p = layers.BatchNormParams(2)
     p.gamma.data[:] = 0.0
     p.beta.data[:] = [1.5, -2.0]
-    x = Tensor(SplitMix64(32).uniform(4 * 2 * 3 * 3).reshape(4, 2, 3, 3))
+    x = Tensor(nhwc(SplitMix64(32).uniform(4 * 2 * 3 * 3).reshape(4, 2, 3, 3)))
     out = layers.batchnorm_forward(x, p, training=True).data
-    np.testing.assert_allclose(out[:, 0], 1.5)
-    np.testing.assert_allclose(out[:, 1], -2.0)
+    np.testing.assert_allclose(out[..., 0], 1.5)
+    np.testing.assert_allclose(out[..., 1], -2.0)
 
 
 def test_batchnorm_constant_channel_gives_beta():
     p = layers.BatchNormParams(1)
     p.beta.data[:] = 0.7
-    x = Tensor(np.full((4, 1, 2, 2), 5.0))
+    x = Tensor(np.full((4, 2, 2, 1), 5.0))
     out = layers.batchnorm_forward(x, p, training=True).data
     np.testing.assert_allclose(out, 0.7, atol=1e-12)
 
@@ -551,31 +590,35 @@ def test_batchnorm_constant_channel_gives_beta():
 def test_batchnorm_batch_too_small():
     p = layers.BatchNormParams(2)
     with pytest.raises(ValueError, match="batch too small"):
-        layers.batchnorm_forward(Tensor(np.ones((1, 2, 3, 3))), p,
+        layers.batchnorm_forward(Tensor(np.ones((1, 3, 3, 2))), p,
                                  training=True)
 
 
 def test_batchnorm_eval_uses_running_stats():
-    p = layers.BatchNormParams(2, eps=1e-12)
+    p = layers.BatchNormParams(2)
     p.running_mean[:] = [1.0, -1.0]
     p.running_var[:] = [4.0, 0.25]
-    x = Tensor(np.zeros((1, 2, 1, 1)))
+    x = Tensor(np.zeros((1, 1, 1, 2)))
     out = layers.batchnorm_forward(x, p, training=False).data.reshape(2)
-    np.testing.assert_allclose(out, [-0.5, 2.0], atol=1e-9)
+    want = [-1.0 / np.sqrt(4.0 + layers.BN_EPS),
+            1.0 / np.sqrt(0.25 + layers.BN_EPS)]
+    np.testing.assert_allclose(out, want, atol=1e-9)
 
 
 def test_batchnorm_running_stat_update():
-    p = layers.BatchNormParams(1, momentum=0.1)
-    x = Tensor(np.arange(8, dtype=np.float64).reshape(4, 1, 2, 1))
+    p = layers.BatchNormParams(1)
+    m = layers.BN_MOMENTUM
+    x = Tensor(np.arange(8, dtype=np.float64).reshape(4, 2, 1, 1))
     layers.batchnorm_forward(x, p, training=True)
     bm = x.data.mean()
     bv = x.data.var()
-    np.testing.assert_allclose(p.running_mean, 0.9 * 0.0 + 0.1 * bm)
-    np.testing.assert_allclose(p.running_var, 0.9 * 1.0 + 0.1 * bv)
+    np.testing.assert_allclose(p.running_mean, (1 - m) * 0.0 + m * bm)
+    np.testing.assert_allclose(p.running_var, (1 - m) * 1.0 + m * bv)
 
 
 def test_batchnorm_grad_check():
-    x = Tensor(SplitMix64(33).uniform(4 * 2 * 3 * 3, -1, 1).reshape(4, 2, 3, 3))
+    x = Tensor(nhwc(SplitMix64(33).uniform(4 * 2 * 3 * 3, -1, 1)
+                    .reshape(4, 2, 3, 3)))
     gamma = Tensor(SplitMix64(34).uniform(2, 0.5, 1.5))
     beta = Tensor(SplitMix64(35).uniform(2, -0.5, 0.5))
 
@@ -594,39 +637,40 @@ def test_batchnorm_grad_check():
 
 def batchnorm_chain(x, p, training):
     """batchnorm_forward as the chain of tape primitives it once was."""
-    stat_shape = (1, p.channels) + (1,) * (x.data.ndim - 2)
-    axes = (0,) + tuple(range(2, x.data.ndim))
+    stat_shape = (1,) * (x.data.ndim - 1) + (p.channels,)
+    axes = tuple(range(x.data.ndim - 1))
     if training:
         mu = ad.mean(x, axis=axes, keepdims=True)
         centered = ad.sub(x, mu)
         var = ad.mean(ad.square(centered), axis=axes, keepdims=True)
-        xhat = ad.div(centered, ad.sqrt(ad.add_scalar(var, p.eps)))
-        m = p.momentum
+        xhat = ad.div(centered, ad.sqrt(ad.add_scalar(var, layers.BN_EPS)))
+        m = layers.BN_MOMENTUM
         for run, batch in ((p.running_mean, mu), (p.running_var, var)):
             run *= 1 - m
             run += m * batch.data.reshape(-1)
     else:
         rm = Tensor(p.running_mean.reshape(stat_shape))
         rv = Tensor(p.running_var.reshape(stat_shape))
-        xhat = ad.div(ad.sub(x, rm), ad.sqrt(ad.add_scalar(rv, p.eps)))
+        xhat = ad.div(ad.sub(x, rm), ad.sqrt(ad.add_scalar(rv,
+                                                            layers.BN_EPS)))
     gamma = ad.reshape(p.gamma, stat_shape)
     beta = ad.reshape(p.beta, stat_shape)
     return ad.add(ad.mul(xhat, gamma), beta)
 
 
 @pytest.mark.parametrize("training", [True, False])
-@pytest.mark.parametrize("shape", [(16, 3), (4, 3, 5, 6)])
+@pytest.mark.parametrize("shape", [(16, 3), (4, 5, 6, 3)])
 def test_batchnorm_node_matches_primitive_chain(training, shape):
     # one tape node whose output, cotangents and running statistics are the
-    # chain's within 1e-12; a rank-4 input lies channels-last, as a
-    # convolution writes it, or C-contiguous
+    # chain's within 1e-12; a rank-4 input is C-contiguous, as a
+    # convolution writes it, or a view of [N, C, H, W] memory
     rng = SplitMix64(37)
     raw = rng.normal(int(np.prod(shape)), mu=0.5, sigma=2.0)
     g = rng.uniform(raw.size, -1, 1).reshape(shape)
     inputs = [raw.reshape(shape)]
     if len(shape) == 4:
-        n, c, h, w = shape
-        inputs.append(raw.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+        n, h, w, c = shape
+        inputs.append(raw.reshape(n, c, h, w).transpose(0, 2, 3, 1))
     for x in inputs:
         got = []
         for fn in (layers.batchnorm_forward, batchnorm_chain):

@@ -168,6 +168,30 @@ def test_standard_encoder_default_flat_dim():
         == 12544 * 20 + 20
 
 
+def test_standard_encoder_flattens_channel_major(monkeypatch):
+    # fc's rows are drawn channel by channel: the last [N, H, W, C] map
+    # reaches fc as the flatten of its [N, C, H, W] transpose
+    maps, fc_inputs = [], []
+    real_block, real_dense = models._conv_bn_relu, models.dense_forward
+
+    def block(*args):
+        out = real_block(*args)
+        maps.append(out.data)
+        return out
+
+    def dense(x, p):
+        fc_inputs.append(x.data)
+        return real_dense(x, p)
+
+    monkeypatch.setattr(models, "_conv_bn_relu", block)
+    monkeypatch.setattr(models, "dense_forward", dense)
+    enc = models.StandardEncoder(4, input_size=37, embed_dim=5)
+    enc.encode(tiny_images(3), training=False)
+    assert maps[-1].shape == (3, 3, 3, 64)
+    assert np.array_equal(fc_inputs[0],
+                          maps[-1].transpose(0, 3, 1, 2).reshape(3, -1))
+
+
 def test_public_names_resolve_and_removed_ones_are_gone():
     import inspect
 
@@ -197,6 +221,8 @@ def test_public_names_resolve_and_removed_ones_are_gone():
                      (optim.amsgrad_step, "theta1"),
                      (optim.amsgrad_step, "theta2"),
                      (optim.amsgrad_step, "eps"),
+                     (layers.BatchNormParams, "momentum"),
+                     (layers.BatchNormParams, "eps"),
                      (models.sweep_threshold, "points"),
                      (harness.density_histogram, "bins"),
                      (data.save_pgm, "maxval"),
