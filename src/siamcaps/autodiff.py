@@ -507,16 +507,15 @@ def grad_check(f: Callable[..., Tensor], xs, eps: float = 1e-5) -> float:
 
     worst = 0.0
     for t, g_ad in zip(tensors, ad_grads):
-        flat = t.data.reshape(-1)
-        gf = g_ad.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + eps
+        # by index: a reshape of a non-C-contiguous array would be a copy
+        for i in np.ndindex(t.data.shape):
+            saved = t.data[i]
+            t.data[i] = saved + eps
             fp = eval_loss()
-            flat[i] = saved - eps
+            t.data[i] = saved - eps
             fm = eval_loss()
-            flat[i] = saved
+            t.data[i] = saved
             g_fd = (fp - fm) / (2.0 * eps)
-            denom = max(1.0, abs(gf[i]), abs(g_fd))
-            worst = max(worst, abs(gf[i] - g_fd) / denom)
+            denom = max(1.0, abs(g_ad[i]), abs(g_fd))
+            worst = max(worst, abs(g_ad[i] - g_fd) / denom)
     return worst

@@ -484,13 +484,16 @@ def _train_kfold(cfg: RunConfig, ds: FaceDataset) -> TrainResult:
     results = [_train_single(cfg, ds, split,
                              os.path.join(cfg.output_dir, f"fold{i}"))
                for i, split in enumerate(kfold(ds, cfg.kfold_k, cfg.seed))]
-    mean_loss = float(np.mean([r.final_test_loss for r in results]))
-    mean_acc = float(np.mean([r.final_test_accuracy for r in results]))
+    losses = [r.final_test_loss for r in results]
+    accs = [r.final_test_accuracy for r in results]
+    # fold rows, then their mean, population std, minimum and maximum
     write_lines(os.path.join(cfg.output_dir, "summary.csv"),
                 ["fold,test_loss,test_accuracy"]
-                + [f"{i},{r.final_test_loss!r},{r.final_test_accuracy!r}"
-                   for i, r in enumerate(results)]
-                + [f"mean,{mean_loss!r},{mean_acc!r}"])
+                + [f"{i},{loss!r},{acc!r}"
+                   for i, (loss, acc) in enumerate(zip(losses, accs))]
+                + [f"{name},{float(fn(losses))!r},{float(fn(accs))!r}"
+                   for name, fn in (("mean", np.mean), ("std", np.std),
+                                    ("min", min), ("max", max))])
     return results[-1]
 
 

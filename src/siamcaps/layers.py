@@ -42,10 +42,12 @@ forward.
 Convolutions are unpadded: an output pixel reads only input pixels.
 
 Batch normalization (Ioffe & Szegedy 2015) is one tape node over the
-[N*H*W, C] reshape of its input, with the closed-form vjp.  The naive
-references that convolution must match (within 1e-10), and the chain of
-tape primitives that batch normalization must match (within 1e-12), live
-in the test suite."""
+[N*H*W, C] reshape of its input, with batch statistics and the closed-form
+vjp.  Eval folds it into the convolution before it (models._conv_bn_relu):
+train steps stay bitwise, eval outputs moved in their last bits once.  The
+naive references that convolution must match (within 1e-10), and the chain
+of tape primitives that batch normalization and the fold must match
+(within 1e-12), live in the test suite."""
 
 from __future__ import annotations
 
@@ -367,18 +369,15 @@ class BatchNormParams:
                 (prefix + "/running_var", self.running_var)]
 
 
-def batchnorm_forward(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
+def batchnorm_forward(x: Tensor, p: BatchNormParams) -> Tensor:
     """gamma * (x - mean) / sqrt(var + BN_EPS) + beta per channel of x
-    [..., C], as one tape node.
+    [..., C], with the batch mean and biased variance, as one tape node.
 
     It works on the [M, C] reshape of x (M rows, one per image and
-    position): a view of a C-contiguous input.  Training normalizes with
-    the batch mean and biased variance and folds them into the running
-    statistics in place; eval normalizes with the running statistics, in
-    place on the one output array.  The vjp is the closed form
-    gx = gamma / sigma * (g - mean(g) - xhat * mean(g * xhat)), the means
-    over M, and gx = gamma / sigma * g in eval, where the statistics are
-    constants.
+    position): a view of a C-contiguous input.  It folds the batch
+    statistics into the running statistics in place.  The vjp is the
+    closed form gx = gamma / sigma * (g - mean(g) - xhat * mean(g * xhat)),
+    the means over M.
     """
     if x.data.ndim < 2:
         raise ShapeError(f"batchnorm input must be rank >= 2, got "
@@ -386,42 +385,31 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams, training: bool) -> Tensor:
     if x.shape[-1] != p.channels:
         raise ShapeError(f"batchnorm: input has {x.shape[-1]} channels, "
                          f"params have {p.channels}")
+    if x.shape[0] < 2:
+        raise ValueError("batch too small")
     x2 = x.data.reshape(-1, p.channels)
     gamma = p.gamma.data
-    if training:
-        if x.shape[0] < 2:
-            raise ValueError("batch too small")
-        mu = x2.mean(axis=0)
-        xhat = x2 - mu
-        var = np.einsum("mc,mc->c", xhat, xhat) / len(x2)
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv
-        out = xhat * gamma
-        # in place, so the arrays named_buffers hands out stay the live ones
-        for run, batch in ((p.running_mean, mu), (p.running_var, var)):
-            run *= 1 - BN_MOMENTUM
-            run += BN_MOMENTUM * batch
-    else:
-        shift = p.running_mean.copy()
-        inv = 1.0 / np.sqrt(p.running_var + BN_EPS)
-        out = x2 - shift
-        out *= inv
-        out *= gamma
+    mu = x2.mean(axis=0)
+    xhat = x2 - mu
+    var = np.einsum("mc,mc->c", xhat, xhat) / len(x2)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv
+    out = xhat * gamma
     out += p.beta.data
+    # in place, so the arrays named_buffers hands out stay the live ones
+    for run, batch in ((p.running_mean, mu), (p.running_var, var)):
+        run *= 1 - BN_MOMENTUM
+        run += BN_MOMENTUM * batch
 
     def vjp(g):
         gy = g.reshape(x2.shape)
-        xh = xhat if training else (x2 - shift) * inv
-        g_gamma = np.einsum("mc,mc->c", gy, xh)
+        g_gamma = np.einsum("mc,mc->c", gy, xhat)
         g_beta = gy.sum(axis=0)
-        if training:
-            k = 1.0 / len(gy)
-            gx = xh * (-k * g_gamma)
-            gx += gy
-            gx -= k * g_beta
-            gx *= gamma * inv
-        else:
-            gx = gy * (gamma * inv)
+        k = 1.0 / len(gy)
+        gx = xhat * (-k * g_gamma)
+        gx += gy
+        gx -= k * g_beta
+        gx *= gamma * inv
         return (gx.reshape(x.shape), g_gamma, g_beta)
 
     return ad._emit("batchnorm", out.reshape(x.shape), [x, p.gamma, p.beta],

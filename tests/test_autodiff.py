@@ -292,3 +292,19 @@ def test_grad_check_eps_validation():
     x = rnd([2], 29)
     with pytest.raises(ValueError):
         grad_check(lambda x: ad.sum_(x), x, eps=1e-2)
+
+
+def test_grad_check_perturbs_non_contiguous_tensors():
+    # a transposed array's reshape is a copy; the check must perturb the
+    # tensor's own memory and read the same error as a C-contiguous copy
+    a = np.arange(6, dtype=np.float64).reshape(3, 2) * 0.3 - 0.7
+
+    def f(t):
+        return ad.sum_(ad.square(t))
+
+    t = Tensor(a.T)
+    assert not t.data.flags.c_contiguous
+    err = grad_check(f, t)
+    assert err < 1e-8
+    assert err == grad_check(f, Tensor(a.T.copy()))
+    np.testing.assert_array_equal(t.data, a.T)

@@ -346,7 +346,15 @@ def test_kfold_training(tmp_path):
     lines = open(os.path.join(cfg.output_dir,
                               "summary.csv")).read().splitlines()
     assert lines[0] == "fold,test_loss,test_accuracy"
-    assert len(lines) == 5 and lines[-1].startswith("mean,")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["0", "1", "2", "mean", "std", "min",
+                                    "max"]
+    folds = np.array([[float(v) for v in r[1:]] for r in rows[:3]])
+    stats = {r[0]: [float(v) for v in r[1:]] for r in rows[3:]}
+    for name, fn in (("mean", np.mean), ("std", np.std), ("min", np.min),
+                     ("max", np.max)):
+        np.testing.assert_allclose(stats[name], fn(folds, axis=0),
+                                   rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

@@ -552,7 +552,7 @@ def test_batchnorm_normalizes_training_batch():
     p = layers.BatchNormParams(3)
     x = Tensor(nhwc(SplitMix64(30).normal(8 * 3 * 5 * 5, mu=2.0, sigma=4.0)
                     .reshape(8, 3, 5, 5)))
-    out = layers.batchnorm_forward(x, p, training=True).data
+    out = layers.batchnorm_forward(x, p).data
     mean = out.mean(axis=(0, 1, 2))
     var = out.var(axis=(0, 1, 2))
     assert np.abs(mean).max() < 1e-8
@@ -565,7 +565,7 @@ def test_batchnorm_already_normalized_is_identity():
     raw = nhwc(SplitMix64(31).normal(64 * 2).reshape(64, 2, 1, 1))
     raw = (raw - raw.mean(axis=(0, 1, 2), keepdims=True))
     raw = raw / raw.std(axis=(0, 1, 2), keepdims=True)
-    out = layers.batchnorm_forward(Tensor(raw), p, training=True).data
+    out = layers.batchnorm_forward(Tensor(raw), p).data
     assert np.abs(out - raw / np.sqrt(1 + layers.BN_EPS)).max() < 1e-6
 
 
@@ -574,7 +574,7 @@ def test_batchnorm_gamma_zero_gives_beta():
     p.gamma.data[:] = 0.0
     p.beta.data[:] = [1.5, -2.0]
     x = Tensor(nhwc(SplitMix64(32).uniform(4 * 2 * 3 * 3).reshape(4, 2, 3, 3)))
-    out = layers.batchnorm_forward(x, p, training=True).data
+    out = layers.batchnorm_forward(x, p).data
     np.testing.assert_allclose(out[..., 0], 1.5)
     np.testing.assert_allclose(out[..., 1], -2.0)
 
@@ -583,33 +583,21 @@ def test_batchnorm_constant_channel_gives_beta():
     p = layers.BatchNormParams(1)
     p.beta.data[:] = 0.7
     x = Tensor(np.full((4, 2, 2, 1), 5.0))
-    out = layers.batchnorm_forward(x, p, training=True).data
+    out = layers.batchnorm_forward(x, p).data
     np.testing.assert_allclose(out, 0.7, atol=1e-12)
 
 
 def test_batchnorm_batch_too_small():
     p = layers.BatchNormParams(2)
     with pytest.raises(ValueError, match="batch too small"):
-        layers.batchnorm_forward(Tensor(np.ones((1, 3, 3, 2))), p,
-                                 training=True)
-
-
-def test_batchnorm_eval_uses_running_stats():
-    p = layers.BatchNormParams(2)
-    p.running_mean[:] = [1.0, -1.0]
-    p.running_var[:] = [4.0, 0.25]
-    x = Tensor(np.zeros((1, 1, 1, 2)))
-    out = layers.batchnorm_forward(x, p, training=False).data.reshape(2)
-    want = [-1.0 / np.sqrt(4.0 + layers.BN_EPS),
-            1.0 / np.sqrt(0.25 + layers.BN_EPS)]
-    np.testing.assert_allclose(out, want, atol=1e-9)
+        layers.batchnorm_forward(Tensor(np.ones((1, 3, 3, 2))), p)
 
 
 def test_batchnorm_running_stat_update():
     p = layers.BatchNormParams(1)
     m = layers.BN_MOMENTUM
     x = Tensor(np.arange(8, dtype=np.float64).reshape(4, 2, 1, 1))
-    layers.batchnorm_forward(x, p, training=True)
+    layers.batchnorm_forward(x, p)
     bm = x.data.mean()
     bv = x.data.var()
     np.testing.assert_allclose(p.running_mean, (1 - m) * 0.0 + m * bm)
@@ -622,17 +610,13 @@ def test_batchnorm_grad_check():
     gamma = Tensor(SplitMix64(34).uniform(2, 0.5, 1.5))
     beta = Tensor(SplitMix64(35).uniform(2, -0.5, 0.5))
 
-    for training in (True, False):
-        def f(x, gamma, beta):
-            p = layers.BatchNormParams(2)
-            p.running_mean[:] = [0.3, -0.2]
-            p.running_var[:] = [0.5, 2.0]
-            p.gamma = gamma
-            p.beta = beta
-            return ad.sum_(ad.square(layers.batchnorm_forward(x, p,
-                                                              training)))
+    def f(x, gamma, beta):
+        p = layers.BatchNormParams(2)
+        p.gamma = gamma
+        p.beta = beta
+        return ad.sum_(ad.square(layers.batchnorm_forward(x, p)))
 
-        assert grad_check(f, [x, gamma, beta], eps=1e-5) < 1e-4, training
+    assert grad_check(f, [x, gamma, beta], eps=1e-5) < 1e-4
 
 
 def batchnorm_chain(x, p, training):
@@ -658,9 +642,8 @@ def batchnorm_chain(x, p, training):
     return ad.add(ad.mul(xhat, gamma), beta)
 
 
-@pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("shape", [(16, 3), (4, 5, 6, 3)])
-def test_batchnorm_node_matches_primitive_chain(training, shape):
+def test_batchnorm_node_matches_primitive_chain(shape):
     # one tape node whose output, cotangents and running statistics are the
     # chain's within 1e-12; a rank-4 input is C-contiguous, as a
     # convolution writes it, or a view of [N, C, H, W] memory
@@ -673,7 +656,8 @@ def test_batchnorm_node_matches_primitive_chain(training, shape):
         inputs.append(raw.reshape(n, c, h, w).transpose(0, 2, 3, 1))
     for x in inputs:
         got = []
-        for fn in (layers.batchnorm_forward, batchnorm_chain):
+        for fn in (layers.batchnorm_forward,
+                   lambda x, p: batchnorm_chain(x, p, True)):
             p = layers.BatchNormParams(3)
             p.gamma.data[:] = [0.7, 1.3, -0.4]
             p.beta.data[:] = [0.1, -0.6, 0.2]
@@ -681,7 +665,7 @@ def test_batchnorm_node_matches_primitive_chain(training, shape):
             p.running_var[:] = [2.5, 0.6, 1.7]
             xt = Tensor(x.copy(order="K"), requires_grad=True)
             with ad.Graph() as graph:
-                out = fn(xt, p, training)
+                out = fn(xt, p)
                 if fn is layers.batchnorm_forward:
                     assert [node[0] for node in graph.nodes] == ["batchnorm"]
                 ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
@@ -689,13 +673,48 @@ def test_batchnorm_node_matches_primitive_chain(training, shape):
                         p.running_mean, p.running_var))
         for a, b in zip(*got):
             assert a.shape == b.shape
-            assert np.abs(a - b).max() < 1e-12, (shape, x.strides, training)
+            assert np.abs(a - b).max() < 1e-12, (shape, x.strides)
+
+
+def test_batchnorm_eval_uses_running_stats():
+    # eval folds each conv -> batchnorm -> relu block's running statistics
+    # into the convolution: with non-default gamma, beta and running
+    # statistics it matches conv, the primitive chain in eval and relu
+    # within 1e-12 of the output's largest magnitude, at desk and full
+    # widths of both encoders, and puts nothing on a tape
+    for encoder, cfg in [(models.ScnEncoder, DESK), (models.ScnEncoder, {}),
+                         (models.StandardEncoder, dict(input_size=64)),
+                         (models.StandardEncoder, {})]:
+        enc = encoder(0, **cfg)
+        blocks = [(enc.conv1, enc.bn1)]
+        if encoder is models.StandardEncoder:
+            blocks.append((enc.conv2, enc.bn2))
+        s = enc.input_size
+        x = models._image_map(Tensor(SplitMix64(38).uniform(3 * s * s)
+                                     .reshape(3, 1, s, s)), s)
+        for i, (conv, bn) in enumerate(blocks):
+            rng = SplitMix64(derive_seed(39, i))
+            c = bn.channels
+            conv.bias.data[:] = rng.uniform(c, -0.2, 0.2)
+            bn.gamma.data[:] = rng.uniform(c, -1.5, 1.5)
+            bn.beta.data[:] = rng.uniform(c, -0.5, 0.5)
+            bn.running_mean[:] = rng.normal(c, sigma=0.3)
+            bn.running_var[:] = rng.uniform(c, 0.2, 3.0)
+            want = ad.relu(batchnorm_chain(layers.conv2d_forward(x, conv),
+                                           bn, False)).data
+            with ad.Graph() as graph:
+                got = models._conv_bn_relu(x, conv, bn, training=False)
+            assert graph.nodes == [] and got.node_id is None
+            assert got.shape == want.shape and got.data.flags.c_contiguous
+            assert np.abs(got.data - want).max() \
+                <= 1e-12 * np.abs(want).max(), (encoder, cfg, i)
+            x = got
 
 
 def test_batchnorm_rank2_input():
     p = layers.BatchNormParams(3)
     x = Tensor(SplitMix64(36).normal(16 * 3, mu=1.0, sigma=2.0).reshape(16, 3))
-    out = layers.batchnorm_forward(x, p, training=True).data
+    out = layers.batchnorm_forward(x, p).data
     assert np.abs(out.mean(axis=0)).max() < 1e-8
 
 
