@@ -642,10 +642,26 @@ def batchnorm_chain(x, p, training):
     return ad.add(ad.mul(xhat, gamma), beta)
 
 
+def chain_params(sign=1.0):
+    """BatchNormParams(3) with non-default statistics; sign scales gamma
+    and beta, so sign -1 negates every output of the affine map."""
+    p = layers.BatchNormParams(3)
+    p.gamma.data[:] = np.multiply(sign, [0.7, 1.3, -0.4])
+    p.beta.data[:] = np.multiply(sign, [0.1, -0.6, 0.2])
+    p.running_mean[:] = [0.4, -0.3, 1.1]
+    p.running_var[:] = [2.5, 0.6, 1.7]
+    return p
+
+
+@pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("shape", [(16, 3), (4, 5, 6, 3)])
-def test_batchnorm_node_matches_primitive_chain(shape):
-    # one tape node whose output, cotangents and running statistics are the
-    # chain's within 1e-12; a rank-4 input is C-contiguous, as a
+def test_batchnorm_node_matches_primitive_chain(training, shape):
+    # training: one tape node whose output, cotangents and running
+    # statistics are the chain's within 1e-12.  eval: the batchnorm that
+    # models._conv_bn_relu folds into a 1x1 identity convolution matches
+    # relu of the chain in eval within 1e-12, leaves the running statistics
+    # alone and puts nothing on a tape; gamma and beta of either sign let
+    # every entry through relu once.  A rank-4 input is C-contiguous, as a
     # convolution writes it, or a view of [N, C, H, W] memory
     rng = SplitMix64(37)
     raw = rng.normal(int(np.prod(shape)), mu=0.5, sigma=2.0)
@@ -655,14 +671,31 @@ def test_batchnorm_node_matches_primitive_chain(shape):
         n, h, w, c = shape
         inputs.append(raw.reshape(n, c, h, w).transpose(0, 2, 3, 1))
     for x in inputs:
+        if not training:
+            identity = layers.Conv2dParams(Tensor(np.eye(3).reshape(3, 1, 1,
+                                                                    3)),
+                                           Tensor(np.zeros(3)))
+            x4 = x.reshape(-1, 1, 1, 3) if x.ndim == 2 else x
+            for sign in (1.0, -1.0):
+                p = chain_params(sign)
+                want = ad.relu(batchnorm_chain(Tensor(x4), p, False)).data
+                with ad.Graph() as graph:
+                    got = models._conv_bn_relu(Tensor(x4.copy(order="K")),
+                                               identity, p, training=False)
+                assert graph.nodes == [] and got.node_id is None
+                assert got.shape == want.shape
+                assert np.abs(got.data - want).max() < 1e-12, \
+                    (shape, x.strides, sign)
+                stats = chain_params(sign)
+                np.testing.assert_array_equal(p.running_mean,
+                                              stats.running_mean)
+                np.testing.assert_array_equal(p.running_var,
+                                              stats.running_var)
+            continue
         got = []
         for fn in (layers.batchnorm_forward,
                    lambda x, p: batchnorm_chain(x, p, True)):
-            p = layers.BatchNormParams(3)
-            p.gamma.data[:] = [0.7, 1.3, -0.4]
-            p.beta.data[:] = [0.1, -0.6, 0.2]
-            p.running_mean[:] = [0.4, -0.3, 1.1]
-            p.running_var[:] = [2.5, 0.6, 1.7]
+            p = chain_params()
             xt = Tensor(x.copy(order="K"), requires_grad=True)
             with ad.Graph() as graph:
                 out = fn(xt, p)
