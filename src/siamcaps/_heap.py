@@ -12,6 +12,12 @@ served from the heap and the heap never trimmed, the next step reuses the
 same pages, including the temporaries numpy makes inside ufuncs and
 ``matmul``.  The cost is resident memory: the heap keeps
 its high-water mark, plus the holes that allocation order leaves in it.
+
+Every thread allocates from that one heap.  glibc would give a second thread
+an arena of its own, a second heap that keeps its own high-water mark and
+holes: with the capsule layer's worker thread (see capsules.WORKERS) that
+read +7 MB of peak RSS on a full-size eval pass, against +0.8 MB with one
+arena, at the same speed.
 """
 
 from __future__ import annotations
@@ -22,16 +28,17 @@ import platform
 # from glibc's <malloc.h>
 M_TRIM_THRESHOLD = -1
 M_MMAP_MAX = -4
+M_ARENA_MAX = -8
 
 
 def keep_freed_memory() -> bool:
-    """Make glibc malloc serve every allocation from the heap and never
-    trim it.  Returns True when both settings took; on any other libc it
-    changes nothing and returns False.
+    """Make glibc malloc serve every allocation of every thread from one
+    heap and never trim it.  Returns True when all three settings took; on
+    any other libc it changes nothing and returns False.
 
-    The setting is process-wide: it also covers allocations of the host
-    application, and resident memory stays at its high-water mark until
-    the process exits.
+    The settings are process-wide: they also cover allocations of the host
+    application and its threads, and resident memory stays at its
+    high-water mark until the process exits.
     """
     if platform.libc_ver()[0] != "glibc":
         return False
@@ -40,4 +47,5 @@ def keep_freed_memory() -> bool:
     mallopt.restype = ctypes.c_int
     no_mmap = mallopt(M_MMAP_MAX, 0)
     no_trim = mallopt(M_TRIM_THRESHOLD, 2 ** 31 - 1)
-    return bool(no_mmap and no_trim)
+    one_arena = mallopt(M_ARENA_MAX, 1)
+    return bool(no_mmap and no_trim and one_arena)

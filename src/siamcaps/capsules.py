@@ -8,6 +8,7 @@ priors updated with prediction/output dot products.
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 
 import numpy as np
@@ -29,18 +30,27 @@ BLOCK = 16
 # cache.  At full size one sample's u_hat is 8 MiB, so a group is one sample;
 # at desk size (128 KiB a sample) a train batch or an eval chunk is one group
 ROUTE_BYTES = 8 << 20
-# bytes of u_hat per group of samples that a graph-free capsule layer
-# transforms and routes at once through one reused u_hat buffer: 4
-# samples at full size (8 MiB each), so a 32-image eval chunk holds
-# 32 MiB of u_hat rather than 268 MB; a desk eval chunk (4 MiB) is one
-# group.  Transform plus routing of 32 full-size images by group size,
-# median ms of 7 (first row) and 9 calls on 2 BLAS threads:
+# bytes of u_hat that a graph-free capsule layer holds at once: each of its
+# WORKERS threads transforms and routes groups of samples whose u_hat fits
+# LAYER_BYTES / WORKERS through a u_hat buffer of its own.  At full size
+# (8 MiB a sample) on 2 workers a group is 2 samples, so a 32-image eval
+# chunk holds 32 MiB of u_hat rather than 268 MB; a desk eval chunk (4 MiB)
+# is one group.  Transform plus routing of 32 full-size images on one
+# thread by group size, median ms of 7 (first row) and 9 calls on 2 BLAS
+# threads:
 #     group   1    2    4    8   16   32
 #     ms    411  292  275  286  263  307
 #     ms    328  274  231  255  239  230
 # a one-sample group re-reads all of W (67 MB) per sample; from 2 samples
 # up the time is flat within noise, so memory sets the budget
 LAYER_BYTES = 32 << 20
+# threads a graph-free capsule layer runs its sample groups on: the CPUs
+# this process may use, at most 2, the only count measured.  numpy releases
+# the GIL inside the transform's GEMMs and routing's batched products, so
+# on 2 vCPUs transform plus routing of 32 full-size images took 180 ms on
+# 2 workers against 282 ms on one (median of 15 calls)
+WORKERS = min(2, len(os.sched_getaffinity(0))
+              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def squash_kernel(s: np.ndarray, axis: int = -1):
@@ -309,13 +319,19 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
     u_hat nor W is copied.
 
     A graph-free pass runs transform and routing over groups of g samples
-    whose u_hat fits LAYER_BYTES, reusing one u_hat buffer and one block
-    buffer, so the whole batch's u_hat never exists at once; each group
-    writes its rows of v and drops its routing state.
-    Nothing mixes samples, so the groups compute the rows the whole batch
-    would (bit for bit from two samples a group up; a one-sample GEMM may
-    round differently).  A tracked pass is one group of the whole batch:
-    the tape holds one capsule_transform node and one dynamic_route node.
+    on WORKERS threads, the calling thread among them.  Each worker takes
+    the next group not yet taken and transforms and routes it through its
+    own u_hat buffer, which holds LAYER_BYTES / WORKERS, and its own block
+    buffer, so the whole batch's u_hat never exists at once.  Each group
+    drops its u_hat and routing state before the worker takes the next one
+    (states are kept only under return_state), and the rows of v and the
+    state's groups are joined in sample order, whichever worker finished
+    first.  An exception in any group reaches the caller.  Nothing mixes
+    samples, so the groups compute the rows the whole batch would (bit for
+    bit from two samples a group up; a one-sample GEMM may round
+    differently).  A tracked pass is one group of the whole batch on the
+    calling thread: the tape holds one capsule_transform node and one
+    dynamic_route node.
     The transform's vjp gathers the cotangent of u_hat block by block and
     runs two GEMMs: the gradient of W, written in W's storage order, and
     the pose cotangent, returned in the poses' own memory order.
@@ -331,8 +347,14 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
     blocks = [(lo, min(lo + lc, n_lower)) for lo in range(0, n_lower, lc)]
     sample = n_upper * n_lower * d_out * w.itemsize  # one sample's u_hat
     tracked = ad.tracked(poses) or ad.tracked(p.W)
-    groups = byte_chunks(n, sample, n * sample if tracked else LAYER_BYTES)
-    uh = np.empty((groups[0][1], n_upper, n_lower, d_out))
+    workers = 1 if tracked else WORKERS
+    groups = byte_chunks(n, sample,
+                         n * sample if tracked else LAYER_BYTES // workers)
+    workers = min(workers, len(groups))
+    uhs = [np.empty((groups[0][1], n_upper, n_lower, d_out))
+           for _ in range(workers)]
+    bufs = [np.empty((lc, groups[0][1], n_upper * d_out))  # one GEMM block
+            for _ in range(workers)]
 
     def vjp(g):  # tracked, so one group: the whole batch
         gu = np.empty_like(u)
@@ -355,24 +377,39 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
             gu[:, lo:hi] = gu_blk[:k].transpose(1, 0, 2)
         return gu, gw
 
-    vs, states = [], []
-    buf = np.empty((lc, groups[0][1], n_upper * d_out))  # one GEMM block
-    for s0, s1 in groups:
-        uh_g, blk = uh[:s1 - s0], buf[:, :s1 - s0]
-        for lo, hi in blocks:
-            prod = np.matmul(u_t[lo:hi, s0:s1], w_m[lo:hi], out=blk[:hi - lo])
-            uh_g[:, :, lo:hi] = prod.reshape(hi - lo, s1 - s0, n_upper,
-                                             d_out).transpose(1, 2, 0, 3)
-        u_hat = ad._emit("capsule_transform", uh_g.transpose(0, 2, 1, 3),
-                         [poses, p.W], vjp)
-        v, state = dynamic_route(u_hat, iterations, p.activation_kind)
-        vs.append(v)
-        if return_state:
-            states += state.groups
-        del u_hat, state
+    vs, states = [None] * len(groups), [None] * len(groups)
+    todo = iter(range(len(groups)))  # each next() hands out one group
+
+    def work(k):  # worker k, on buffers k
+        for i in todo:
+            s0, s1 = groups[i]
+            uh_g, blk = uhs[k][:s1 - s0], bufs[k][:, :s1 - s0]
+            for lo, hi in blocks:
+                prod = np.matmul(u_t[lo:hi, s0:s1], w_m[lo:hi],
+                                 out=blk[:hi - lo])
+                uh_g[:, :, lo:hi] = prod.reshape(hi - lo, s1 - s0, n_upper,
+                                                 d_out).transpose(1, 2, 0, 3)
+            u_hat = ad._emit("capsule_transform", uh_g.transpose(0, 2, 1, 3),
+                             [poses, p.W], vjp)
+            vs[i], state = dynamic_route(u_hat, iterations, p.activation_kind)
+            if return_state:
+                states[i] = state.groups
+            del u_hat, state  # before this worker routes its next group
+
+    if workers == 1:
+        work(0)
+    else:
+        # imported here: the module adds 0.6 MB of RSS to a process whose
+        # layer calls are all one group (every train step, every desk eval)
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = [pool.submit(work, k) for k in range(1, workers)]
+            work(0)
+        for f in others:
+            f.result()  # raises what the worker raised
     v = vs[0] if len(vs) == 1 else Tensor(np.concatenate([v.data for v in vs]))
     if return_state:
-        return v, RoutingState(states)
+        return v, RoutingState([grp for part in states for grp in part])
     return v
 
 

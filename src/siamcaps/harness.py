@@ -284,11 +284,13 @@ def eval_distances(encoder, pairs, cfg: RunConfig, chunk: int = 16):
     pairs runs 2*chunk images through the network at once.  At full size
     the largest buffers no longer grow with it: the primary convolution
     works within layers.PATCH_BYTES (128 MiB), and the capsule layer
-    transforms and routes groups of 4 images whose u_hat fits
-    capsules.LAYER_BYTES (32 MiB) where the default 32 images' u_hat
-    would be 268 MB.  Routing reads u_hat one sample at a time there (see
-    capsules.ROUTE_BYTES), so the chunk does not set routing's cache
-    footprint either.
+    transforms and routes groups of 2 images on each of its two worker
+    threads, whose u_hat together fits capsules.LAYER_BYTES (32 MiB),
+    where the default 32 images' u_hat would be 268 MB.  Routing reads
+    u_hat one sample at a time there (see capsules.ROUTE_BYTES), so the
+    chunk does not set routing's cache footprint either.  A chunk holds
+    an even number of images, so no group holds just one, and the
+    distances do not depend on the number of workers.
     """
     parts = []
     for lo in range(0, len(pairs), chunk):

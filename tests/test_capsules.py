@@ -1,5 +1,7 @@
 """Capsule primitives against analytic values and hand-rolled references."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -675,12 +677,15 @@ def _layer_and_poses(n, n_lower, n_upper, d_in, d_out, act, seed):
 
 @pytest.mark.parametrize("act", ["squash", "tanh"])
 def test_streamed_layer_equals_whole_batch(act, monkeypatch):
-    # a graph-free layer split into groups of 3, 3 and 1 samples against
-    # the same layer run as one group; a tracked one stays one group
+    # a graph-free layer split into groups of 3, 3 and 1 samples over two
+    # workers against the same layer run as one group; a tracked one stays
+    # one group.  The workers route groups in no fixed order, so the group
+    # sizes are compared as a multiset
     n, n_lower, n_upper, d_in, d_out = 7, caps.BLOCK + 5, 3, 4, 5
     p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out, act, 170)
     sample = n_lower * n_upper * d_out * 8
-    assert n * sample <= caps.LAYER_BYTES
+    monkeypatch.setattr(caps, "WORKERS", 2)
+    assert n * sample <= caps.LAYER_BYTES // 2
     v_whole, st_whole = caps.capsule_layer_forward(Tensor(poses_np), p, 3,
                                                    return_state=True)
     seen = []
@@ -691,10 +696,10 @@ def test_streamed_layer_equals_whole_batch(act, monkeypatch):
         return real_route(u_hat, *args)
 
     monkeypatch.setattr(caps, "dynamic_route", spy)
-    monkeypatch.setattr(caps, "LAYER_BYTES", 3 * sample + 7)
+    monkeypatch.setattr(caps, "LAYER_BYTES", 2 * (3 * sample + 7))
     v, state = caps.capsule_layer_forward(Tensor(poses_np), p, 3,
                                           return_state=True)
-    assert seen == [3, 3, 1]
+    assert sorted(seen) == [1, 3, 3]
     tol = 1e-12 * np.abs(v_whole.data).max()
     np.testing.assert_allclose(v.data, v_whole.data, rtol=0, atol=tol)
     assert state.b.shape == st_whole.b.shape == (n, n_lower, n_upper)
@@ -736,6 +741,137 @@ def test_streamed_layer_memory_bound(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.7 * budget < n * sample / 2
+
+
+def _route_spy(monkeypatch, before=None):
+    """Patch caps.dynamic_route to record (thread, group size) per call,
+    after running before(call index, thread) if given."""
+    real, calls, lock = caps.dynamic_route, [], threading.Lock()
+
+    def spy(u_hat, *args):
+        with lock:
+            k = len(calls)
+            calls.append((threading.get_ident(), u_hat.shape[0]))
+        if before is not None:
+            before(k, threading.get_ident())
+        return real(u_hat, *args)
+
+    monkeypatch.setattr(caps, "dynamic_route", spy)
+    return calls
+
+
+@pytest.mark.parametrize("return_state", [False, True])
+def test_layer_drops_each_group_before_the_next(return_state, monkeypatch):
+    # traced memory live as each group starts routing grows by that group's
+    # rows of v (3 KiB) and no more: the previous group's u_hat and routing
+    # state (its log priors and 3 couplings, 96 KiB) are gone, unless
+    # return_state keeps the state
+    import tracemalloc
+    n, n_lower, n_upper, d_in, d_out = 18, 8 * caps.BLOCK, 8, 4, 16
+    p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out,
+                                   "squash", 175)
+    sample = n_lower * n_upper * d_out * 8
+    state_bytes = 4 * 3 * n_lower * n_upper * 8
+    monkeypatch.setattr(caps, "WORKERS", 1)
+    monkeypatch.setattr(caps, "LAYER_BYTES", 3 * sample)
+    live = []  # traced bytes as each group starts routing
+    _route_spy(monkeypatch, lambda k, thread: live.append(
+        tracemalloc.get_traced_memory()[0]))
+    tracemalloc.start()
+    try:
+        caps.capsule_layer_forward(Tensor(poses_np), p, 3,
+                                   return_state=return_state)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 6
+    growth = np.diff(live)
+    if return_state:
+        assert growth.min() >= state_bytes
+    else:
+        assert growth.max() < state_bytes / 4
+
+
+@pytest.mark.parametrize("act", ["squash", "tanh"])
+def test_two_workers_equal_one_worker_bitwise(act, monkeypatch):
+    # 8 samples in groups of 2 over two workers against groups of 4 on the
+    # calling thread alone.  The first group routed waits until the other
+    # worker has routed the other three: the join must still follow the
+    # samples, not the order the groups completed in
+    n, n_lower, n_upper, d_in, d_out = 8, caps.BLOCK + 5, 3, 4, 5
+    p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out, act, 172)
+    sample = n_lower * n_upper * d_out * 8
+    monkeypatch.setattr(caps, "LAYER_BYTES", 4 * sample)
+    monkeypatch.setattr(caps, "WORKERS", 1)
+    calls = _route_spy(monkeypatch)
+    v_one, st_one = caps.capsule_layer_forward(Tensor(poses_np), p, 3,
+                                               return_state=True)
+    assert calls == [(threading.get_ident(), 4)] * 2
+
+    rest_routed = threading.Event()
+
+    def before(k, thread):
+        if k == 0:
+            assert rest_routed.wait(10)
+        elif k == 3:
+            rest_routed.set()
+
+    calls = _route_spy(monkeypatch, before)
+    monkeypatch.setattr(caps, "WORKERS", 2)
+    v, state = caps.capsule_layer_forward(Tensor(poses_np), p, 3,
+                                          return_state=True)
+    assert [size for _, size in calls] == [2] * 4
+    assert len({thread for thread, _ in calls}) == 2
+    assert np.array_equal(v.data, v_one.data)
+    assert np.array_equal(state.b, st_one.b)
+    assert len(state.c_history) == len(st_one.c_history) == 3
+    for c, c_one in zip(state.c_history, st_one.c_history):
+        assert np.array_equal(c, c_one)
+
+
+def test_tracked_layer_routes_on_the_calling_thread(monkeypatch):
+    # a budget that splits a graph-free pass over two workers leaves a
+    # tracked pass one group on the calling thread, with one node each
+    n, n_lower, n_upper, d_in, d_out = 6, caps.BLOCK + 5, 3, 4, 5
+    p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out,
+                                   "squash", 173)
+    sample = n_lower * n_upper * d_out * 8
+    monkeypatch.setattr(caps, "WORKERS", 2)
+    monkeypatch.setattr(caps, "LAYER_BYTES", 2 * sample)
+    calls = _route_spy(monkeypatch)
+    with ad.Graph() as g:
+        caps.capsule_layer_forward(Tensor(poses_np, requires_grad=True), p, 3)
+        assert [node[0] for node in g.nodes] == ["capsule_transform",
+                                                 "dynamic_route"]
+    assert calls == [(threading.get_ident(), n)]
+
+
+@pytest.mark.parametrize("failing", ["calling", "other"])
+def test_worker_exception_reaches_the_caller(failing, monkeypatch):
+    # one thread's first group raises; the other thread's groups wait for
+    # that, so that both threads take groups
+    n, n_lower, n_upper, d_in, d_out = 8, caps.BLOCK + 5, 3, 4, 5
+    p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out,
+                                   "tanh", 174)
+    sample = n_lower * n_upper * d_out * 8
+    monkeypatch.setattr(caps, "WORKERS", 2)
+    monkeypatch.setattr(caps, "LAYER_BYTES", 2 * sample)
+    caller = threading.get_ident()
+
+    class GroupFailed(Exception):
+        pass
+
+    raised = threading.Event()
+
+    def before(k, thread):
+        if (thread == caller) == (failing == "calling"):
+            raised.set()
+            raise GroupFailed(k)
+        assert raised.wait(10)
+
+    calls = _route_spy(monkeypatch, before)
+    with pytest.raises(GroupFailed):
+        caps.capsule_layer_forward(Tensor(poses_np), p, 3)
+    assert len({thread for thread, _ in calls}) == 2
 
 
 def test_capsule_layer_shape_errors():

@@ -54,6 +54,15 @@ print(faults[16:])
 """
 
 
+def _run(script: str):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 @pytest.mark.skipif(not GLIBC, reason="the policy applies to glibc only")
 def test_steady_state_train_step_takes_no_page_faults():
     # Without the policy these 16 steps fault in 9,000 to 13,000 pages, up
@@ -61,19 +70,67 @@ def test_steady_state_train_step_takes_no_page_faults():
     # maps its small-object arenas itself, outside malloc, and maps one
     # again now and then.  The bound leaves room for those and for one late
     # growth of the heap, a few hundred pages.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", STEPS], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    faults = ast.literal_eval(proc.stdout.strip())
+    faults = ast.literal_eval(_run(STEPS).stdout.strip())
     assert len(faults) == 16
     assert sum(faults) < 400, faults
 
 
+# Prints the number of malloc arenas after a second thread has allocated.
+ARENAS = """
+import ctypes, threading
+import numpy as np
+import siamcaps
+
+def work():
+    return [np.ones(1 << 16) for _ in range(4)]
+
+t = threading.Thread(target=work)
+t.start()
+t.join()
+ctypes.CDLL(None).malloc_stats()  # one "Arena <k>:" line per arena, on stderr
+"""
+
+# Repeated graph-free passes of a capsule layer whose 32 samples split into
+# 8 groups of 4 (4 MiB of u_hat each) over the layer's worker threads;
+# prints ru_maxrss in KiB after each pass.
+PASSES = """
+import resource
+import numpy as np
+from siamcaps import capsules as caps
+from siamcaps.autodiff import Tensor
+
+caps.WORKERS, caps.LAYER_BYTES = 2, 8 << 20
+p = caps.CapsuleLayerParams(512, 16, 8, 16, seed=5)
+poses = Tensor(np.random.default_rng(5).uniform(-1, 1, (32, 512, 8)))
+rss = []
+for _ in range(12):
+    caps.capsule_layer_forward(poses, p, 3)
+    rss.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(rss)
+"""
+
+
 @pytest.mark.skipif(not GLIBC, reason="the policy applies to glibc only")
-def test_glibc_accepts_both_settings():
+def test_glibc_accepts_every_setting():
+    # no mmap, no trim and one arena; without the arena setting the second
+    # thread allocates from an arena of its own
     assert _heap.keep_freed_memory()
+    stats = _run(ARENAS).stderr
+    assert [line for line in stats.splitlines()
+            if line.startswith("Arena ")] == ["Arena 0:"], stats
+
+
+@pytest.mark.skipif(not GLIBC, reason="the policy applies to glibc only")
+def test_repeated_threaded_layer_passes_keep_peak_rss():
+    # After the first pass the heap holds what a pass needs, so later passes
+    # reuse it.  The slack, 1 MiB, is a quarter of one group's u_hat, so
+    # memory that each pass leaves behind (a group's u_hat, or the pass's
+    # routing states, 8 MiB) would exceed it.  Both
+    # with one arena and with one per thread, the later passes read 0 to
+    # 256 KiB here, but one arena per thread read 1.5 MiB in one run of 5.
+    rss = ast.literal_eval(_run(PASSES).stdout.strip())
+    assert len(rss) == 12
+    assert max(rss) - rss[0] <= 1024, rss
 
 
 def test_other_libc_makes_no_mallopt_call(monkeypatch):
