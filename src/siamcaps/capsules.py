@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .layers import Conv2dParams, byte_chunks, conv2d_init, conv2d_forward
+from .layers import (Conv2dParams, byte_chunks, conv2d_forward,
+                     fill_glorot_kernel)
 from .rng import SplitMix64, derive_seed
 
 EPS_SQ = 1e-9
@@ -233,9 +234,10 @@ class PrimaryCapsuleParams:
     [O, kh, kw, C] storage order, and dim-major along O: output channel
     dim*n_types + type is pose dimension dim of capsule type type.  Block
     dim is drawn exactly as a standalone in_ch -> n_types conv2d_init with
-    seed derive_seed(seed, dim), and the bias starts at zero.  Full width is
-    256 -> 8*32 channels, 9x9 stride 3 (256*256*81 + 256 = 5,308,672
-    parameters); in_ch and n_types are configurable so tests can shrink it.
+    seed derive_seed(seed, dim), straight into its slice of the kernel, and
+    the bias starts at zero.  Full width is 256 -> 8*32 channels, 9x9
+    stride 3 (256*256*81 + 256 = 5,308,672 parameters); in_ch and n_types
+    are configurable so tests can shrink it.
     """
 
     def __init__(self, in_ch: int = 256, n_types: int = 32, d: int = 8,
@@ -243,12 +245,13 @@ class PrimaryCapsuleParams:
         self.in_ch = in_ch
         self.n_types = n_types
         self.d = d
-        blocks = [conv2d_init(in_ch, n_types, ksize, stride,
-                              derive_seed(seed, dim)).kernel.data
-                  for dim in range(d)]
-        self.conv = Conv2dParams(
-            Tensor(np.concatenate(blocks), requires_grad=True),
-            ad.zeros([d * n_types], requires_grad=True), stride)
+        kernel = np.empty((d * n_types, ksize, ksize, in_ch))
+        for dim in range(d):
+            fill_glorot_kernel(kernel[dim * n_types:(dim + 1) * n_types],
+                               derive_seed(seed, dim))
+        self.conv = Conv2dParams(Tensor(kernel, requires_grad=True),
+                                 ad.zeros([d * n_types], requires_grad=True),
+                                 stride)
 
     def named_parameters(self, prefix: str) -> list:
         return self.conv.named_parameters(prefix)
@@ -279,8 +282,8 @@ class CapsuleLayerParams:
     is the d_in x d_out matrix W_ij, and W[i] reshaped to
     [d_in, upper*d_out] maps lower capsule i's pose to all its predictions.
     Its values are the SplitMix64 uniform draw of a [lower, upper, d_in,
-    d_out] array, drawn BLOCK lower capsules at a time and transposed into
-    place, so the draw makes no second full-size array.
+    d_out] array, drawn straight into the storage order, so the draw makes
+    no second full-size array.
     """
 
     def __init__(self, n_lower: int, n_upper: int, d_in: int, d_out: int,
@@ -288,12 +291,9 @@ class CapsuleLayerParams:
         if activation_kind not in ACTIVATIONS:
             raise ValueError(f"unknown activation kind {activation_kind!r}")
         bound = float(np.sqrt(6.0 / (d_in + d_out)))
-        draw = SplitMix64(derive_seed(seed, 3))
         w = np.empty((n_lower, d_in, n_upper, d_out))
-        for lo in range(0, n_lower, BLOCK):
-            blk = w[lo:lo + BLOCK]
-            blk[...] = draw.uniform(blk.size, -bound, bound).reshape(
-                len(blk), n_upper, d_in, d_out).transpose(0, 2, 1, 3)
+        SplitMix64(derive_seed(seed, 3)).fill_uniform(w.transpose(0, 2, 1, 3),
+                                                      -bound, bound)
         self.W = Tensor(w, requires_grad=True)
         self.activation_kind = activation_kind
 
@@ -419,8 +419,11 @@ def concrete_dropout_mask(p_caps: Tensor, u: Tensor, t: float,
 
     z = sigmoid((1/t) (log p - log(1-p)) + log u - log(1-u)); the 1/t factor
     scales only the probability logit.  standard_concrete instead divides
-    the whole sum of logits by t.  p_caps is learnable; u must be clamped
-    strictly inside (0, 1) by the caller.
+    the whole sum of logits by t: the binary Concrete relaxation, whose mean
+    is p, and the one ScnEncoder trains with.  The default form saturates
+    at small t (its mean is near 0 or 1 unless p = 0.5); no encoder uses it.
+    p_caps is learnable; u must be clamped strictly inside (0, 1) by the
+    caller.
     """
     if t <= 0:
         raise ValueError(f"temperature must be positive, got {t}")

@@ -75,11 +75,19 @@ def decode_tensors(raw: bytes) -> list:
 
 
 def _read_tensors(fh) -> list:
-    """Parse a checkpoint from a binary file at its start.
+    """Parse a checkpoint from a binary file, each tensor read straight into
+    its own array, so loading holds the data once."""
+    return [(name, _read_into(fh, offset, np.empty(dims, dtype="<f8")))
+            for name, dims, offset in _read_index(fh)]
+
+
+def _read_index(fh) -> list:
+    """Check a checkpoint file and list its tensors as [(name, dims,
+    offset)] in file order, offset being where the tensor's data starts.
 
     The CRC is checked over the whole payload first, a chunk at a time, so
-    no size read from a corrupt file is trusted.  Then each tensor is read
-    straight into its own array, so loading holds the data once.
+    no size read from a corrupt file is trusted.  Then the headers are read,
+    seeking past each tensor's data; no tensor data is read.
     """
     magic = fh.read(8)
     if magic != MAGIC:
@@ -103,22 +111,37 @@ def _read_tensors(fh) -> list:
     version, count = struct.unpack("<HI", take(6))
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    entries = []
+    index = []
     for _ in range(count):
         (nlen,) = struct.unpack("<H", take(2))
         name = take(nlen).decode("utf-8")
         (rank,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = math.prod(dims)
-        if fh.tell() + 8 * size > end:
+        offset = fh.tell()
+        data_end = offset + 8 * math.prod(dims)
+        if data_end > end:
             raise CheckpointError("checkpoint corrupt")
-        arr = np.empty(dims, dtype="<f8")
-        if fh.readinto(arr) != 8 * size:  # the file shrank after the crc
-            raise CheckpointError("checkpoint corrupt")
-        entries.append((name, arr))
+        fh.seek(data_end)
+        index.append((name, dims, offset))
     if fh.tell() != end:
         raise CheckpointError("checkpoint corrupt")
-    return entries
+    return index
+
+
+def _read_into(fh, offset: int, arr: np.ndarray) -> np.ndarray:
+    """Read the float64 data at offset into arr and return arr.  The read
+    goes straight into arr when it is a C-contiguous little-endian float64
+    array, as every encoder array is on a little-endian host; otherwise
+    through a temporary that numpy converts."""
+    dst = arr
+    if not (arr.flags.c_contiguous and arr.dtype == np.dtype("<f8")):
+        dst = np.empty(arr.shape, dtype="<f8")
+    fh.seek(offset)
+    if fh.readinto(dst) != dst.nbytes:  # the file shrank after the crc
+        raise CheckpointError("checkpoint corrupt")
+    if dst is not arr:
+        arr[...] = dst
+    return arr
 
 
 def save_checkpoint(encoder, optim_state, path: str) -> None:
@@ -152,44 +175,53 @@ def load_checkpoint(path: str) -> dict:
         return dict(_read_tensors(fh))
 
 
-def _checked(tensors: dict, key: str, shape: tuple) -> np.ndarray:
-    if key not in tensors:
+def _checked(index: dict, key: str, shape: tuple) -> int:
+    """The data offset of tensor key, which must have the given shape."""
+    if key not in index:
         raise CheckpointError(f"checkpoint missing tensor {key!r}")
-    if tensors[key].shape != shape:
+    dims, offset = index[key]
+    if dims != shape:
         raise CheckpointError(
             f"shape mismatch for {key!r}: checkpoint "
-            f"{list(tensors[key].shape)} vs model {list(shape)}")
-    return tensors[key]
+            f"{list(dims)} vs model {list(shape)}")
+    return offset
 
 
 def restore_checkpoint(encoder, optim_state, path: str) -> None:
     """Load a checkpoint into an existing encoder (and optimizer state).
 
-    All or nothing: every model parameter and buffer must be present with
-    matching shape, and so must the optimizer step count and, for each
-    parameter that has any optimizer moment, all three moments with the
-    parameter's shape.  The first bad tensor is reported by name, and
-    nothing is written until every tensor has been checked.
+    All or nothing: the magic, version and CRC must hold, every model
+    parameter and buffer must be present with matching shape, and so must
+    the optimizer step count and, for each parameter that has any optimizer
+    moment, all three moments with the parameter's shape.  The first bad
+    tensor is reported by name.  Every check runs on the file's index
+    before the first write; then each parameter and buffer is read straight
+    into the encoder's own array, and each moment into a new array, so the
+    restore holds no second copy of the model.  A file changed in place
+    while it is restored is out of scope: saves replace a file by rename.
     """
-    tensors = load_checkpoint(path)
-    writes = [(t.data, _checked(tensors, "model/" + n, t.data.shape))
-              for n, t in encoder.named_parameters()]
-    writes += [(b, _checked(tensors, "buffer/" + n, b.shape))
-               for n, b in encoder.named_buffers()]
-    moments = {}
-    restore_optim = optim_state is not None and "optim/t" in tensors
-    if restore_optim:
-        step = _checked(tensors, "optim/t", (1,))
-        for n, t in encoder.named_parameters():
-            keys = [f"optim/{kind}/{n}" for kind in ("m", "v", "vhat")]
-            if any(k in tensors for k in keys):
-                moments[n] = [_checked(tensors, k, t.data.shape)
-                              for k in keys]
-    for dst, src in writes:
-        dst[...] = src
-    if restore_optim:
-        optim_state.t = int(step[0])
-        for n, (m, v, v_hat) in moments.items():
-            optim_state.m[n] = m
-            optim_state.v[n] = v
-            optim_state.v_hat[n] = v_hat
+    with open(path, "rb") as fh:
+        index = {name: (dims, offset)
+                 for name, dims, offset in _read_index(fh)}
+        writes = [(t.data, _checked(index, "model/" + n, t.data.shape))
+                  for n, t in encoder.named_parameters()]
+        writes += [(b, _checked(index, "buffer/" + n, b.shape))
+                   for n, b in encoder.named_buffers()]
+        moments = {}
+        restore_optim = optim_state is not None and "optim/t" in index
+        if restore_optim:
+            step = _checked(index, "optim/t", (1,))
+            for n, t in encoder.named_parameters():
+                keys = [f"optim/{kind}/{n}" for kind in ("m", "v", "vhat")]
+                if any(k in index for k in keys):
+                    moments[n] = (t.data.shape,
+                                  [_checked(index, k, t.data.shape)
+                                   for k in keys])
+        for dst, offset in writes:
+            _read_into(fh, offset, dst)
+        if restore_optim:
+            optim_state.t = int(_read_into(fh, step, np.empty(1))[0])
+            for n, (shape, offsets) in moments.items():
+                optim_state.m[n], optim_state.v[n], optim_state.v_hat[n] = (
+                    _read_into(fh, offset, np.empty(shape))
+                    for offset in offsets)

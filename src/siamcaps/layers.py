@@ -55,7 +55,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .rng import derive_seed
+from .rng import SplitMix64, derive_seed
 
 # bytes of patch matrix that the im2col forward, and again its vjp, builds
 # at once; each runs its GEMMs over groups of images that fit, and the
@@ -143,17 +143,22 @@ def conv2d_init(in_ch: int, out_ch: int, ksize: int, stride: int = 1,
                 seed: int = 0) -> Conv2dParams:
     """Glorot-uniform [out_ch, ksize, ksize, in_ch] kernel and zero bias.
 
-    The values are the SplitMix64 draw of an [out_ch, in_ch, ksize, ksize]
-    array, transposed into storage order.
+    The values are those of fill_glorot_kernel.
     """
-    fan_in = in_ch * ksize * ksize
-    fan_out = out_ch * ksize * ksize
-    draw = glorot_uniform([out_ch, in_ch, ksize, ksize], fan_in, fan_out,
-                          derive_seed(seed, 1)).data
-    kernel = Tensor(np.ascontiguousarray(draw.transpose(0, 2, 3, 1)),
-                    requires_grad=True)
+    kernel = np.empty((out_ch, ksize, ksize, in_ch))
+    fill_glorot_kernel(kernel, seed)
     bias = ad.zeros([out_ch], requires_grad=True)
-    return Conv2dParams(kernel, bias, stride)
+    return Conv2dParams(Tensor(kernel, requires_grad=True), bias, stride)
+
+
+def fill_glorot_kernel(kernel: np.ndarray, seed: int) -> None:
+    """Overwrite an [O, k, k, C] kernel, or a block of output channels of
+    one, with the Glorot-uniform SplitMix64 draw (seed derive_seed(seed, 1))
+    of an [O, C, k, k] array, drawn straight into the storage order."""
+    o, k, _, c = kernel.shape
+    bound = float(np.sqrt(6.0 / (c * k * k + o * k * k)))
+    SplitMix64(derive_seed(seed, 1)).fill_uniform(
+        kernel.transpose(0, 3, 1, 2), -bound, bound)
 
 
 def byte_chunks(n: int, item_bytes: int, budget: int) -> list:

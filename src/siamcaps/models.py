@@ -155,8 +155,9 @@ class ScnEncoder:
                 if rng is None:
                     raise ValueError("sdropcapnet training needs an rng")
                 u = np.clip(rng.spawn(2).uniform(caps), 1e-7, 1.0 - 1e-7)
+                # the relaxation whose mean mask is p, the eval scale below
                 z = concrete_dropout_mask(self.dropout_p, Tensor(u),
-                                          CONCRETE_T)
+                                          CONCRETE_T, standard_concrete=True)
             else:
                 z = self.dropout_p  # deterministic eval: scale by keep prob
             v = ad.mul(v, ad.reshape(z, [1, caps, 1]))

@@ -90,7 +90,7 @@ def amsgrad_step(params: list, state: OptimState, alpha: float,
             np.multiply(gb, 1.0 - THETA1, out=tmp)
             mb *= THETA1
             mb += tmp
-            np.multiply(gb, gb, out=tmp)
+            np.square(gb, out=tmp)
             tmp *= 1.0 - THETA2
             vb *= THETA2
             vb += tmp

@@ -4,7 +4,10 @@ Everything stochastic in this library (weight init, pair sampling, dropout
 masks, synthetic data) draws from :class:`SplitMix64` so that a single integer
 seed reproduces a run bit-for-bit on any platform.  The generator is the
 SplitMix64 counter scheme: output ``i`` is ``mix64(seed + (i+1) * GAMMA)``,
-which makes bulk generation a vectorized numpy expression.
+which makes bulk generation a vectorized numpy expression (Steele, Lea &
+Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014).  Bulk
+draws fill their output block by block, in cache; the sequence is the same
+as one whole-array pass would give, whatever the block or call boundaries.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ _MIX2 = 0x94D049BB133111EB
 
 # z >> 11 leaves 53 random bits; scaling by 2^-53 gives a double in [0, 1).
 _INV_2_53 = 2.0 ** -53
+
+# draws per block of a bulk draw: a block's uint64 and float64 buffers
+# (512 KB) stay in a typical L2 cache
+BLOCK = 32768
 
 
 def mix64(z: int) -> int:
@@ -42,10 +49,14 @@ def derive_seed(seed: int, *tags: int) -> int:
     return s
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    """mix64 of every element of the uint64 array z, in place; tmp is
+    uint64 scratch of z's size."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        if mult is not None:
+            z *= np.uint64(mult)
 
 
 class SplitMix64:
@@ -54,6 +65,12 @@ class SplitMix64:
     The i-th raw draw (1-indexed) is ``mix64(seed + i * GAMMA)`` mod 2^64.
     All derived distributions below consume raw draws in a fixed, documented
     order, so sequences are stable across platforms and numpy versions.
+
+    Bulk draws are made BLOCK at a time into reused buffers with in-place
+    ufuncs, so each block's integer and float passes run in cache.  Every
+    step is exact integer arithmetic or the same elementwise float operation
+    a whole-array formula would apply, so the sequence does not depend on
+    how it is split into blocks or calls.
     """
 
     def __init__(self, seed: int):
@@ -68,36 +85,107 @@ class SplitMix64:
         self._count += 1
         return mix64((self.seed + self._count * _GAMMA) & _MASK)
 
+    def _draw(self, z: np.ndarray, tmp: np.ndarray) -> None:
+        """Overwrite the uint64 array z (at most BLOCK long) with the next
+        z.size raw draws; tmp is uint64 scratch of z's size."""
+        # seed + (count + i) * GAMMA for i = 1..z.size, mod 2^64
+        np.multiply(np.arange(1, z.size + 1, dtype=np.uint64),
+                    np.uint64(_GAMMA), out=z)
+        z += np.uint64((self.seed + self._count * _GAMMA) & _MASK)
+        self._count += z.size
+        _mix_into(z, tmp)
+
+    def _uniform(self, u: np.ndarray, z: np.ndarray, lo, hi) -> None:
+        """Overwrite the float64 array u (at most BLOCK long) with the next
+        u.size uniform draws on [lo, hi); z is uint64 scratch at least as
+        long.  u's own memory is the mixing scratch until it is written."""
+        z = z[:u.size]
+        self._draw(z, u.view(np.uint64))
+        z >>= np.uint64(11)
+        np.multiply(z, _INV_2_53, out=u)
+        u *= hi - lo
+        u += lo
+
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
-        start = self._count
-        self._count += n
-        with np.errstate(over="ignore"):
-            idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-            z = np.uint64(self.seed) + idx * np.uint64(_GAMMA)
-            return _mix_array(z)
+        out = np.empty(n, dtype=np.uint64)
+        tmp = np.empty(min(n, BLOCK), dtype=np.uint64)
+        for a in range(0, n, BLOCK):
+            z = out[a:a + BLOCK]
+            self._draw(z, tmp[:z.size])
+        return out
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """``n`` doubles uniform on [lo, hi). One raw draw per value."""
-        u = (self.raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return lo + (hi - lo) * u
+        """``n`` doubles uniform on [lo, hi). One raw draw per value:
+        ``lo + (hi - lo) * ((draw >> 11) * 2^-53)``."""
+        out = np.empty(n)
+        self.fill_uniform(out, lo, hi)
+        return out
+
+    def fill_uniform(self, out: np.ndarray, lo: float = 0.0,
+                     hi: float = 1.0) -> None:
+        """Overwrite the float64 array out with the next out.size uniform
+        draws on [lo, hi), in the C order of out's own axes: the values of
+        ``uniform(out.size, lo, hi).reshape(out.shape)``.
+
+        out may be a strided view, such as a transpose of the array that
+        stores it.  Its leading rows are then drawn a block at a time into
+        one scratch block and copied in, so no whole-array temporary is made.
+        """
+        if out.flags.c_contiguous:
+            flat = out.reshape(-1)
+            z = np.empty(min(flat.size, BLOCK), dtype=np.uint64)
+            for a in range(0, flat.size, BLOCK):
+                self._uniform(flat[a:a + BLOCK], z, lo, hi)
+            return
+        row = out[0].size
+        if row > BLOCK:
+            for sub in out:
+                self.fill_uniform(sub, lo, hi)
+            return
+        rows = BLOCK // row
+        scratch = np.empty(min(len(out), rows) * row)
+        z = np.empty(scratch.size, dtype=np.uint64)
+        for i in range(0, len(out), rows):
+            blk = out[i:i + rows]
+            u = scratch[:blk.size]
+            self._uniform(u, z, lo, hi)
+            blk[...] = u.reshape(blk.shape)
 
     def normal(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         """``n`` Gaussian doubles via Box-Muller on consecutive draw pairs.
 
         Consumes 2*ceil(n/2) raw draws: pair k uses draws (2k, 2k+1) as
-        (u1 in (0,1], u2 in [0,1)) and emits r*cos, r*sin in that order.
+        (u1 in (0,1], u2 in [0,1)) and emits r*cos, r*sin in that order,
+        r = sqrt(-2 log u1), theta = 2 pi u2.
         """
         n_pairs = (n + 1) // 2
-        z = self.raw(2 * n_pairs)
-        u1 = ((z[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (z[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
         out = np.empty(2 * n_pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return mu + sigma * out[:n]
+        m = min(n_pairs, BLOCK // 2)
+        z = np.empty(2 * m, dtype=np.uint64)
+        tmp = np.empty_like(z)
+        r, theta, trig = np.empty(m), np.empty(m), np.empty(m)
+        for a in range(0, 2 * n_pairs, BLOCK):
+            pairs = out[a:a + BLOCK]
+            k = pairs.size // 2
+            zb = z[:2 * k]
+            self._draw(zb, tmp[:2 * k])
+            zb >>= np.uint64(11)
+            rb, tb, cb = r[:k], theta[:k], trig[:k]
+            np.add(zb[0::2], 1.0, out=rb)
+            rb *= _INV_2_53
+            np.log(rb, out=rb)
+            rb *= -2.0
+            np.sqrt(rb, out=rb)
+            np.multiply(zb[1::2], _INV_2_53, out=tb)
+            tb *= 2.0 * math.pi
+            np.cos(tb, out=cb)
+            np.multiply(rb, cb, out=pairs[0::2])
+            np.sin(tb, out=cb)
+            np.multiply(rb, cb, out=pairs[1::2])
+        out *= sigma
+        out += mu
+        return out[:n]
 
     def randrange(self, bound: int) -> int:
         """Integer in [0, bound) via modulo reduction (bias < 2^-50 here)."""

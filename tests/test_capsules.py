@@ -507,6 +507,21 @@ def test_primary_kernel_blocks_match_per_dimension_init():
     assert np.array_equal(p.conv.bias.data, np.zeros(d * t))
 
 
+def test_primary_kernel_drawn_in_place_matches_concatenated_draws():
+    # each pose dimension's block is the whole-array draw of a standalone
+    # conv2d_init, transposed; the blocks stacked along O are the kernel
+    in_ch, t, d, k, seed = 64, 8, 4, 9, 19
+    p = caps.PrimaryCapsuleParams(in_ch=in_ch, n_types=t, d=d, ksize=k,
+                                  seed=seed)
+    bound = float(np.sqrt(6.0 / (in_ch * k * k + t * k * k)))
+    blocks = [SplitMix64(derive_seed(derive_seed(seed, dim), 1)).uniform(
+        t * in_ch * k * k, -bound, bound).reshape(t, in_ch, k, k)
+        .transpose(0, 2, 3, 1) for dim in range(d)]
+    want = np.concatenate(blocks)
+    assert p.conv.kernel.data.flags.c_contiguous
+    assert p.conv.kernel.data.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # capsule transform layer
 
@@ -514,6 +529,21 @@ def test_capsule_layer_parameter_count_logged_true_count():
     p = caps.CapsuleLayerParams(2048, 32, 8, 16, seed=8)
     assert sum(t.size for _, t in p.named_parameters("face")) \
         == 2048 * 32 * 8 * 16 == 8388608
+
+
+@pytest.mark.parametrize("shape", [(100, 32, 8, 16), (3, 5, 40, 200)])
+def test_capsule_weights_drawn_in_place_match_whole_array_draw(shape):
+    # the [lower, upper, d_in, d_out] whole-array draw, transposed into the
+    # [lower, d_in, upper, d_out] storage order; the second shape has more
+    # than a block of weights per lower capsule
+    n_lower, n_upper, d_in, d_out = shape
+    p = caps.CapsuleLayerParams(n_lower, n_upper, d_in, d_out, seed=23)
+    bound = float(np.sqrt(6.0 / (d_in + d_out)))
+    draw = SplitMix64(derive_seed(23, 3)).uniform(int(np.prod(shape)),
+                                                  -bound, bound)
+    want = np.ascontiguousarray(draw.reshape(shape).transpose(0, 2, 1, 3))
+    assert p.W.data.flags.c_contiguous
+    assert p.W.data.tobytes() == want.tobytes()
 
 
 def test_capsule_layer_zero_grid_zero_output():

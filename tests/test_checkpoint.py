@@ -118,6 +118,33 @@ def test_encode_and_load_hold_the_data_once(tmp_path):
     assert loaded["small"].tobytes() == np.ones(3).tobytes()
 
 
+def test_restore_reads_into_the_encoder_in_place(tmp_path):
+    # a model-only restore checks the file's index, then reads each tensor
+    # straight into the encoder's own array: it allocates no copy of the
+    # model, only the crc pass's chunk and the index
+    cfg = dict(TINY, input_size=100, conv_channels=16, primary_types=16,
+               face_caps=32, face_d=16)
+    enc = ScnEncoder(seed=3, **cfg)
+    path = str(tmp_path / "model.ckpt")
+    ckpt.save_checkpoint(enc, None, path)
+    enc2 = ScnEncoder(seed=4, **cfg)
+    arrays = [t.data for _, t in enc2.named_parameters()]
+    param_bytes = sum(a.nbytes for a in arrays)
+    assert param_bytes > 20 * ckpt.CRC_CHUNK
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ckpt.restore_checkpoint(enc2, None, path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * param_bytes
+    for (_, t), (_, t2), a in zip(enc.named_parameters(),
+                                  enc2.named_parameters(), arrays):
+        assert t2.data is a
+        assert t2.data.tobytes() == t.data.tobytes()
+
+
 def _train_one_step(enc, state, images):
     with ad.Graph():
         emb = enc.encode(ad.Tensor(images), training=True)

@@ -135,6 +135,42 @@ def test_resize_upscale_and_downscale_shapes():
 # ---------------------------------------------------------------------------
 # ORL-layout loader
 
+def _ix_resize(gray, target):
+    """Bilinear resize as four np.ix_ gathers of the [target, target] grid."""
+    h, w = gray.shape
+
+    def coords(n_src):
+        src = np.clip((np.arange(target) + 0.5) * (n_src / target) - 0.5,
+                      0.0, n_src - 1.0)
+        i0 = np.floor(src).astype(np.int64)
+        return i0, np.minimum(i0 + 1, n_src - 1), src - i0
+
+    r0, r1, wy = coords(h)
+    c0, c1, wx = coords(w)
+    wy, wx = wy[:, None], wx[None, :]
+    top = gray[np.ix_(r0, c0)] * (1 - wx) + gray[np.ix_(r0, c1)] * wx
+    bot = gray[np.ix_(r1, c0)] * (1 - wx) + gray[np.ix_(r1, c1)] * wx
+    return top * (1 - wy) + bot * wy
+
+
+@pytest.mark.parametrize("h,w,target", [(112, 92, 100), (112, 92, 64),
+                                        (30, 41, 100), (2, 2, 100)])
+def test_preprocess_matches_ix_gather_bitwise(h, w, target):
+    gray = SplitMix64(h * w + target).uniform(h * w).reshape(h, w)
+    out = preprocess(gray, target=target).data
+    assert out.shape == (1, target, target)
+    assert out[0].tobytes() == _ix_resize(gray, target).tobytes()
+
+
+def test_resize_coordinates_cached_read_only():
+    coords = data._resize_axis_coords(112, 100)
+    assert data._resize_axis_coords(112, 100) is coords
+    for arr in coords:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_att_loader_round_trip_metadata(tmp_path):
     ds = synth_dataset(4, 3, seed=5, size=24)
     data.export_orl_layout(ds, str(tmp_path / "orl"))

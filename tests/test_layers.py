@@ -821,6 +821,29 @@ def test_init_kernel_is_the_draw_in_storage_order():
     assert np.array_equal(p.kernel.data, draw.transpose(0, 2, 3, 1))
 
 
+def _whole_array_kernel(in_ch, out_ch, k, seed):
+    """conv2d_init's kernel as a whole-array [O, C, k, k] draw, transposed
+    into a contiguous [O, k, k, C] copy."""
+    bound = float(np.sqrt(6.0 / (in_ch * k * k + out_ch * k * k)))
+    draw = SplitMix64(derive_seed(seed, 1)).uniform(
+        out_ch * in_ch * k * k, -bound, bound)
+    return np.ascontiguousarray(
+        draw.reshape(out_ch, in_ch, k, k).transpose(0, 2, 3, 1))
+
+
+@pytest.mark.parametrize("in_ch,out_ch,k", [
+    (1, 256, 9),    # conv1: C = 1, so the draw order is the storage order
+    (40, 50, 5),    # several output channels per block, two blocks
+    (512, 3, 9),    # one output channel spans more than a block
+])
+def test_init_kernel_drawn_in_place_matches_whole_array_draw(in_ch, out_ch,
+                                                            k):
+    p = layers.conv2d_init(in_ch, out_ch, k, seed=21)
+    assert p.kernel.data.flags.c_contiguous
+    assert p.kernel.data.tobytes() == _whole_array_kernel(in_ch, out_ch, k,
+                                                          21).tobytes()
+
+
 def test_glorot_bound_conv_9x9():
     p = layers.conv2d_init(1, 256, 9, seed=11)
     bound = np.sqrt(6.0 / (1 * 81 + 256 * 81))

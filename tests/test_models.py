@@ -116,6 +116,51 @@ def test_sdropcapnet_mask_applied_in_training():
     assert np.abs(train_out - eval_out).max() > 1e-6
 
 
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_sdropcapnet_mean_training_mask_is_the_eval_scale(p, monkeypatch):
+    # the masks encode draws in training average to the keep probability p
+    # that eval scales by.  Over 40 calls of 500 capsules (20,000 draws), a
+    # mask in [0, 1] with mean p has a Monte-Carlo standard error of at
+    # most 0.5 / sqrt(20,000) = 0.0035, and the relaxation's own bias at
+    # t = 0.1 is about 0.003 (1e5 draws), so 0.02 is over 4 standard errors
+    enc = tiny_encoder(mode="sdropcapnet", face_caps=500, face_d=2)
+    enc.dropout_p.data[:] = p
+    masks = []
+
+    def recorded(*args, **kwargs):
+        z = caps_mask(*args, **kwargs)
+        masks.append(z.data.copy())
+        return z
+
+    caps_mask = models.concrete_dropout_mask
+    monkeypatch.setattr(models, "concrete_dropout_mask", recorded)
+    x = tiny_images(2)  # training batchnorm needs two samples
+    for k in range(40):
+        enc.encode(x, training=True, rng=SplitMix64(1000 + k))
+    mean = float(np.mean(masks))
+    assert len(masks) == 40 and abs(mean - p) < 0.02, mean
+
+
+def test_sdropcapnet_loss_gradient_in_dropout_p_finite_difference():
+    # the noise is held fixed by drawing it from a fresh, equally seeded
+    # rng on every evaluation of the loss
+    enc = tiny_encoder(mode="sdropcapnet", face_caps=16)
+    enc.dropout_p.data[:] = 0.9
+    x = tiny_images(2)
+    weights = Tensor(SplitMix64(3).uniform(2 * 5, -1.0, 1.0).reshape(2, 5))
+
+    def loss(p):
+        assert p is enc.dropout_p
+        emb = enc.encode(x, training=True, rng=SplitMix64(44))
+        return ad.sum_(ad.mul(emb, weights))
+
+    with Graph():
+        backward(loss(enc.dropout_p))
+        grad = enc.dropout_p.grad.copy()
+    assert np.abs(grad).max() > 1e-3  # some masks are not saturated
+    assert ad.grad_check(loss, enc.dropout_p) < 1e-6
+
+
 def test_sdropcapnet_training_requires_rng():
     enc = tiny_encoder(mode="sdropcapnet")
     with pytest.raises(ValueError, match="rng"):

@@ -212,6 +212,27 @@ def test_blocked_update_matches_whole_array_bitwise(flat_lr):
     np.testing.assert_array_equal(got[-1].data, init[-1])
 
 
+def test_squared_gradient_matches_whole_array_formula_bitwise():
+    # g^2 is np.square per block; the reference forms g * g over the whole
+    # array.  The gradients span several blocks and include signed zeros,
+    # subnormals and values whose squares underflow or overflow
+    n = 3 * BLOCK + 5
+    rng = SplitMix64(107)
+    init = rng.uniform(n, -1.0, 1.0)
+    got, want = (Tensor(init.copy(), requires_grad=True) for _ in range(2))
+    st_got, st_want = OptimState(), OptimState()
+    for step in range(3):
+        g = rng.normal(n, sigma=3.0)
+        g[step::97] = [-0.0, 5e-324, 1e-170, 1e160, -2e155][step]
+        got.grad, want.grad = g, g.copy()
+        amsgrad_step([("w", got)], st_got, alpha=0.01)
+        amsgrad_whole_array_ref([("w", want)], st_want, alpha=0.01)
+        assert got.data.tobytes() == want.data.tobytes()
+        for d_got, d_want in ((st_got.m, st_want.m), (st_got.v, st_want.v),
+                              (st_got.v_hat, st_want.v_hat)):
+            assert d_got["w"].tobytes() == d_want["w"].tobytes()
+
+
 def test_non_contiguous_weights_or_moments_rejected():
     # the update writes through reshape(-1), which silently copies a
     # non-contiguous array; the step must refuse instead of losing it

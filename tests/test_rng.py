@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from siamcaps.rng import SplitMix64, derive_seed, mix64
+from siamcaps.rng import BLOCK, SplitMix64, derive_seed, mix64
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -112,3 +112,80 @@ def test_derive_seed_depends_on_all_tags():
 
 def test_mix64_is_masked_to_64_bits():
     assert 0 <= mix64((1 << 64) + 5) <= MASK
+
+
+# ---------------------------------------------------------------------------
+# block-wise bulk draws
+
+B = BLOCK
+BOUNDARY_SIZES = (B - 1, B, B + 1, 3 * B + 5)
+
+
+def _uniform_formula(draws, lo=0.0, hi=1.0):
+    """The whole-array uniform formula on given raw draws."""
+    z = np.array(draws, dtype=np.uint64)
+    return lo + (hi - lo) * ((z >> np.uint64(11)).astype(np.float64)
+                             * 2.0 ** -53)
+
+
+def _normal_formula(draws, n, mu=0.0, sigma=1.0):
+    """The whole-array Box-Muller formula on given raw draws."""
+    z = np.array(draws, dtype=np.uint64)
+    u1 = ((z[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (z[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(z.size)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return mu + sigma * out[:n]
+
+
+@pytest.fixture(scope="module")
+def ref_draws():
+    return reference_stream(31, 3 * B + 32)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_bulk_draws_match_scalar_reference_at_block_boundaries(n, ref_draws):
+    assert SplitMix64(31).raw(n).tolist() == ref_draws[:n]
+    got = SplitMix64(31).uniform(n, -0.25, 2.0)
+    assert got.tobytes() == _uniform_formula(ref_draws[:n], -0.25,
+                                             2.0).tobytes()
+    got = SplitMix64(31).normal(n, 0.5, 3.0)
+    want = _normal_formula(ref_draws[:n + n % 2], n, 0.5, 3.0)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
+
+def test_interleaved_bulk_draws_continue_one_stream(ref_draws):
+    g, pos = SplitMix64(31), 0
+    for kind, n in (("raw", 5), ("uniform", B + 3), ("normal", 7),
+                    ("single", 1), ("raw", B), ("normal", B - 1),
+                    ("uniform", 2)):
+        used = n + n % 2 if kind == "normal" else n
+        draws = ref_draws[pos:pos + used]
+        if kind == "raw":
+            assert g.raw(n).tolist() == draws
+        elif kind == "uniform":
+            assert g.uniform(n).tobytes() == _uniform_formula(draws).tobytes()
+        elif kind == "normal":
+            assert g.normal(n).tobytes() == _normal_formula(draws,
+                                                            n).tobytes()
+        else:
+            assert g.next_u64() == draws[0]
+        pos += used
+    assert pos < len(ref_draws)
+
+
+@pytest.mark.parametrize("shape,axes", [
+    ((5, 7, 3), (0, 2, 1)),            # small rows, one block
+    ((40, 9, 9, 100), (0, 3, 1, 2)),   # several rows per block, 2 blocks
+    ((3, 9, 9, 512), (0, 3, 1, 2)),    # a row longer than a block
+    ((4, 3, 5), (0, 1, 2)),            # contiguous
+])
+def test_fill_uniform_draws_in_the_views_own_order(shape, axes):
+    store = np.empty(shape)
+    view = store.transpose(axes)
+    SplitMix64(8).fill_uniform(view, -1.5, 0.5)
+    want = SplitMix64(8).uniform(store.size, -1.5, 0.5).reshape(view.shape)
+    assert np.ascontiguousarray(view).tobytes() == want.tobytes()
