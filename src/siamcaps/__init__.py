@@ -26,7 +26,7 @@ from .harness import (RunConfig, emit_plot, eval_run, evaluate,
                       train_run)
 from .layers import (BatchNormParams, Conv2dParams, DenseParams,
                      batchnorm_forward, conv2d_forward, conv2d_init,
-                     dense_forward, dense_init, glorot_uniform)
+                     dense_forward, dense_init)
 from .models import (METRICS, ScnEncoder, StandardEncoder, contrastive_loss,
                      distance, double_margin_loss, effective_distance,
                      predict_match, sweep_threshold, valid_margin)
@@ -51,7 +51,6 @@ __all__ = [
     "make_config", "overlap_coefficient", "train_run",
     "BatchNormParams", "Conv2dParams", "DenseParams", "batchnorm_forward",
     "conv2d_forward", "conv2d_init", "dense_forward", "dense_init",
-    "glorot_uniform",
     "METRICS", "ScnEncoder", "StandardEncoder", "contrastive_loss",
     "distance", "double_margin_loss", "effective_distance", "predict_match",
     "sweep_threshold", "valid_margin",

@@ -26,8 +26,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .rng import SplitMix64
-
 
 class ShapeError(ValueError):
     pass
@@ -204,16 +202,6 @@ def ones(shape, requires_grad: bool = False) -> Tensor:
 
 def full(shape, value: float, requires_grad: bool = False) -> Tensor:
     return Tensor(np.full(_check_shape(shape), float(value)), requires_grad)
-
-
-def uniform(shape, lo: float, hi: float, seed: int,
-            requires_grad: bool = False) -> Tensor:
-    shape = _check_shape(shape)
-    if not lo < hi:
-        raise ValueError(f"uniform needs lo < hi, got [{lo}, {hi})")
-    n = int(np.prod(shape))
-    vals = SplitMix64(seed).uniform(n, lo, hi).reshape(shape)
-    return Tensor(vals, requires_grad)
 
 
 # ---------------------------------------------------------------------------

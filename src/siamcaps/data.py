@@ -8,6 +8,7 @@ never images.  All sampling is keyed by explicit seeds.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import re
 from typing import Optional
@@ -19,81 +20,66 @@ from .rng import SplitMix64, derive_seed
 
 
 class PgmError(ValueError):
-    """PGM parse failure; .code is one of bad-magic / truncated / bad-maxval."""
+    """PGM parse failure; .code is one of bad-magic / truncated /
+    bad-maxval / bad-size (a side above 2^31 - 1) / bad-sample (a sample
+    above maxval)."""
 
     def __init__(self, code: str, msg: str):
         super().__init__(msg)
         self.code = code
 
 
-_WS = b" \t\r\n\x0b\x0c"
-
-
-class _ByteCursor:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def skip_ws_and_comments(self) -> None:
-        while self.pos < len(self.buf):
-            ch = self.buf[self.pos:self.pos + 1]
-            if ch in (b"#",):
-                nl = self.buf.find(b"\n", self.pos)
-                self.pos = len(self.buf) if nl < 0 else nl + 1
-            elif ch in _WS:
-                self.pos += 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self.skip_ws_and_comments()
-        if self.pos >= len(self.buf):
-            raise PgmError("truncated", "unexpected end of header")
-        start = self.pos
-        while self.pos < len(self.buf) and \
-                self.buf[self.pos:self.pos + 1] not in _WS and \
-                self.buf[self.pos:self.pos + 1] != b"#":
-            self.pos += 1
-        return self.buf[start:self.pos]
-
-
-def _int_token(cur: _ByteCursor, what: str) -> int:
-    tok = cur.token()
-    if not re.fullmatch(rb"\d+", tok):
-        raise PgmError("truncated", f"malformed {what}: {tok[:16]!r}")
-    return int(tok)
+# one header or P2 sample token: skip whitespace and '#' comments (each to
+# the end of its line), then take the bytes up to the next whitespace or '#';
+# the token is empty only at the end of the input
+_PGM_TOKEN = re.compile(
+    rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*\n?)*([^ \t\r\n\x0b\x0c#]*)")
 
 
 def load_pgm(raw: bytes) -> Tensor:
     """Parse P2 (ASCII) or P5 (binary) PGM bytes to a [1,H,W] tensor in [0,1].
 
     Binary samples are 1 byte, or 2 bytes big-endian when maxval > 255.
+    Width x height is checked against the input's length before any pixel
+    array exists, and a sample above maxval is refused.
     """
-    cur = _ByteCursor(raw)
-    magic = cur.token() if raw[:1] == b"P" else raw[:2]
+    tokens = _PGM_TOKEN.finditer(raw)
+    magic = next(tokens)[1] if raw[:1] == b"P" else raw[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmError("bad-magic", f"bad magic {raw[:2]!r}, expected P2/P5")
-    width = _int_token(cur, "width")
-    height = _int_token(cur, "height")
-    maxval = _int_token(cur, "maxval")
+    header = []
+    for what in ("width", "height", "maxval"):
+        m = next(tokens)
+        tok = m[1]
+        if not tok:
+            raise PgmError("truncated", "unexpected end of header")
+        # more digits than int() converts can be no PGM header number
+        if not tok.isdigit() or len(tok) > 4300:
+            raise PgmError("truncated", f"malformed {what}: {tok[:16]!r}")
+        header.append(int(tok))
+    width, height, maxval = header
     if maxval < 1 or maxval > 65535:
         raise PgmError("bad-maxval", f"maxval {maxval} out of range [1,65535]")
     n = width * height
+    if n > len(raw):
+        raise PgmError("truncated", "unexpected end of pixel data")
+    if max(width, height) >= 2 ** 31:  # only a zero-area image gets here
+        raise PgmError("bad-size", "image side above 2^31 - 1")
     if magic == b"P5":
-        cur.pos += 1  # the single whitespace byte that ends the header
+        # one whitespace byte ends the header
         per = 2 if maxval > 255 else 1
-        payload = raw[cur.pos:cur.pos + n * per]
+        payload = raw[m.end() + 1:m.end() + 1 + n * per]
         if len(payload) < n * per:
             raise PgmError("truncated", "unexpected end of pixel data")
         dt = ">u2" if per == 2 else np.uint8
         vals = np.frombuffer(payload, dtype=dt, count=n).astype(np.float64)
     else:
-        vals = np.empty(n)
-        for i in range(n):
-            try:
-                vals[i] = _int_token(cur, "pixel")
-            except PgmError:
-                raise PgmError("truncated", "unexpected end of pixel data")
+        samples = [t[1] for t in itertools.islice(tokens, n)]
+        if len(samples) < n or not all(map(bytes.isdigit, samples)):
+            raise PgmError("truncated", "unexpected end of pixel data")
+        vals = np.fromiter(map(float, samples), np.float64, n)
+    if (vals > maxval).any():
+        raise PgmError("bad-sample", f"sample above maxval {maxval}")
     img = vals.reshape(height, width) / float(maxval)
     return Tensor(img[None, :, :])
 

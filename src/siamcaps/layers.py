@@ -110,11 +110,6 @@ _AT = np.array([[1, 1, 1, 1, 1, 0],
 _BB, _GG, _AA = np.kron(_BT, _BT), np.kron(_G, _G), np.kron(_AT, _AT)
 
 
-def glorot_uniform(shape, fan_in: int, fan_out: int, seed: int) -> Tensor:
-    bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return ad.uniform(shape, -bound, bound, seed, requires_grad=True)
-
-
 class Conv2dParams:
     """Square-kernel 2-d convolution parameters (cross-correlation).
 
@@ -431,9 +426,13 @@ class DenseParams:
 
 
 def dense_init(d_in: int, d_out: int, seed: int = 0) -> DenseParams:
-    weight = glorot_uniform([d_in, d_out], d_in, d_out, derive_seed(seed, 1))
+    """Glorot-uniform [d_in, d_out] weight, drawn in place with seed
+    derive_seed(seed, 1), and zero bias."""
+    weight = np.empty((d_in, d_out))
+    bound = float(np.sqrt(6.0 / (d_in + d_out)))
+    SplitMix64(derive_seed(seed, 1)).fill_uniform(weight, -bound, bound)
     bias = ad.zeros([d_out], requires_grad=True)
-    return DenseParams(weight, bias)
+    return DenseParams(Tensor(weight, requires_grad=True), bias)
 
 
 def dense_forward(x: Tensor, p: DenseParams) -> Tensor:

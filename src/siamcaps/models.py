@@ -151,16 +151,19 @@ class ScnEncoder:
                                   self.routing_iters)  # [N, caps, d]
         if self.dropout_p is not None:
             caps = self.dropout_p.shape[0]
+            p = ad.reshape(self.dropout_p, [1, caps])
             if training:
                 if rng is None:
                     raise ValueError("sdropcapnet training needs an rng")
-                u = np.clip(rng.spawn(2).uniform(caps), 1e-7, 1.0 - 1e-7)
-                # the relaxation whose mean mask is p, the eval scale below
-                z = concrete_dropout_mask(self.dropout_p, Tensor(u),
-                                          CONCRETE_T, standard_concrete=True)
+                # one mask per image, from the relaxation whose mean mask
+                # is p, the eval scale below
+                u = np.clip(rng.spawn(2).uniform(n * caps).reshape(n, caps),
+                            1e-7, 1.0 - 1e-7)
+                z = concrete_dropout_mask(p, Tensor(u), CONCRETE_T,
+                                          standard_concrete=True)
             else:
-                z = self.dropout_p  # deterministic eval: scale by keep prob
-            v = ad.mul(v, ad.reshape(z, [1, caps, 1]))
+                z = p  # deterministic eval: scale by keep prob
+            v = ad.mul(v, ad.reshape(z, [z.shape[0], caps, 1]))
         flat = ad.reshape(v, [n, v.shape[1] * v.shape[2]])
         if self.normalize_at == "concat":
             flat = ad.l2norm(flat, axis=1, eps=1e-18)

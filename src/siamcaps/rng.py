@@ -5,9 +5,11 @@ masks, synthetic data) draws from :class:`SplitMix64` so that a single integer
 seed reproduces a run bit-for-bit on any platform.  The generator is the
 SplitMix64 counter scheme: output ``i`` is ``mix64(seed + (i+1) * GAMMA)``,
 which makes bulk generation a vectorized numpy expression (Steele, Lea &
-Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014).  Bulk
-draws fill their output block by block, in cache; the sequence is the same
-as one whole-array pass would give, whatever the block or call boundaries.
+Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014).
+Uniform draws, which initialise the 13.7M weights of a full-size encoder,
+fill their output block by block, in cache; raw and Gaussian draws, which
+nothing makes at that scale, are one whole-array pass.  The sequence does
+not depend on the block or call boundaries.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ _MIX2 = 0x94D049BB133111EB
 # z >> 11 leaves 53 random bits; scaling by 2^-53 gives a double in [0, 1).
 _INV_2_53 = 2.0 ** -53
 
-# draws per block of a bulk draw: a block's uint64 and float64 buffers
+# draws per block of a uniform draw: a block's uint64 and float64 buffers
 # (512 KB) stay in a typical L2 cache
 BLOCK = 32768
 
@@ -66,11 +68,11 @@ class SplitMix64:
     All derived distributions below consume raw draws in a fixed, documented
     order, so sequences are stable across platforms and numpy versions.
 
-    Bulk draws are made BLOCK at a time into reused buffers with in-place
-    ufuncs, so each block's integer and float passes run in cache.  Every
-    step is exact integer arithmetic or the same elementwise float operation
-    a whole-array formula would apply, so the sequence does not depend on
-    how it is split into blocks or calls.
+    Uniform draws are made BLOCK at a time into reused buffers with
+    in-place ufuncs, so each block's integer and float passes run in cache.
+    Every step is exact integer arithmetic or the same elementwise float
+    operation a whole-array formula would apply, so the sequence does not
+    depend on how it is split into blocks or calls.
     """
 
     def __init__(self, seed: int):
@@ -86,8 +88,9 @@ class SplitMix64:
         return mix64((self.seed + self._count * _GAMMA) & _MASK)
 
     def _draw(self, z: np.ndarray, tmp: np.ndarray) -> None:
-        """Overwrite the uint64 array z (at most BLOCK long) with the next
-        z.size raw draws; tmp is uint64 scratch of z's size."""
+        """Overwrite the uint64 array z with the next z.size raw draws; tmp
+        is uint64 scratch of z's size.  Uniform draws pass one block at a
+        time, raw and normal their whole array."""
         # seed + (count + i) * GAMMA for i = 1..z.size, mod 2^64
         np.multiply(np.arange(1, z.size + 1, dtype=np.uint64),
                     np.uint64(_GAMMA), out=z)
@@ -109,10 +112,7 @@ class SplitMix64:
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         out = np.empty(n, dtype=np.uint64)
-        tmp = np.empty(min(n, BLOCK), dtype=np.uint64)
-        for a in range(0, n, BLOCK):
-            z = out[a:a + BLOCK]
-            self._draw(z, tmp[:z.size])
+        self._draw(out, np.empty_like(out))
         return out
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
@@ -159,33 +159,13 @@ class SplitMix64:
         (u1 in (0,1], u2 in [0,1)) and emits r*cos, r*sin in that order,
         r = sqrt(-2 log u1), theta = 2 pi u2.
         """
-        n_pairs = (n + 1) // 2
-        out = np.empty(2 * n_pairs)
-        m = min(n_pairs, BLOCK // 2)
-        z = np.empty(2 * m, dtype=np.uint64)
-        tmp = np.empty_like(z)
-        r, theta, trig = np.empty(m), np.empty(m), np.empty(m)
-        for a in range(0, 2 * n_pairs, BLOCK):
-            pairs = out[a:a + BLOCK]
-            k = pairs.size // 2
-            zb = z[:2 * k]
-            self._draw(zb, tmp[:2 * k])
-            zb >>= np.uint64(11)
-            rb, tb, cb = r[:k], theta[:k], trig[:k]
-            np.add(zb[0::2], 1.0, out=rb)
-            rb *= _INV_2_53
-            np.log(rb, out=rb)
-            rb *= -2.0
-            np.sqrt(rb, out=rb)
-            np.multiply(zb[1::2], _INV_2_53, out=tb)
-            tb *= 2.0 * math.pi
-            np.cos(tb, out=cb)
-            np.multiply(rb, cb, out=pairs[0::2])
-            np.sin(tb, out=cb)
-            np.multiply(rb, cb, out=pairs[1::2])
-        out *= sigma
-        out += mu
-        return out[:n]
+        z = self.raw(2 * ((n + 1) // 2)) >> np.uint64(11)
+        r = np.sqrt(-2.0 * np.log((z[0::2] + 1.0) * _INV_2_53))
+        theta = z[1::2] * _INV_2_53 * (2.0 * math.pi)
+        out = np.empty(z.size)
+        out[0::2] = r * np.cos(theta)
+        out[1::2] = r * np.sin(theta)
+        return (out * sigma + mu)[:n]
 
     def randrange(self, bound: int) -> int:
         """Integer in [0, bound) via modulo reduction (bias < 2^-50 here)."""

@@ -592,8 +592,9 @@ def test_capsule_layer_w_is_the_transposed_draw():
     n_lower, n_upper, d_in, d_out = 2 * caps.BLOCK + 3, 3, 4, 5
     p = caps.CapsuleLayerParams(n_lower, n_upper, d_in, d_out, seed=7)
     bound = float(np.sqrt(6.0 / (d_in + d_out)))
-    draw = ad.uniform([n_lower, n_upper, d_in, d_out], -bound, bound,
-                      derive_seed(7, 3)).data
+    draw = SplitMix64(derive_seed(7, 3)).uniform(
+        n_lower * n_upper * d_in * d_out, -bound, bound).reshape(
+            n_lower, n_upper, d_in, d_out)
     assert p.W.data.flags.c_contiguous
     assert np.array_equal(p.W.data, draw.transpose(0, 2, 1, 3))
     assert p.W.requires_grad
@@ -990,10 +991,11 @@ def test_concrete_standard_form_differs():
     assert abs(a.data[0] - b.data[0]) > 1e-6
 
 
-def test_concrete_grad_check_frozen_u():
+@pytest.mark.parametrize("standard_concrete", [False, True])
+def test_concrete_grad_check_frozen_u(standard_concrete):
     rng = SplitMix64(97)
     p = Tensor(rng.uniform(8, 0.2, 0.8))
     u = np.clip(rng.uniform(8), 1e-7, 1 - 1e-7)
     assert grad_check(
         lambda p: ad.sum_(ad.square(caps.concrete_dropout_mask(
-            p, Tensor(u), 0.1))), p) < 1e-4
+            p, Tensor(u), 0.1, standard_concrete))), p) < 1e-4

@@ -61,6 +61,77 @@ def test_pgm_error_codes_distinct():
         load_pgm(b"P5 2")
     assert e.value.code == "truncated"
 
+    for raw, code in ((b"P2 1 1 255\n300", "bad-sample"),
+                      (b"P2 1 1 255\n" + b"9" * 400, "bad-sample"),
+                      (b"P5 1 1 1000\n" + bytes([255, 255]), "bad-sample"),
+                      (b"P5 1 1 100\n" + bytes([101]), "bad-sample"),
+                      (b"P2 65535 70000 255\n0 1 2", "truncated"),
+                      (b"P2 " + b"1" * 5000 + b" 1 255\n0", "truncated"),
+                      (b"P5 0 2147483648 255\n", "bad-size")):
+        with pytest.raises(PgmError) as e:
+            load_pgm(raw)
+        assert e.value.code == code, raw[:20]
+
+
+def _random_pgm(rng: SplitMix64) -> bytes:
+    """A P2 or P5 image with 8- or 16-bit samples, comments and random
+    whitespace, given at most one defect half the time: a missing or
+    malformed header token, a huge or zero side, a bad maxval, a sample
+    above maxval or too long for any integer type, a short raster, or an
+    input cut anywhere."""
+    def pick(options):
+        return options[rng.randrange(len(options))]
+
+    def sep():
+        return pick([b" ", b"\n", b"\t ", b"\r\n", b"\n# comment\n",
+                     b" #c\n", b"#\n"])
+
+    width, height = 1 + rng.randrange(6), 1 + rng.randrange(6)
+    maxval = pick([1, 7, 255, 256, 1000, 65535])
+    header = [pick([b"P2", b"P5"]), width, height, maxval]
+    samples = [rng.randrange(maxval + 1) for _ in range(width * height)]
+    defect = rng.randrange(12)
+    if defect == 6:
+        header[rng.randrange(4)] = pick([b"", b"1x", b"P6", b"-1"])
+    elif defect == 7:
+        header[1 + rng.randrange(2)] = pick([0, 65535, 70000, 2 ** 31,
+                                             10 ** 30])
+    elif defect == 8:
+        header[3] = pick([0, 65536, 10 ** 30])
+    elif defect == 9:
+        samples[rng.randrange(len(samples))] = pick([maxval + 1, 10 ** 400])
+    elif defect == 10:
+        samples.pop()
+    raw = header[0] + b"".join(sep() + str(tok).encode()
+                               if isinstance(tok, int) else sep() + tok
+                               for tok in header[1:])
+    if header[0] == b"P5":
+        per = 2 if maxval > 255 else 1
+        raw += b"\n" + b"".join((v % 256 ** per).to_bytes(per, "big")
+                                for v in samples)
+    else:
+        raw += b"".join(sep() + str(v).encode() for v in samples)
+    return raw[:rng.randrange(len(raw))] if defect == 11 else raw
+
+
+def test_pgm_any_input_decodes_in_range_or_raises_pgm_error():
+    # a raster too large to allocate, a sample too large for a float64 and
+    # a sample above maxval, then generated inputs: each gives a [1,H,W]
+    # image in [0, 1] or a PgmError, never another exception
+    rng = SplitMix64(24)
+    inputs = [b"P2 65535 70000 255\n0 1 2", b"P2 1 1 255\n" + b"9" * 400,
+              b"P2 1 1 255\n300"] + [_random_pgm(rng) for _ in range(3000)]
+    parsed = 0
+    for raw in inputs:
+        try:
+            img = load_pgm(raw)
+        except PgmError:
+            continue
+        assert img.data.ndim == 3 and img.shape[0] == 1, raw[:40]
+        assert np.all((img.data >= 0.0) & (img.data <= 1.0)), raw[:40]
+        parsed += 1
+    assert 1000 < parsed < len(inputs) - 500, parsed
+
 
 def test_pgm_round_trip():
     rng = SplitMix64(1)

@@ -815,10 +815,23 @@ def test_init_kernel_is_the_draw_in_storage_order():
     # the [O, C, k, k] SplitMix64 draw, stored as [O, k, k, C]: a seed gives
     # the same weights as before, in the new order
     p = layers.conv2d_init(3, 4, 5, seed=12)
-    draw = layers.glorot_uniform([4, 3, 5, 5], 3 * 25, 4 * 25,
-                                 derive_seed(12, 1)).data
+    bound = float(np.sqrt(6.0 / (3 * 25 + 4 * 25)))
+    draw = SplitMix64(derive_seed(12, 1)).uniform(
+        4 * 3 * 5 * 5, -bound, bound).reshape(4, 3, 5, 5)
     assert p.kernel.data.flags.c_contiguous
     assert np.array_equal(p.kernel.data, draw.transpose(0, 2, 3, 1))
+
+
+def test_dense_init_weight_is_the_draw():
+    # the Glorot-uniform [d_in, d_out] draw with seed derive_seed(seed, 1),
+    # bitwise, over several blocks of draws
+    d_in, d_out = 3 * 4096 + 7, 9
+    p = layers.dense_init(d_in, d_out, seed=12)
+    bound = float(np.sqrt(6.0 / (d_in + d_out)))
+    draw = SplitMix64(derive_seed(12, 1)).uniform(
+        d_in * d_out, -bound, bound).reshape(d_in, d_out)
+    assert np.array_equal(p.weight.data, draw)
+    assert p.weight.requires_grad and not p.bias.data.any()
 
 
 def _whole_array_kernel(in_ch, out_ch, k, seed):

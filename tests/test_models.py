@@ -118,11 +118,12 @@ def test_sdropcapnet_mask_applied_in_training():
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 def test_sdropcapnet_mean_training_mask_is_the_eval_scale(p, monkeypatch):
-    # the masks encode draws in training average to the keep probability p
-    # that eval scales by.  Over 40 calls of 500 capsules (20,000 draws), a
-    # mask in [0, 1] with mean p has a Monte-Carlo standard error of at
-    # most 0.5 / sqrt(20,000) = 0.0035, and the relaxation's own bias at
-    # t = 0.1 is about 0.003 (1e5 draws), so 0.02 is over 4 standard errors
+    # the masks encode draws in training, one per image, average to the
+    # keep probability p that eval scales by.  Over 40 calls of 2 images of
+    # 500 capsules (40,000 draws), a mask in [0, 1] with mean p has a
+    # Monte-Carlo standard error of at most 0.5 / sqrt(40,000) = 0.0025, and
+    # the relaxation's own bias at t = 0.1 is about 0.003 (1e5 draws), so
+    # 0.02 is over 4 standard errors
     enc = tiny_encoder(mode="sdropcapnet", face_caps=500, face_d=2)
     enc.dropout_p.data[:] = p
     masks = []
@@ -137,8 +138,11 @@ def test_sdropcapnet_mean_training_mask_is_the_eval_scale(p, monkeypatch):
     x = tiny_images(2)  # training batchnorm needs two samples
     for k in range(40):
         enc.encode(x, training=True, rng=SplitMix64(1000 + k))
+    assert len(masks) == 40
+    for z in masks:
+        assert z.shape == (2, 500) and not np.array_equal(z[0], z[1])
     mean = float(np.mean(masks))
-    assert len(masks) == 40 and abs(mean - p) < 0.02, mean
+    assert abs(mean - p) < 0.02, mean
 
 
 def test_sdropcapnet_loss_gradient_in_dropout_p_finite_difference():
@@ -248,7 +252,12 @@ def test_public_names_resolve_and_removed_ones_are_gone():
                          (siamcaps, "build_encoder"),
                          (models, "build_encoder"),
                          (layers, "dropout_mask"),
-                         (capsules, "_route_groups")):
+                         (capsules, "_route_groups"),
+                         (layers, "glorot_uniform"),
+                         (siamcaps, "glorot_uniform"),
+                         (ad, "uniform"),
+                         (data, "_ByteCursor"),
+                         (data, "_int_token")):
         assert not hasattr(module, name), (module.__name__, name)
     for cls in (layers.Conv2dParams, layers.BatchNormParams,
                 layers.DenseParams, capsules.PrimaryCapsuleParams,
