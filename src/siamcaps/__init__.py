@@ -28,8 +28,8 @@ from .layers import (BatchNormParams, Conv2dParams, DenseParams,
                      batchnorm_forward, conv2d_forward, conv2d_init,
                      dense_forward, dense_init)
 from .models import (METRICS, ScnEncoder, StandardEncoder, contrastive_loss,
-                     distance, double_margin_loss, effective_distance,
-                     predict_match, sweep_threshold, valid_margin)
+                     distance, double_margin_loss, predict_match,
+                     sweep_threshold, valid_margin)
 from .optim import OptimState, amsgrad_step
 from .rng import SplitMix64, derive_seed, mix64
 
@@ -52,8 +52,8 @@ __all__ = [
     "BatchNormParams", "Conv2dParams", "DenseParams", "batchnorm_forward",
     "conv2d_forward", "conv2d_init", "dense_forward", "dense_init",
     "METRICS", "ScnEncoder", "StandardEncoder", "contrastive_loss",
-    "distance", "double_margin_loss", "effective_distance", "predict_match",
-    "sweep_threshold", "valid_margin",
+    "distance", "double_margin_loss", "predict_match", "sweep_threshold",
+    "valid_margin",
     "OptimState", "amsgrad_step",
     "SplitMix64", "derive_seed", "mix64",
 ]

@@ -15,7 +15,7 @@ from .checkpoint import CheckpointError
 from .harness import (RunConfig, coerce_value, emit_plot, eval_run,
                       gridsearch_run, make_config, train_run)
 
-_USAGE_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, OSError)
+_USAGE_ERRORS = (ValueError, OSError)
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:

@@ -39,7 +39,8 @@ _PGM_TOKEN = re.compile(
 def load_pgm(raw: bytes) -> Tensor:
     """Parse P2 (ASCII) or P5 (binary) PGM bytes to a [1,H,W] tensor in [0,1].
 
-    Binary samples are 1 byte, or 2 bytes big-endian when maxval > 255.
+    Binary samples are 1 byte, or 2 bytes big-endian when maxval > 255,
+    and start after the one whitespace byte that must follow maxval.
     Width x height is checked against the input's length before any pixel
     array exists, and a sample above maxval is refused.
     """
@@ -66,7 +67,9 @@ def load_pgm(raw: bytes) -> Tensor:
     if max(width, height) >= 2 ** 31:  # only a zero-area image gets here
         raise PgmError("bad-size", "image side above 2^31 - 1")
     if magic == b"P5":
-        # one whitespace byte ends the header
+        # exactly one whitespace byte ends the header
+        if not raw[m.end():m.end() + 1].isspace():
+            raise PgmError("truncated", "no whitespace byte after maxval")
         per = 2 if maxval > 255 else 1
         payload = raw[m.end() + 1:m.end() + 1 + n * per]
         if len(payload) < n * per:

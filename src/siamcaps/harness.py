@@ -33,8 +33,7 @@ from .data import (FaceDataset, SplitSpec, kfold, load_att, load_lfw,
                    sample_pairs, split_subjects, synth_dataset)
 from .models import (METRICS, NORMALIZE_AT, ScnEncoder, StandardEncoder,
                      contrastive_loss, double_margin_loss, distance,
-                     effective_distance, predict_match, sweep_threshold,
-                     valid_margin)
+                     predict_match, sweep_threshold, valid_margin)
 from .optim import OptimState, amsgrad_step
 from .rng import SplitMix64, derive_seed
 
@@ -253,10 +252,10 @@ def build_run_encoder(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # forward/loss helpers
 
-def _loss_of(d_eff: Tensor, labels, cfg: RunConfig) -> Tensor:
+def _loss_of(d: Tensor, labels, cfg: RunConfig) -> Tensor:
     if cfg.loss == "contrastive":
-        return contrastive_loss(d_eff, labels, cfg.m)
-    return double_margin_loss(d_eff, labels, cfg.m_n, cfg.m_p)
+        return contrastive_loss(d, labels, cfg.m)
+    return double_margin_loss(d, labels, cfg.m_n, cfg.m_p)
 
 
 def pair_distances(encoder, batch, cfg: RunConfig, training: bool,
@@ -302,8 +301,7 @@ def eval_distances(encoder, pairs, cfg: RunConfig, chunk: int = 16):
 
 def eval_loss_value(d: np.ndarray, labels: np.ndarray,
                     cfg: RunConfig) -> float:
-    d_eff = effective_distance(Tensor(d), cfg.metric)
-    return _loss_of(d_eff, labels, cfg).item()
+    return _loss_of(Tensor(d), labels, cfg).item()
 
 
 def _train_step(encoder, state, batch, cfg: RunConfig,
@@ -311,8 +309,7 @@ def _train_step(encoder, state, batch, cfg: RunConfig,
     buffers = [(b, b.copy()) for _, b in encoder.named_buffers()]
     with ad.Graph():
         d = pair_distances(encoder, batch, cfg, training=True, rng=rng)
-        loss = _loss_of(effective_distance(d, cfg.metric),
-                        batch.labels, cfg)
+        loss = _loss_of(d, batch.labels, cfg)
         value = loss.item()
         if not np.isfinite(value):
             for b, before in buffers:  # the forward updated running stats
@@ -370,9 +367,9 @@ def score(encoder, val_pairs, test_pairs, cfg: RunConfig) -> EvalResult:
     """Fit the threshold on the first tenth of val_pairs, score test_pairs."""
     n_val = max(1, len(val_pairs) // 10)
     d_val, y_val = eval_distances(encoder, val_pairs.slice(0, n_val), cfg)
-    threshold, _ = sweep_threshold(d_val, y_val, cfg.metric)
+    threshold, _ = sweep_threshold(d_val, y_val)
     d_test, y_test = eval_distances(encoder, test_pairs, cfg)
-    pred = predict_match(d_test, threshold, cfg.metric)
+    pred = predict_match(d_test, threshold)
     return EvalResult(eval_loss_value(d_test, y_test, cfg),
                       float((pred == (y_test == 0)).mean()), threshold,
                       *density_histogram(d_test, y_test))

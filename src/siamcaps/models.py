@@ -227,27 +227,24 @@ class StandardEncoder:
 # distances
 
 def distance(a: Tensor, b: Tensor, metric: str) -> Tensor:
-    """Per-pair distance [N]; manhattan_exp is a similarity in (0, 1]."""
+    """Per-pair distance [N], small for matching pairs: euclidean_sq
+    ||a-b||^2 >= 0 (at most 4 for unit embeddings), cosine 1 - cos(a, b)
+    in [0, 2] (it can round a few ulps below 0), manhattan_exp
+    1 - exp(-||a-b||_1) in [0, 1)."""
     if a.shape != b.shape:
         raise ShapeError(f"distance: embeddings {list(a.shape)} vs "
                          f"{list(b.shape)}")
     if metric == "euclidean_sq":
         return ad.sum_(ad.square(ad.sub(a, b)), axis=1)
     if metric == "manhattan_exp":
-        return ad.exp(ad.negate(ad.sum_(ad.absolute(ad.sub(a, b)), axis=1)))
+        sim = ad.exp(ad.negate(ad.sum_(ad.absolute(ad.sub(a, b)), axis=1)))
+        return ad.add_scalar(ad.negate(sim), 1.0)
     if metric == "cosine":
         dot = ad.sum_(ad.mul(a, b), axis=1)
         na = ad.sqrt(ad.add_scalar(ad.sum_(ad.square(a), axis=1), 1e-24))
         nb = ad.sqrt(ad.add_scalar(ad.sum_(ad.square(b), axis=1), 1e-24))
         return ad.add_scalar(ad.negate(ad.div(dot, ad.mul(na, nb))), 1.0)
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def effective_distance(d: Tensor, metric: str) -> Tensor:
-    """Losses want small-for-matching; invert the manhattan similarity."""
-    if metric == "manhattan_exp":
-        return ad.add_scalar(ad.negate(d), 1.0)
-    return d
 
 
 def valid_margin(m: float, metric: str) -> bool:
@@ -293,35 +290,19 @@ def double_margin_loss(d: Tensor, y, m_n: float = 0.2,
 # ---------------------------------------------------------------------------
 # decision rule
 
-def _is_match(d: np.ndarray, threshold: float, metric: str) -> np.ndarray:
-    return d > threshold if metric == "manhattan_exp" else d < threshold
+def predict_match(d: np.ndarray, threshold: float) -> np.ndarray:
+    """The one match rule: a pair matches when its distance is below the
+    threshold."""
+    return np.asarray(d, dtype=np.float64) < threshold
 
 
-def predict_match(d: np.ndarray, threshold: float, metric: str) -> np.ndarray:
-    """Boolean match predictions; similarity metrics compare above threshold."""
+def sweep_threshold(d: np.ndarray, y: np.ndarray):
+    """Accuracy of predict_match at 101 evenly spaced thresholds in
+    [min(D), max(D)]; among equally accurate thresholds the first, the
+    smallest, wins."""
     d = np.asarray(d, dtype=np.float64)
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    if metric == "manhattan_exp":
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"threshold {threshold} outside [0, 1]")
-    elif threshold < 0.0:
-        raise ValueError(f"threshold {threshold} must be >= 0")
-    return _is_match(d, threshold, metric)
-
-
-def sweep_threshold(d: np.ndarray, y: np.ndarray, metric: str):
-    """Accuracy sweep over 101 evenly spaced thresholds in [min(D),
-    max(D)]; the first best wins."""
-    d = np.asarray(d, dtype=np.float64)
-    y = np.asarray(y)
+    is_match = (np.asarray(y) == 0)
     grid = np.linspace(d.min(), d.max(), 101)
-    best_thr, best_acc = grid[0], -1.0
-    is_match = (y == 0)
-    for thr in grid:
-        # not predict_match: its range checks would reject a grid point of a
-        # cosine distance that rounds to just below 0
-        acc = float((_is_match(d, thr, metric) == is_match).mean())
-        if acc > best_acc:
-            best_thr, best_acc = float(thr), acc
-    return best_thr, best_acc
+    accs = [float((predict_match(d, thr) == is_match).mean()) for thr in grid]
+    best = int(np.argmax(accs))  # the first of equal maxima
+    return float(grid[best]), accs[best]

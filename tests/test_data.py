@@ -65,6 +65,7 @@ def test_pgm_error_codes_distinct():
                       (b"P2 1 1 255\n" + b"9" * 400, "bad-sample"),
                       (b"P5 1 1 1000\n" + bytes([255, 255]), "bad-sample"),
                       (b"P5 1 1 100\n" + bytes([101]), "bad-sample"),
+                      (b"P5 1 1 255#c\n9", "truncated"),
                       (b"P2 65535 70000 255\n0 1 2", "truncated"),
                       (b"P2 " + b"1" * 5000 + b" 1 255\n0", "truncated"),
                       (b"P5 0 2147483648 255\n", "bad-size")):
@@ -77,8 +78,9 @@ def _random_pgm(rng: SplitMix64) -> bytes:
     """A P2 or P5 image with 8- or 16-bit samples, comments and random
     whitespace, given at most one defect half the time: a missing or
     malformed header token, a huge or zero side, a bad maxval, a sample
-    above maxval or too long for any integer type, a short raster, or an
-    input cut anywhere."""
+    above maxval or too long for any integer type, a short raster, an
+    input cut anywhere, or a P5 header that ends in a comment instead of
+    one whitespace byte."""
     def pick(options):
         return options[rng.randrange(len(options))]
 
@@ -90,7 +92,7 @@ def _random_pgm(rng: SplitMix64) -> bytes:
     maxval = pick([1, 7, 255, 256, 1000, 65535])
     header = [pick([b"P2", b"P5"]), width, height, maxval]
     samples = [rng.randrange(maxval + 1) for _ in range(width * height)]
-    defect = rng.randrange(12)
+    defect = rng.randrange(14)
     if defect == 6:
         header[rng.randrange(4)] = pick([b"", b"1x", b"P6", b"-1"])
     elif defect == 7:
@@ -107,8 +109,9 @@ def _random_pgm(rng: SplitMix64) -> bytes:
                                for tok in header[1:])
     if header[0] == b"P5":
         per = 2 if maxval > 255 else 1
-        raw += b"\n" + b"".join((v % 256 ** per).to_bytes(per, "big")
-                                for v in samples)
+        raw += b"#c\n" if defect == 12 else b"\n"
+        raw += b"".join((v % 256 ** per).to_bytes(per, "big")
+                        for v in samples)
     else:
         raw += b"".join(sep() + str(v).encode() for v in samples)
     return raw[:rng.randrange(len(raw))] if defect == 11 else raw

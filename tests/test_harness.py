@@ -401,6 +401,25 @@ def test_eval_shape_mismatch_names_tensor(tmp_path):
         hz.eval_run(os.path.join(cfg.output_dir, "final.ckpt"), bad_cfg)
 
 
+def test_score_takes_a_cosine_threshold_below_zero(monkeypatch):
+    # the best rule on this validation tenth matches nothing, and its
+    # smallest cosine distance rounded below 0: the sweep returns that
+    # distance, and the test pairs are scored by the same rule
+    def pairs(labels):
+        img = Tensor(np.zeros((len(labels), 1, 1, 1)))
+        return PairBatch(img, img, np.array(labels, dtype=np.float64))
+
+    val, test = pairs([1] * 30), pairs([0, 1, 0, 1])
+    dists = {3: np.array([-1.1e-16, 0.5, 0.6]),
+             4: np.array([-2e-16, 0.3, 0.7, 0.2])}
+    monkeypatch.setattr(hz, "eval_distances",
+                        lambda enc, p, cfg: (dists[len(p)], p.labels))
+    cfg = micro_cfg(".", metric="cosine").finalize()
+    res = hz.score(None, val, test, cfg)
+    assert res.threshold == -1.1e-16
+    assert res.accuracy == 0.75  # only the pair at -2e-16 is called a match
+
+
 def test_histogram_counts_and_overlap():
     rng = np.random.default_rng(3)
     d = np.concatenate([rng.normal(0.2, 0.05, 300),

@@ -257,7 +257,10 @@ def test_public_names_resolve_and_removed_ones_are_gone():
                          (siamcaps, "glorot_uniform"),
                          (ad, "uniform"),
                          (data, "_ByteCursor"),
-                         (data, "_int_token")):
+                         (data, "_int_token"),
+                         (models, "effective_distance"),
+                         (siamcaps, "effective_distance"),
+                         (models, "_is_match")):
         assert not hasattr(module, name), (module.__name__, name)
     for cls in (layers.Conv2dParams, layers.BatchNormParams,
                 layers.DenseParams, capsules.PrimaryCapsuleParams,
@@ -278,6 +281,8 @@ def test_public_names_resolve_and_removed_ones_are_gone():
                      (layers.BatchNormParams, "momentum"),
                      (layers.BatchNormParams, "eps"),
                      (models.sweep_threshold, "points"),
+                     (models.sweep_threshold, "metric"),
+                     (models.predict_match, "metric"),
                      (harness.density_histogram, "bins"),
                      (data.save_pgm, "maxval"),
                      (data.save_pgm, "binary")):
@@ -298,7 +303,7 @@ def test_distance_identical_embeddings():
     np.testing.assert_allclose(
         models.distance(e, e, "euclidean_sq").data, 0.0, atol=1e-15)
     np.testing.assert_allclose(
-        models.distance(e, e, "manhattan_exp").data, 1.0, atol=1e-15)
+        models.distance(e, e, "manhattan_exp").data, 0.0, atol=1e-15)
     np.testing.assert_allclose(
         models.distance(e, e, "cosine").data, 0.0, atol=1e-9)
 
@@ -330,16 +335,14 @@ def test_distance_unknown_metric_and_shape():
         models.distance(e, Tensor(np.ones((2, 4))), "cosine")
 
 
-def test_manhattan_exp_range_and_inversion():
+def test_manhattan_exp_range_and_formula():
     rng = SplitMix64(22)
     a = Tensor(unit_rows(rng.normal(5 * 4).reshape(5, 4)))
     b = Tensor(unit_rows(rng.normal(5 * 4).reshape(5, 4)))
     d = models.distance(a, b, "manhattan_exp")
-    assert np.all(d.data > 0.0) and np.all(d.data <= 1.0)
-    inv = models.effective_distance(d, "manhattan_exp")
-    np.testing.assert_allclose(inv.data, 1.0 - d.data, atol=1e-15)
-    same = models.effective_distance(d, "euclidean_sq")
-    assert same is d
+    assert np.all(d.data >= 0.0) and np.all(d.data < 1.0)
+    l1 = np.abs(a.data - b.data).sum(axis=1)
+    np.testing.assert_allclose(d.data, 1.0 - np.exp(-l1), atol=1e-15)
     assert models.valid_margin(0.5, "manhattan_exp")
     assert not models.valid_margin(1.5, "manhattan_exp")
     assert models.valid_margin(2.0, "euclidean_sq")
@@ -399,8 +402,7 @@ def test_pair_loss_grad_checks():
     for metric in models.METRICS:
         for loss_kind in ("contrastive", "double_margin"):
             def f(a, b, metric=metric, kind=loss_kind):
-                d = models.effective_distance(
-                    models.distance(a, b, metric), metric)
+                d = models.distance(a, b, metric)
                 if kind == "contrastive":
                     m = 0.5 if metric == "manhattan_exp" else 1.0
                     return models.contrastive_loss(d, y, m)
@@ -413,15 +415,14 @@ def test_pair_loss_grad_checks():
 # decision rule
 
 def test_predict_match_directions():
-    pred = models.predict_match(np.array([0.0, 1.0, 2.0]), 1.0,
-                                "euclidean_sq")
+    # one direction for every metric: a distance below the threshold
+    # matches, strictly, and any threshold is taken
+    pred = models.predict_match(np.array([0.0, 1.0, 2.0]), 1.0)
     np.testing.assert_array_equal(pred, [True, False, False])  # strict at 1.0
-    pred = models.predict_match(np.array([0.9, 0.2]), 0.5, "manhattan_exp")
-    np.testing.assert_array_equal(pred, [True, False])
-    with pytest.raises(ValueError):
-        models.predict_match(np.array([1.0]), -0.5, "euclidean_sq")
-    with pytest.raises(ValueError):
-        models.predict_match(np.array([1.0]), 1.5, "manhattan_exp")
+    pred = models.predict_match(np.array([-1.1e-16, 0.0, 0.5]), -1.1e-16)
+    np.testing.assert_array_equal(pred, [False, False, False])
+    pred = models.predict_match(np.array([-2e-16, 0.9]), 1.5)
+    np.testing.assert_array_equal(pred, [True, True])
 
 
 def test_sweep_threshold_separable_and_deterministic():
@@ -430,20 +431,49 @@ def test_sweep_threshold_separable_and_deterministic():
     d_diff = rng.uniform(50, 0.6, 2.0)
     d = np.concatenate([d_match, d_diff])
     y = np.concatenate([np.zeros(50), np.ones(50)])
-    thr1, acc1 = models.sweep_threshold(d, y, "euclidean_sq")
-    thr2, acc2 = models.sweep_threshold(d, y, "euclidean_sq")
+    thr1, acc1 = models.sweep_threshold(d, y)
+    thr2, acc2 = models.sweep_threshold(d, y)
     assert acc1 == 1.0
     assert (thr1, acc1) == (thr2, acc2)
     assert d_match.max() < thr1 <= d_diff.min()
 
 
-def test_sweep_threshold_similarity_direction():
-    d = np.array([0.9, 0.8, 0.2, 0.1])  # similarities: matches score high
+def test_sweep_threshold_manhattan_exp_distances():
+    # manhattan_exp is a distance like the others: matching pairs, at
+    # small L1 distance, fall below the threshold
+    a = Tensor(np.zeros((4, 2)))
+    b = Tensor([[0.05, 0.0], [0.1, 0.0], [1.5, 0.0], [2.0, 0.0]])
+    d = models.distance(a, b, "manhattan_exp").data
     y = np.array([0, 0, 1, 1])
-    thr, acc = models.sweep_threshold(d, y, "manhattan_exp")
+    thr, acc = models.sweep_threshold(d, y)
     assert acc == 1.0
-    pred = models.predict_match(d, thr, "manhattan_exp")
+    pred = models.predict_match(d, thr)
     np.testing.assert_array_equal(pred, [True, True, False, False])
+
+
+def test_sweep_threshold_ties_take_the_smallest_threshold():
+    # every grid point between the matches and the non-matches is equally
+    # accurate; the first, the strictest, wins
+    d = np.array([0.0, 0.1, 0.9, 1.0])
+    thr, acc = models.sweep_threshold(d, np.array([0, 0, 1, 1]))
+    assert acc == 1.0
+    assert thr == np.linspace(0.0, 1.0, 101)[11]
+
+
+def test_sweep_accuracy_is_predict_match_accuracy_for_every_metric():
+    rng = SplitMix64(29)
+    for metric in models.METRICS:
+        for trial in range(60):
+            n = 2 + rng.randrange(30)
+            a = unit_rows(rng.normal(n * 6).reshape(n, 6))
+            # near-identical pairs round cosine distances below 0
+            scale = (1e-9, 1e-3, 0.3, 3.0)[trial % 4]
+            b = unit_rows(a + scale * rng.normal(n * 6).reshape(n, 6))
+            d = models.distance(Tensor(a), Tensor(b), metric).data
+            y = (rng.uniform(n) < 0.5).astype(np.float64)
+            thr, acc = models.sweep_threshold(d, y)
+            pred = models.predict_match(d, thr)
+            assert acc == float((pred == (y == 0)).mean()), (metric, trial)
 
 
 # ---------------------------------------------------------------------------
