@@ -22,8 +22,7 @@ from .data import (FaceDataset, PairBatch, PgmError, SplitSpec, kfold,
                    load_att, load_lfw, load_pgm, preprocess, sample_pairs,
                    save_pgm, split_subjects, synth_dataset)
 from .harness import (RunConfig, emit_plot, eval_run, evaluate,
-                      gridsearch_run, make_config, overlap_coefficient,
-                      train_run)
+                      gridsearch_run, make_config, train_run)
 from .layers import (BatchNormParams, Conv2dParams, DenseParams,
                      batchnorm_forward, conv2d_forward, conv2d_init,
                      dense_forward, dense_init)
@@ -48,7 +47,7 @@ __all__ = [
     "load_lfw", "load_pgm", "preprocess", "sample_pairs", "save_pgm",
     "split_subjects", "synth_dataset",
     "RunConfig", "emit_plot", "eval_run", "evaluate", "gridsearch_run",
-    "make_config", "overlap_coefficient", "train_run",
+    "make_config", "train_run",
     "BatchNormParams", "Conv2dParams", "DenseParams", "batchnorm_forward",
     "conv2d_forward", "conv2d_init", "dense_forward", "dense_init",
     "METRICS", "ScnEncoder", "StandardEncoder", "contrastive_loss",

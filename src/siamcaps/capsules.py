@@ -414,17 +414,16 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
 
 
 def concrete_dropout_mask(p_caps: Tensor, u: Tensor, t: float,
-                          standard_concrete: bool = False) -> Tensor:
+                          standard_concrete: bool = True) -> Tensor:
     """Continuous dropout mask from keep probabilities p_caps and noise u.
 
-    z = sigmoid((1/t) (log p - log(1-p)) + log u - log(1-u)); the 1/t factor
-    scales only the probability logit.  standard_concrete instead divides
-    the whole sum of logits by t: the binary Concrete relaxation, whose mean
-    is p, and the one ScnEncoder trains with.  The default form saturates
-    at small t (its mean is near 0 or 1 unless p = 0.5); no encoder uses it.
-    p_caps is learnable; u must be clamped strictly inside (0, 1) by the
-    caller.
+    z = sigmoid((log p - log(1-p) + log u - log(1-u)) / t): the binary
+    Concrete relaxation, whose mean is p.  standard_concrete names this
+    form and must be True.  p_caps is learnable; u must be clamped
+    strictly inside (0, 1) by the caller.
     """
+    if not standard_concrete:
+        raise ValueError("only the standard Concrete form is implemented")
     if t <= 0:
         raise ValueError(f"temperature must be positive, got {t}")
     for nm, v in (("p", p_caps.data), ("u", u.data)):
@@ -433,8 +432,4 @@ def concrete_dropout_mask(p_caps: Tensor, u: Tensor, t: float,
     logit_p = ad.sub(ad.log(p_caps), ad.log(ad.add_scalar(ad.negate(p_caps),
                                                           1.0)))
     logit_u = np.log(u.data) - np.log1p(-u.data)
-    if standard_concrete:
-        z = ad.mul_scalar(ad.add(logit_p, Tensor(logit_u)), 1.0 / t)
-    else:
-        z = ad.add(ad.mul_scalar(logit_p, 1.0 / t), Tensor(logit_u))
-    return ad.sigmoid(z)
+    return ad.sigmoid(ad.mul_scalar(ad.add(logit_p, Tensor(logit_u)), 1.0 / t))

@@ -131,9 +131,7 @@ def _check_concrete_dropout(seed):
     poses = _rand(rng, 2, 6, 3)
 
     def f(p_, x_):
-        # the form ScnEncoder trains with
-        z = concrete_dropout_mask(p_, u_frozen, t=0.4,
-                                  standard_concrete=True)
+        z = concrete_dropout_mask(p_, u_frozen, t=0.4)
         gated = ad.mul(x_, ad.reshape(z, [1, 6, 1]))
         return ad.mean(ad.square(gated))
 

@@ -4,11 +4,13 @@ deterministic SVG loss-curve plots.
 
 The verification protocol is written once and shared by training and
 evaluation:
-- ``train_pairs`` draws epoch ``e``'s training pairs and ``verify_pairs``
-  the test pairs, each from its own derived seed;
-- ``score`` fits the decision threshold on the first tenth of a
-  validation pair set and scores the test pairs.  The epoch loop validates
-  on the epoch's own pairs, ``evaluate`` on epoch 1's.
+- ``train_pairs`` draws epoch ``e``'s training pairs, ``validation_pairs``
+  the run's fixed, label-balanced validation pairs of training subjects,
+  and ``verify_pairs`` the test pairs, each from its own derived seed;
+- ``score`` fits the decision threshold on the validation pairs and
+  scores the test pairs.  The epoch loop and ``evaluate`` both pass it the
+  same validation pairs, so ``eval`` of a run's last checkpoint reproduces
+  its last metrics row.
 
 ``RunConfig`` is the config schema: ``coerce_value`` parses a field by its
 declared type.  Every artifact goes through ``write_lines`` and is a pure
@@ -335,6 +337,14 @@ def train_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig,
                         derive_seed(cfg.seed, 100, epoch))
 
 
+def validation_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig):
+    """The run's fixed threshold-fitting pairs of train subjects, a tenth as
+    many as an epoch's; half of them match."""
+    return sample_pairs(ds, sorted(split.train_subjects),
+                        max(1, cfg.pairs_per_epoch // 10), 0.5,
+                        derive_seed(cfg.seed, 300))
+
+
 def verify_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig):
     """The run's fixed pairs of test subjects; half of them match."""
     return sample_pairs(ds, sorted(split.test_subjects), cfg.eval_pairs,
@@ -364,9 +374,8 @@ def density_histogram(d: np.ndarray, labels: np.ndarray):
 
 
 def score(encoder, val_pairs, test_pairs, cfg: RunConfig) -> EvalResult:
-    """Fit the threshold on the first tenth of val_pairs, score test_pairs."""
-    n_val = max(1, len(val_pairs) // 10)
-    d_val, y_val = eval_distances(encoder, val_pairs.slice(0, n_val), cfg)
+    """Fit the threshold on val_pairs, score test_pairs."""
+    d_val, y_val = eval_distances(encoder, val_pairs, cfg)
     threshold, _ = sweep_threshold(d_val, y_val)
     d_test, y_test = eval_distances(encoder, test_pairs, cfg)
     pred = predict_match(d_test, threshold)
@@ -417,6 +426,7 @@ def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
     echo_config(cfg, os.path.join(run_dir, "config.txt"))
 
     state = OptimState()
+    val_pairs = validation_pairs(ds, split, cfg)
     test_pairs = verify_pairs(ds, split, cfg)
 
     rows = []
@@ -437,7 +447,7 @@ def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
             loss_sum += val * len(batch)
             n_seen += len(batch)
         train_loss = loss_sum / n_seen
-        res = score(encoder, pairs, test_pairs, cfg)
+        res = score(encoder, val_pairs, test_pairs, cfg)
 
         wall_ms = int(round((time.monotonic() - t0) * 1000.0))
         rows.append(dict(epoch=epoch, train_loss=train_loss,
@@ -499,19 +509,10 @@ def _train_kfold(cfg: RunConfig, ds: FaceDataset) -> TrainResult:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def overlap_coefficient(match_counts, nonmatch_counts) -> float:
-    """Shared probability mass of the two histograms, in [0, 1]."""
-    pm = np.asarray(match_counts, dtype=np.float64)
-    pn = np.asarray(nonmatch_counts, dtype=np.float64)
-    if pm.sum() == 0 or pn.sum() == 0:
-        return 0.0
-    return float(np.minimum(pm / pm.sum(), pn / pn.sum()).sum())
-
-
 def evaluate(encoder, ds: FaceDataset, split: SplitSpec,
              cfg: RunConfig) -> EvalResult:
-    """Score on the test pairs, validating on epoch 1's training pairs."""
-    return score(encoder, train_pairs(ds, split, cfg, 1),
+    """Score on the test pairs, validating on the run's validation pairs."""
+    return score(encoder, validation_pairs(ds, split, cfg),
                  verify_pairs(ds, split, cfg), cfg)
 
 

@@ -159,8 +159,7 @@ class ScnEncoder:
                 # is p, the eval scale below
                 u = np.clip(rng.spawn(2).uniform(n * caps).reshape(n, caps),
                             1e-7, 1.0 - 1e-7)
-                z = concrete_dropout_mask(p, Tensor(u), CONCRETE_T,
-                                          standard_concrete=True)
+                z = concrete_dropout_mask(p, Tensor(u), CONCRETE_T)
             else:
                 z = p  # deterministic eval: scale by keep prob
             v = ad.mul(v, ad.reshape(z, [z.shape[0], caps, 1]))

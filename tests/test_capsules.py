@@ -936,22 +936,8 @@ def test_concrete_monte_carlo_mean_tracks_p_standard_form():
     for p_val in (0.3, 0.7):
         u = np.clip(rng.uniform(20000), 1e-7, 1.0 - 1e-7)
         z = caps.concrete_dropout_mask(
-            Tensor(np.full(20000, p_val)), Tensor(u), t=0.1,
-            standard_concrete=True)
+            Tensor(np.full(20000, p_val)), Tensor(u), t=0.1)
         assert abs(z.data.mean() - p_val) < 0.05
-
-
-def test_concrete_printed_form_mean_saturates():
-    # with 1/t on the probability logit only, the sharpened logit swamps the
-    # logistic noise, so the mask mean collapses toward {0,1} instead of p
-    rng = SplitMix64(98)
-    u = np.clip(rng.uniform(20000), 1e-7, 1.0 - 1e-7)
-    lo = caps.concrete_dropout_mask(
-        Tensor(np.full(20000, 0.3)), Tensor(u), t=0.1).data.mean()
-    hi = caps.concrete_dropout_mask(
-        Tensor(np.full(20000, 0.7)), Tensor(u), t=0.1).data.mean()
-    assert lo < 0.05
-    assert hi > 0.95
 
 
 def test_concrete_sharp_temperature_saturates():
@@ -963,7 +949,7 @@ def test_concrete_sharp_temperature_saturates():
                                    Tensor(u), t=t).data
     logit_p = np.log(p_val) - np.log1p(-p_val)
     logit_u = np.log(u) - np.log1p(-u)
-    arg = logit_p / t + logit_u
+    arg = (logit_p + logit_u) / t
     strong = np.abs(arg) > 10.0
     dist = np.minimum(z[strong], 1.0 - z[strong])
     assert dist.max() < 1e-3
@@ -976,26 +962,16 @@ def test_concrete_rejects_boundary_values():
         caps.concrete_dropout_mask(Tensor([0.5]), Tensor([0.0]), 0.1)
     with pytest.raises(ValueError):
         caps.concrete_dropout_mask(Tensor([0.5]), Tensor([0.5]), 0.0)
+    # criterion 6 passes standard_concrete=True; no other form exists
+    with pytest.raises(ValueError, match="standard Concrete"):
+        caps.concrete_dropout_mask(Tensor([0.5]), Tensor([0.5]), 0.1,
+                                   standard_concrete=False)
 
 
-def test_concrete_standard_form_differs():
-    a = caps.concrete_dropout_mask(Tensor([0.9]), Tensor([0.3]), 0.1)
-    b = caps.concrete_dropout_mask(Tensor([0.9]), Tensor([0.3]), 0.1,
-                                   standard_concrete=True)
-    want_a = 1.0 / (1.0 + np.exp(-(np.log(9.0) / 0.1
-                                   + np.log(0.3) - np.log(0.7))))
-    want_b = 1.0 / (1.0 + np.exp(-(np.log(9.0)
-                                   + np.log(0.3) - np.log(0.7)) / 0.1))
-    np.testing.assert_allclose(a.data, [want_a], atol=1e-12)
-    np.testing.assert_allclose(b.data, [want_b], atol=1e-12)
-    assert abs(a.data[0] - b.data[0]) > 1e-6
-
-
-@pytest.mark.parametrize("standard_concrete", [False, True])
-def test_concrete_grad_check_frozen_u(standard_concrete):
+def test_concrete_grad_check_frozen_u():
     rng = SplitMix64(97)
     p = Tensor(rng.uniform(8, 0.2, 0.8))
     u = np.clip(rng.uniform(8), 1e-7, 1 - 1e-7)
     assert grad_check(
         lambda p: ad.sum_(ad.square(caps.concrete_dropout_mask(
-            p, Tensor(u), 0.1, standard_concrete))), p) < 1e-4
+            p, Tensor(u), 0.1))), p) < 1e-4

@@ -379,10 +379,11 @@ def test_eval_run_outputs(tmp_path):
     assert match_total == 3 and nonmatch_total == 3  # 6 pairs, ratio 0.5
 
 
-def test_evaluate_reproduces_last_epoch_bitwise(tmp_path):
-    """Training and eval score with one protocol: with fixed pairs both
-    fit the threshold on epoch 1's pairs and score the same test pairs."""
-    cfg = micro_cfg(tmp_path / "run", fixed_pairs=True).finalize()
+@pytest.mark.parametrize("fixed_pairs", [True, False])
+def test_evaluate_reproduces_last_epoch_bitwise(tmp_path, fixed_pairs):
+    """Training and eval score with one protocol: both fit the threshold on
+    the run's validation pairs and score the same test pairs."""
+    cfg = micro_cfg(tmp_path / "run", fixed_pairs=fixed_pairs).finalize()
     res = hz.train_run(cfg)
     ds = hz.load_dataset(cfg)
     got = hz.evaluate(res.encoder, ds, hz.make_split(ds, cfg), cfg)
@@ -390,6 +391,45 @@ def test_evaluate_reproduces_last_epoch_bitwise(tmp_path):
     assert got.loss == last["test_loss"]
     assert got.accuracy == last["test_accuracy"]
     assert got.threshold == res.threshold
+
+
+def test_validation_pairs_fixed_balanced_and_of_train_subjects(
+        tmp_path, monkeypatch):
+    cfg = micro_cfg(tmp_path / "run", epochs=3, pairs_per_epoch=50,
+                    batch_size=25).finalize()
+    ds = hz.load_dataset(cfg)
+    split = hz.make_split(ds, cfg)
+    val = hz.validation_pairs(ds, split, cfg)
+    assert len(val) == 5
+    assert int((val.labels == 0).sum()) == round(5 / 2)
+    subjects = {ds.images[i][0] for pair in val.index_pairs for i in pair}
+    assert subjects <= set(split.train_subjects)
+
+    seen = []
+    score = hz.score
+
+    def recorded(encoder, val_pairs, test_pairs, cfg):
+        seen.append(val_pairs.index_pairs)
+        return score(encoder, val_pairs, test_pairs, cfg)
+
+    monkeypatch.setattr(hz, "score", recorded)
+    res = hz.train_run(cfg)
+    hz.evaluate(res.encoder, ds, split, cfg)
+    assert len(seen) == 4  # three epochs, then evaluate
+    assert all(s == val.index_pairs for s in seen)
+
+
+def test_evaluate_draws_no_training_pairs(tmp_path, monkeypatch):
+    cfg = micro_cfg(tmp_path / "run").finalize()
+    ds = hz.load_dataset(cfg)
+
+    def refuse(*args):
+        raise AssertionError("evaluate drew training pairs")
+
+    monkeypatch.setattr(hz, "train_pairs", refuse)
+    res = hz.evaluate(hz.build_run_encoder(cfg), ds, hz.make_split(ds, cfg),
+                      cfg)
+    assert 0.0 <= res.accuracy <= 1.0
 
 
 def test_eval_shape_mismatch_names_tensor(tmp_path):
@@ -402,14 +442,14 @@ def test_eval_shape_mismatch_names_tensor(tmp_path):
 
 
 def test_score_takes_a_cosine_threshold_below_zero(monkeypatch):
-    # the best rule on this validation tenth matches nothing, and its
+    # the best rule on these validation pairs matches nothing, and its
     # smallest cosine distance rounded below 0: the sweep returns that
     # distance, and the test pairs are scored by the same rule
     def pairs(labels):
         img = Tensor(np.zeros((len(labels), 1, 1, 1)))
         return PairBatch(img, img, np.array(labels, dtype=np.float64))
 
-    val, test = pairs([1] * 30), pairs([0, 1, 0, 1])
+    val, test = pairs([1, 1, 1]), pairs([0, 1, 0, 1])
     dists = {3: np.array([-1.1e-16, 0.5, 0.6]),
              4: np.array([-2e-16, 0.3, 0.7, 0.2])}
     monkeypatch.setattr(hz, "eval_distances",
@@ -427,26 +467,7 @@ def test_histogram_counts_and_overlap():
     y = np.concatenate([np.zeros(300), np.ones(200)])
     edges, mc, nc = hz.density_histogram(d, y)
     assert len(edges) == 51 and mc.sum() == 300 and nc.sum() == 200
-    assert hz.overlap_coefficient(mc, nc) < 0.05  # well separated
-    assert hz.overlap_coefficient(mc, mc) == pytest.approx(1.0)
-
-
-def test_overlap_untrained_vs_trained(tmp_path):
-    """Training reduces the match/non-match histogram overlap."""
-    cfg = micro_cfg(tmp_path / "run", epochs=25, holdout=0,
-                    pairs_per_epoch=24, batch_size=8, eval_pairs=100,
-                    alpha=0.02)
-    ds = hz.load_dataset(cfg.finalize())
-    split = hz.make_split(ds, cfg.finalize())
-    untrained = hz.build_run_encoder(cfg.finalize())
-    before = hz.evaluate(untrained, ds, split, cfg.finalize())
-    res = hz.train_run(cfg)
-    after = hz.evaluate(res.encoder, ds, split, cfg.finalize())
-    ov_before = hz.overlap_coefficient(before.match_counts,
-                                       before.nonmatch_counts)
-    ov_after = hz.overlap_coefficient(after.match_counts,
-                                      after.nonmatch_counts)
-    assert ov_after < ov_before
+    assert not np.any((mc > 0) & (nc > 0))  # well separated: no shared bin
 
 
 # ---------------------------------------------------------------------------

@@ -260,7 +260,9 @@ def test_public_names_resolve_and_removed_ones_are_gone():
                          (data, "_int_token"),
                          (models, "effective_distance"),
                          (siamcaps, "effective_distance"),
-                         (models, "_is_match")):
+                         (models, "_is_match"),
+                         (harness, "overlap_coefficient"),
+                         (siamcaps, "overlap_coefficient")):
         assert not hasattr(module, name), (module.__name__, name)
     for cls in (layers.Conv2dParams, layers.BatchNormParams,
                 layers.DenseParams, capsules.PrimaryCapsuleParams,
