@@ -283,15 +283,16 @@ def eval_distances(encoder, pairs, cfg: RunConfig, chunk: int = 16):
 
     chunk bounds the transient buffers of one encoder pass: a chunk of
     pairs runs 2*chunk images through the network at once.  At full size
-    the largest buffers no longer grow with it: the primary convolution
-    works within layers.PATCH_BYTES (128 MiB), and the capsule layer
-    transforms and routes groups of 2 images on each of its two worker
-    threads, whose u_hat together fits capsules.LAYER_BYTES (32 MiB),
-    where the default 32 images' u_hat would be 268 MB.  Routing reads
-    u_hat one sample at a time there (see capsules.ROUTE_BYTES), so the
-    chunk does not set routing's cache footprint either.  A chunk holds
-    an even number of images, so no group holds just one, and the
-    distances do not depend on the number of workers.
+    the largest buffers no longer grow with it: the primary convolution's
+    Winograd forward works within layers.WINOGRAD_BYTES (64 MiB), and the
+    capsule layer transforms and routes groups of 2 images on each of its
+    two worker threads, whose u_hat together fits capsules.LAYER_BYTES
+    (32 MiB), where the default 32 images' u_hat would be 268 MB.
+    Routing reads u_hat one sample at a time there (see
+    capsules.ROUTE_BYTES), so the chunk does not set routing's cache
+    footprint either.  A chunk holds an even number of images, so no
+    group holds just one, and the distances do not depend on the number
+    of workers.
     """
     parts = []
     for lo in range(0, len(pairs), chunk):
@@ -353,7 +354,8 @@ def verify_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig):
 
 @dataclasses.dataclass
 class EvalResult:
-    loss: float
+    loss: float                 # on the test pairs
+    val_loss: float             # on the validation pairs
     accuracy: float
     threshold: float
     bin_edges: np.ndarray
@@ -374,12 +376,14 @@ def density_histogram(d: np.ndarray, labels: np.ndarray):
 
 
 def score(encoder, val_pairs, test_pairs, cfg: RunConfig) -> EvalResult:
-    """Fit the threshold on val_pairs, score test_pairs."""
+    """Fit the threshold on val_pairs, score test_pairs; the loss on each
+    pair set."""
     d_val, y_val = eval_distances(encoder, val_pairs, cfg)
     threshold, _ = sweep_threshold(d_val, y_val)
     d_test, y_test = eval_distances(encoder, test_pairs, cfg)
     pred = predict_match(d_test, threshold)
     return EvalResult(eval_loss_value(d_test, y_test, cfg),
+                      eval_loss_value(d_val, y_val, cfg),
                       float((pred == (y_test == 0)).mean()), threshold,
                       *density_histogram(d_test, y_test))
 
@@ -430,7 +434,7 @@ def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
     test_pairs = verify_pairs(ds, split, cfg)
 
     rows = []
-    best_test = np.inf
+    best_val = np.inf
     train_pair_subjects: set = set()
     fixed = train_pairs(ds, split, cfg, 1) if cfg.fixed_pairs else None
     for epoch in range(1, cfg.epochs + 1):
@@ -453,8 +457,8 @@ def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
         rows.append(dict(epoch=epoch, train_loss=train_loss,
                          test_loss=res.loss, test_accuracy=res.accuracy,
                          wall_ms=wall_ms))
-        if res.loss < best_test:
-            best_test = res.loss
+        if res.val_loss < best_val:
+            best_val = res.val_loss
             save_checkpoint(encoder, state,
                             os.path.join(run_dir, "best.ckpt"))
         if cfg.stop_below > 0.0 and train_loss < cfg.stop_below:

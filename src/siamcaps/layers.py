@@ -30,14 +30,15 @@ After a space-to-depth by s it is a 3x3 stride-1 convolution over s*s*C
 channels, and F(4x4, 3x3) computes each 4x4 output tile with 36 multiplies
 per input and output channel where im2col takes 144.  It runs in blocks of
 input channels whose buffers, with its accumulator, stay within
-PATCH_BYTES, and it transforms the kernel block by block on every call, so
-neither the transformed kernel nor the transformed input ever exists
-whole.  At the full-size primary capsules and 32 images
-it takes about 170 ms against 315 ms for im2col, and its error against
-im2col was at most 2e-14 of the output's largest magnitude (the tests
-allow 1e-12).  The rule keeps conv1 and every desk-scale and Standard
-convolution on im2col, so their outputs are bitwise those of training's
-forward.
+WINOGRAD_BYTES, a budget of its own (im2col's PATCH_BYTES sets no block).
+It transforms the kernel block by block on every call, so neither the
+transformed kernel nor the transformed input ever exists whole, and it
+adds each block's product into the accumulator one Winograd point at a
+time.  At the full-size primary capsules and 32 images it takes about 170
+ms against 315 ms for im2col, and its error against im2col was at most
+2e-14 of the output's largest magnitude (the tests allow 1e-12).  The
+rule keeps conv1 and every desk-scale and Standard convolution on im2col,
+so their outputs are bitwise those of training's forward.
 
 Convolutions are unpadded: an output pixel reads only input pixels.
 
@@ -58,8 +59,7 @@ from .autodiff import ShapeError, Tensor
 from .rng import SplitMix64, derive_seed
 
 # bytes of patch matrix that the im2col forward, and again its vjp, builds
-# at once; each runs its GEMMs over groups of images that fit, and the
-# Winograd forward sizes its blocks of input channels to fit.  At full size
+# at once; each runs its GEMMs over groups of images that fit.  At full size
 # the primary capsules' patches take 10.6 MB an image, so a group is 12
 # images; conv1 at 32 images (20 MB) and every desk-size convolution
 # are one group.  With 6-image groups (64 MiB) the primary GEMM ran 20%
@@ -82,6 +82,18 @@ GEMM_ROWS = 1024
 # primary capsules) 184 against 317.  8,192 sits above every desk-scale
 # convolution and conv1 and below the full-size primary capsules
 WINOGRAD_K = 8192
+# bytes of blocked buffers, accumulator included, that the Winograd
+# forward holds at once; it sizes its blocks of input channels to fit.  At
+# the full-size primary capsules and 32 images (2 BLAS threads, 2-vCPU
+# host; medians of two scans of 8 calls each, tracemalloc peak of a call):
+#   128 MiB  146 / 141 ms  134 MB     48 MiB  163 / 130 ms  50 MB
+#    96 MiB  150 / 140 ms   99 MB     40 MiB  147 / 141 ms  41 MB
+#    64 MiB  150 / 136 ms   66 MB     32 MiB  153 / 158 ms  32 MB
+# Its speed is flat down to 40 MiB, and full_eval's peak RSS read 283.7
+# MB at 48 MiB against 283.9 at 64, where something else sets the peak.
+# im2col's GEMMs slow down below 128 MiB (see PATCH_BYTES), so each
+# algorithm has a budget of its own
+WINOGRAD_BYTES = 64 << 20
 # batchnorm's running-statistics momentum and variance epsilon, every run's
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
@@ -213,13 +225,13 @@ def _winograd_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
         x, (6, 6, n, th, tw, s, s, c),
         (s * sh, s * sw, sn, 4 * s * sh, 4 * s * sw, sh, sw, sc),
         writeable=False)
-    # the accumulator and one block's product are fixed; each input channel
+    # the accumulator and one point's product are fixed; each input channel
     # of a block adds s*s columns to its tiles (gathered and transformed)
     # and to its kernel taps (gathered and transformed)
     acc = np.empty((36, tiles, o))
-    prod = np.empty_like(acc)
+    prod = np.empty((tiles, o))
     blocks = byte_chunks(c, 8 * s * s * (72 * tiles + 45 * o),
-                         PATCH_BYTES - acc.nbytes - prod.nbytes)
+                         WINOGRAD_BYTES - acc.nbytes - prod.nbytes)
     width = s * s * (blocks[0][1] - blocks[0][0])
     tbuf, vbuf = np.empty(36 * tiles * width), np.empty(36 * tiles * width)
     gbuf, ubuf = np.empty(9 * o * width), np.empty(36 * o * width)
@@ -240,12 +252,12 @@ def _winograd_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
         if lo == 0:
             np.matmul(vb, ub, out=acc)
         else:
-            acc += np.matmul(vb, ub, out=prod)
-    del tbuf, vbuf, gbuf, ubuf
+            for p in range(36):
+                acc[p] += np.matmul(vb[p], ub[p], out=prod)
+    # the last block's views hold the buffers too
+    del tbuf, vbuf, gbuf, ubuf, prod, d, v, g, u, vb, ub
     # y[4*i + j] holds output pixel (4*ti + i, 4*tj + j) of every tile
-    y = np.matmul(_AA, acc.reshape(36, tiles * o),
-                  out=prod.reshape(36, tiles * o)[:16])
-    y = y.reshape(16, n, th, tw, o)
+    y = (_AA @ acc.reshape(36, tiles * o)).reshape(16, n, th, tw, o)
     out = np.empty((n, ho, wo, o))
     for i in range(4):
         for j in range(4):
@@ -401,8 +413,11 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams) -> Tensor:
         run *= 1 - BN_MOMENTUM
         run += BN_MOMENTUM * batch
 
+    # the vjp needs only x's shapes, so the node keeps neither x nor x2
+    shape2, shape = x2.shape, x.shape
+
     def vjp(g):
-        gy = g.reshape(x2.shape)
+        gy = g.reshape(shape2)
         g_gamma = np.einsum("mc,mc->c", gy, xhat)
         g_beta = gy.sum(axis=0)
         k = 1.0 / len(gy)
@@ -410,7 +425,7 @@ def batchnorm_forward(x: Tensor, p: BatchNormParams) -> Tensor:
         gx += gy
         gx -= k * g_beta
         gx *= gamma * inv
-        return (gx.reshape(x.shape), g_gamma, g_beta)
+        return (gx.reshape(shape), g_gamma, g_beta)
 
     return ad._emit("batchnorm", out.reshape(x.shape), [x, p.gamma, p.beta],
                     vjp)

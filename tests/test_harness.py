@@ -302,11 +302,28 @@ def test_holdout_zero_tests_on_train_subjects(tmp_path):
     assert res.audit["zero_shot_disjoint"] is False
 
 
-def test_best_checkpoint_tracks_lowest_test_loss(tmp_path):
+def test_best_checkpoint_tracks_lowest_validation_loss(tmp_path, monkeypatch):
+    # the epochs' validation losses have their minimum at epoch 3 and their
+    # test losses at epoch 2; best.ckpt is saved at each new validation low
+    val_losses, test_losses = iter([2.0, 3.0, 1.0]), iter([3.0, 1.0, 2.0])
+    real_score, real_save, saves = hz.score, hz.save_checkpoint, []
+
+    def score(*args):
+        return dataclasses.replace(real_score(*args), loss=next(test_losses),
+                                   val_loss=next(val_losses))
+
+    def save_checkpoint(encoder, state, path):
+        saves.append((os.path.basename(path), state.t))
+        real_save(encoder, state, path)
+
+    monkeypatch.setattr(hz, "score", score)
+    monkeypatch.setattr(hz, "save_checkpoint", save_checkpoint)
     res = hz.train_run(micro_cfg(tmp_path / "run", epochs=3))
-    best_epoch = int(np.argmin([r["test_loss"] for r in res.rows])) + 1
+    assert [r["test_loss"] for r in res.rows] == [3.0, 1.0, 2.0]
+    # 2 steps per epoch
+    assert saves == [("best.ckpt", 2), ("best.ckpt", 6), ("final.ckpt", 6)]
     best = load_checkpoint(os.path.join(res.run_dir, "best.ckpt"))
-    assert int(best["optim/t"][0]) == best_epoch * 2  # 2 steps per epoch
+    assert int(best["optim/t"][0]) == 6
 
 
 def test_standard_model_trains(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -469,7 +470,7 @@ def test_winograd_forward_holds_its_budget(monkeypatch, winograd_calls):
     outs = []
     for images in (1, 2, 3):
         budget = images * image_bytes
-        monkeypatch.setattr(layers, "PATCH_BYTES", budget)
+        monkeypatch.setattr(layers, "WINOGRAD_BYTES", budget)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -498,12 +499,15 @@ def test_winograd_needs_a_kernel_of_three_strides(winograd_calls):
     assert free.tobytes() == tape.tobytes()
 
 
-def test_winograd_forward_is_deterministic(winograd_calls):
+def test_winograd_forward_is_deterministic(monkeypatch, winograd_calls):
+    # im2col's patch budget does not reach the Winograd forward's blocks
     x, p, _ = full_primary_input(2)
     a = layers.conv2d_forward(x, p).data
     b = layers.conv2d_forward(x, p).data
-    assert len(winograd_calls) == 2
-    assert a.tobytes() == b.tobytes()
+    monkeypatch.setattr(layers, "PATCH_BYTES", 1)
+    c = layers.conv2d_forward(x, p).data
+    assert len(winograd_calls) == 3
+    assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 DEMO_03 = dict(conv_channels=8, primary_types=4, primary_d=4, face_caps=8,
@@ -617,6 +621,29 @@ def test_batchnorm_grad_check():
         return ad.sum_(ad.square(layers.batchnorm_forward(x, p)))
 
     assert grad_check(f, [x, gamma, beta], eps=1e-5) < 1e-4
+
+
+def test_batchnorm_node_keeps_no_reference_to_its_input():
+    # the vjp reads only xhat and the statistics, so once the caller drops
+    # a tracked input (conv1's output in a train step) its array is freed
+    # before backward; gradients are bitwise those of a pass that kept it
+    raw = SplitMix64(38).uniform(4 * 5 * 5 * 3, -1, 1).reshape(4, 5, 5, 3)
+    g = Tensor(SplitMix64(39).uniform(raw.size, -1, 1).reshape(raw.shape))
+    grads = []
+    for keep in (True, False):
+        p = chain_params()
+        leaf = Tensor(raw.copy(), requires_grad=True)
+        with ad.Graph():
+            x = ad.mul_scalar(leaf, 1.0)
+            alive = weakref.ref(x.data)
+            out = layers.batchnorm_forward(x, p)
+            if not keep:
+                del x
+                assert alive() is None
+            ad.backward(ad.sum_(ad.mul(out, g)))
+        grads.append((out.data, leaf.grad, p.gamma.grad, p.beta.grad))
+    for kept, dropped in zip(*grads):
+        assert kept.tobytes() == dropped.tobytes()
 
 
 def batchnorm_chain(x, p, training):
