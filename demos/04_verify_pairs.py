@@ -3,7 +3,7 @@
 Runs the trained checkpoint from demo 03 (training it first if needed),
 then shows how match/non-match decisions work: embed both images with the
 tied-weight encoder, take the distance, and call the pair a match when it
-is below a threshold swept on the run's validation pairs.  An untrained
+is below a threshold fit on the run's validation pairs.  An untrained
 encoder on the same pairs shows what training adds.
 """
 
@@ -51,8 +51,9 @@ def main():
     # the run's fixed validation pairs, a tenth as many as an epoch's, are
     # of training subjects, so a threshold fit on them need not suit the
     # unseen test subjects
-    print("  (both thresholds are swept on the same validation pairs,\n"
-          "   half of them matching, all of subjects seen in training)")
+    print("  (both thresholds are fit exactly, at the most accurate cut of\n"
+          "   the same validation pairs, half of them matching, all of\n"
+          "   subjects seen in training)")
     print("density.csv written :",
           os.path.join(cfg.output_dir, "density.csv"))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .checkpoint import CheckpointError
@@ -70,7 +71,17 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_train(args) -> int:
-    res = train_run(_config_from(args))
+    cfg = _config_from(args)
+    res = train_run(cfg)
+    if cfg.kfold_k >= 2:
+        summary = os.path.join(cfg.output_dir, "summary.csv")
+        with open(summary, encoding="utf-8") as fh:
+            mean = next(line for line in fh if line.startswith("mean,"))
+        loss, acc = (float(v) for v in mean.split(",")[1:])
+        print(f"k-fold summary: {summary}")
+        print(f"folds run: {cfg.kfold_k}")
+        print(f"mean test_loss={loss:.6g} test_accuracy={acc:.4f}")
+        return 0
     last = res.rows[-1]
     print(f"run dir: {res.run_dir}")
     print(f"epochs run: {len(res.rows)}")

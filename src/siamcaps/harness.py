@@ -340,9 +340,10 @@ def train_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig,
 
 def validation_pairs(ds: FaceDataset, split: SplitSpec, cfg: RunConfig):
     """The run's fixed threshold-fitting pairs of train subjects, a tenth as
-    many as an epoch's; half of them match."""
+    many as an epoch's but at least 2; half of them match, so both labels
+    are always present."""
     return sample_pairs(ds, sorted(split.train_subjects),
-                        max(1, cfg.pairs_per_epoch // 10), 0.5,
+                        max(2, cfg.pairs_per_epoch // 10), 0.5,
                         derive_seed(cfg.seed, 300))
 
 

@@ -296,12 +296,33 @@ def predict_match(d: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def sweep_threshold(d: np.ndarray, y: np.ndarray):
-    """Accuracy of predict_match at 101 evenly spaced thresholds in
-    [min(D), max(D)]; among equally accurate thresholds the first, the
-    smallest, wins."""
+    """The most accurate threshold for predict_match, and its accuracy.
+
+    k distinct distances allow k + 1 decisions, one per cut: below the
+    smallest (threshold = the smallest distance), between neighbours
+    (threshold midway), and above the largest (the next double up). One
+    sort and cumulative label counts score every cut; among equally
+    accurate cuts the first, the smallest threshold, wins.
+    """
     d = np.asarray(d, dtype=np.float64)
-    is_match = (np.asarray(y) == 0)
-    grid = np.linspace(d.min(), d.max(), 101)
-    accs = [float((predict_match(d, thr) == is_match).mean()) for thr in grid]
-    best = int(np.argmax(accs))  # the first of equal maxima
-    return float(grid[best]), accs[best]
+    order = np.argsort(d)
+    d_sorted = d[order]
+    is_match = np.asarray(y)[order] == 0
+    # right[i]: pairs decided correctly when the i smallest are matches
+    matches_below = np.concatenate(([0], np.cumsum(is_match)))
+    nonmatches_below = np.arange(d.size + 1) - matches_below
+    right = matches_below + (nonmatches_below[-1] - nonmatches_below)
+    # cuts fall at either end or between two distinct distances
+    cuts = np.flatnonzero(np.concatenate(
+        ([True], d_sorted[1:] > d_sorted[:-1], [True])))
+    best = int(cuts[np.argmax(right[cuts])])  # the first of equal maxima
+    if best == 0:
+        threshold = d_sorted[0]
+    elif best == d.size:
+        threshold = np.nextafter(d_sorted[-1], np.inf)
+    else:
+        lo, hi = d_sorted[best - 1], d_sorted[best]
+        mid = (lo + hi) / 2
+        # the mean of adjacent doubles can round onto the lower one
+        threshold = mid if mid > lo else hi
+    return float(threshold), float(right[best] / d.size)

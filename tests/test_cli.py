@@ -34,6 +34,20 @@ def test_train_exit_zero_and_artifacts(tmp_path, capsys):
     assert os.path.isfile(tmp_path / "run" / "metrics.csv")
 
 
+def test_train_kfold_reports_the_summary_mean(tmp_path, capsys):
+    run = tmp_path / "run"
+    rc = cli.main(_train_args(run, "--kfold_k", "3"))
+    assert rc == 0
+    out = capsys.readouterr().out
+    mean = (run / "summary.csv").read_text().splitlines()[4]
+    assert mean.startswith("mean,")
+    loss, acc = (float(v) for v in mean.split(",")[1:])
+    assert f"k-fold summary: {run / 'summary.csv'}" in out
+    assert "folds run: 3" in out
+    assert f"mean test_loss={loss:.6g} test_accuracy={acc:.4f}" in out
+    assert "fold2" not in out
+
+
 def test_train_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dataset = synthetic\nepochs = 9\n" + "\n".join(

@@ -436,6 +436,19 @@ def test_validation_pairs_fixed_balanced_and_of_train_subjects(
     assert all(s == val.index_pairs for s in seen)
 
 
+def test_validation_pairs_hold_both_labels_at_every_size(tmp_path):
+    # a tenth of an epoch rounds down to one pair, or none, below 20 pairs
+    # per epoch; the set never fits a threshold on one label
+    cfg = micro_cfg(tmp_path).finalize()
+    ds = hz.load_dataset(cfg)
+    split = hz.make_split(ds, cfg)
+    for n in range(1, 41):
+        val = hz.validation_pairs(
+            ds, split, dataclasses.replace(cfg, pairs_per_epoch=n))
+        assert len(val) == max(2, n // 10), n
+        assert set(val.labels.tolist()) == {0.0, 1.0}, n
+
+
 def test_evaluate_draws_no_training_pairs(tmp_path, monkeypatch):
     cfg = micro_cfg(tmp_path / "run").finalize()
     ds = hz.load_dataset(cfg)

@@ -454,12 +454,65 @@ def test_sweep_threshold_manhattan_exp_distances():
 
 
 def test_sweep_threshold_ties_take_the_smallest_threshold():
-    # every grid point between the matches and the non-matches is equally
-    # accurate; the first, the strictest, wins
+    # the cuts below 0.1 and above 0.9 are less accurate; the one cut
+    # between the matches and the non-matches sits at its midpoint
     d = np.array([0.0, 0.1, 0.9, 1.0])
     thr, acc = models.sweep_threshold(d, np.array([0, 0, 1, 1]))
     assert acc == 1.0
-    assert thr == np.linspace(0.0, 1.0, 101)[11]
+    assert thr == 0.5
+    # with the largest pair a match, the cut at 0.5 and the one above 1.0
+    # each decide 3 of 4 pairs right; the first wins
+    thr, acc = models.sweep_threshold(d, np.array([0, 0, 1, 0]))
+    assert (thr, acc) == (0.5, 0.75)
+
+
+def _oracle_sweep(d, y):
+    """predict_match's accuracy at every candidate cut of the distinct
+    distances, one call per cut; the first best wins."""
+    u = np.unique(d)
+    mids = [(lo + hi) / 2 if (lo + hi) / 2 > lo else hi
+            for lo, hi in zip(u[:-1], u[1:])]
+    cands = [u[0], *mids, np.nextafter(u[-1], np.inf)]
+    accs = [float((models.predict_match(d, t) == (y == 0)).mean())
+            for t in cands]
+    best = int(np.argmax(accs))
+    return float(cands[best]), accs[best]
+
+
+def _sweep_oracle_inputs():
+    rng = SplitMix64(30)
+    for trial in range(80):
+        n = 1 + rng.randrange(40)
+        # rounding to one or two decimals ties many distances
+        d = np.round(rng.uniform(n, -0.05, 2.0), 1 + trial % 2)
+        y = (rng.uniform(n) < (0.0, 0.3, 0.5, 1.0)[trial % 4]).astype(float)
+        yield pytest.param(d, y, id=f"draw{trial}")
+    for label in (0, 1):
+        yield pytest.param(np.array([0.7]), np.array([label]),
+                           id=f"one-pair-{label}")
+        yield pytest.param(np.full(5, 0.3), np.array([label, 0, 1, label, 1]),
+                           id=f"all-equal-{label}")
+    # the mean of two adjacent doubles rounds onto the lower one
+    one = np.nextafter(1.0, 2.0)
+    yield pytest.param(np.array([one, 1.0]), np.array([1, 0]),
+                       id="adjacent-doubles")
+
+
+@pytest.mark.parametrize("d,y", list(_sweep_oracle_inputs()))
+def test_sweep_threshold_matches_every_cut_oracle(d, y):
+    thr, acc = models.sweep_threshold(d, y)
+    assert (thr, acc) == _oracle_sweep(d, y)
+    assert acc == float((models.predict_match(d, thr) == (y == 0)).mean())
+
+
+def test_sweep_threshold_all_match_calls_every_pair_a_match():
+    d = np.array([0.2, 0.9, 0.4, 0.9])
+    thr, acc = models.sweep_threshold(d, np.zeros(4))
+    assert acc == 1.0
+    assert thr > d.max()
+    assert thr == np.nextafter(0.9, np.inf)
+    # all non-matching: the smallest distance, so no pair is a match
+    assert models.sweep_threshold(d, np.ones(4)) == (0.2, 1.0)
 
 
 def test_sweep_accuracy_is_predict_match_accuracy_for_every_metric():
