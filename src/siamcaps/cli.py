@@ -70,17 +70,22 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
                        _collect_overrides(args))
 
 
+def _print_epoch(row: dict) -> None:
+    fold = f"fold {row['fold']} " if "fold" in row else ""
+    print(f"{fold}epoch {row['epoch']} train_loss={row['train_loss']:.6g} "
+          f"val_loss={row['val_loss']:.6g} test_loss={row['test_loss']:.6g} "
+          f"wall_ms={row['wall_ms']} pairs/s={row['pairs_per_s']:.1f}",
+          file=sys.stderr, flush=True)
+
+
 def _cmd_train(args) -> int:
     cfg = _config_from(args)
-    res = train_run(cfg)
+    res = train_run(cfg, on_epoch=_print_epoch)
     if cfg.kfold_k >= 2:
-        summary = os.path.join(cfg.output_dir, "summary.csv")
-        with open(summary, encoding="utf-8") as fh:
-            mean = next(line for line in fh if line.startswith("mean,"))
-        loss, acc = (float(v) for v in mean.split(",")[1:])
-        print(f"k-fold summary: {summary}")
-        print(f"folds run: {cfg.kfold_k}")
-        print(f"mean test_loss={loss:.6g} test_accuracy={acc:.4f}")
+        print(f"k-fold summary: {os.path.join(res.run_dir, 'summary.csv')}")
+        print(f"folds run: {len(res.folds)}")
+        print(f"mean test_loss={res.final_test_loss:.6g} "
+              f"test_accuracy={res.final_test_accuracy:.4f}")
         return 0
     last = res.rows[-1]
     print(f"run dir: {res.run_dir}")

@@ -23,7 +23,7 @@ import csv
 import dataclasses
 import os
 import time
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -422,8 +422,25 @@ def _pair_subject_set(ds: FaceDataset, pairs) -> set:
     return ids
 
 
+@dataclasses.dataclass
+class KFoldResult:
+    """A k-fold run: its folds, and the means of their last rows that
+    summary.csv reports in its mean row."""
+    run_dir: str
+    folds: list                 # per-fold TrainResults
+    final_train_loss: float
+    final_test_loss: float
+    final_test_accuracy: float
+
+
+# called after each epoch with its metrics row plus val_loss and pairs_per_s
+# (training pairs per second of the epoch's wall time), and, in a k-fold
+# run, the fold
+EpochHook = Optional[Callable[[dict], None]]
+
+
 def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
-                  run_dir: str) -> TrainResult:
+                  run_dir: str, on_epoch: EpochHook = None) -> TrainResult:
     # an input size too small for the encoder fails before the run
     # directory exists
     encoder = build_run_encoder(cfg)
@@ -454,10 +471,13 @@ def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
         train_loss = loss_sum / n_seen
         res = score(encoder, val_pairs, test_pairs, cfg)
 
-        wall_ms = int(round((time.monotonic() - t0) * 1000.0))
+        wall_s = time.monotonic() - t0
         rows.append(dict(epoch=epoch, train_loss=train_loss,
                          test_loss=res.loss, test_accuracy=res.accuracy,
-                         wall_ms=wall_ms))
+                         wall_ms=int(round(wall_s * 1000.0))))
+        if on_epoch is not None:
+            on_epoch(dict(rows[-1], val_loss=res.val_loss,
+                          pairs_per_s=n_seen / max(wall_s, 1e-9)))
         if res.val_loss < best_val:
             best_val = res.val_loss
             save_checkpoint(encoder, state,
@@ -483,20 +503,28 @@ def _train_single(cfg: RunConfig, ds: FaceDataset, split: SplitSpec,
     return TrainResult(run_dir, rows, res.threshold, encoder, state, audit)
 
 
-def train_run(cfg: RunConfig) -> TrainResult:
-    """Train one model; with kfold_k >= 2, train one model per fold."""
+def train_run(cfg: RunConfig, on_epoch: EpochHook = None
+              ) -> Union[TrainResult, KFoldResult]:
+    """Train one model; with kfold_k >= 2, train one model per fold and
+    return the folds' means.  on_epoch, if given, sees every epoch."""
     cfg = cfg.finalize()
     cfg.validate()
     ds = load_dataset(cfg)  # missing data fails before model construction
     if cfg.kfold_k >= 2:
-        return _train_kfold(cfg, ds)
+        return _train_kfold(cfg, ds, on_epoch)
     split = make_split(ds, cfg)
-    return _train_single(cfg, ds, split, cfg.output_dir)
+    return _train_single(cfg, ds, split, cfg.output_dir, on_epoch)
 
 
-def _train_kfold(cfg: RunConfig, ds: FaceDataset) -> TrainResult:
+def _train_kfold(cfg: RunConfig, ds: FaceDataset,
+                 on_epoch: EpochHook) -> KFoldResult:
+    def fold_hook(i):
+        return None if on_epoch is None else (
+            lambda row: on_epoch(dict(row, fold=i)))
+
     results = [_train_single(cfg, ds, split,
-                             os.path.join(cfg.output_dir, f"fold{i}"))
+                             os.path.join(cfg.output_dir, f"fold{i}"),
+                             fold_hook(i))
                for i, split in enumerate(kfold(ds, cfg.kfold_k, cfg.seed))]
     losses = [r.final_test_loss for r in results]
     accs = [r.final_test_accuracy for r in results]
@@ -508,7 +536,9 @@ def _train_kfold(cfg: RunConfig, ds: FaceDataset) -> TrainResult:
                 + [f"{name},{float(fn(losses))!r},{float(fn(accs))!r}"
                    for name, fn in (("mean", np.mean), ("std", np.std),
                                     ("min", min), ("max", max))])
-    return results[-1]
+    return KFoldResult(cfg.output_dir, results,
+                       float(np.mean([r.final_train_loss for r in results])),
+                       float(np.mean(losses)), float(np.mean(accs)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +590,7 @@ def gridsearch_run(cfg: RunConfig) -> list:
                            f"gs_m{m:g}_{metric}".replace(".", "p"))
         sub_cfg = dataclasses.replace(cfg, loss="contrastive", m=m,
                                       metric=metric, output_dir=sub)
-        res = train_run(sub_cfg)
+        res = train_run(sub_cfg)  # with kfold_k >= 2, the fold means
         rows.append(dict(margin=m, metric=metric,
                          train_loss=res.final_train_loss,
                          test_loss=res.final_test_loss,

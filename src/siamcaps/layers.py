@@ -15,12 +15,17 @@ single [N*Ho*Wo, O] output, adding the bias to each block as it lands.
 Every split of the rows that the tests check, by image group or by
 GEMM_ROWS, leaves each output row bitwise as the whole-batch GEMM computes
 it; PATCH_BYTES is still set where only the full-size primary capsules
-split into groups.  The vjp gathers each group's patches again into a
-buffer of its own and runs two GEMMs per group: the kernel gradient, which
-lands in the kernel's storage order, and, for a tracked input, the patch
-cotangent.  That is folded back into an [N, H, W, C] buffer with one add
-per s x s block of kernel offsets, ceil(k/s)^2 adds in all, and copied out
-once in the input's own memory order.
+split into groups.  The vjp does not hold a group's whole patch matrix.
+It gathers the patch columns of one block of kernel rows at a time, within
+VJP_PATCH_BYTES, into a buffer of its own, and runs two GEMMs per block:
+the kernel gradient, whose columns for those rows land in the kernel's
+storage order, and, for a tracked input, the patch cotangent of those
+columns, in place of the patches.  Neither GEMM reduces over the columns,
+so the blocks leave every gradient bitwise that of one block.  Each
+block's cotangent is folded back into an [N, H, W, C] buffer with one add
+per s x s block of kernel offsets, ceil(k/s)^2 adds in all and in the same
+order at any block size, and the buffer is copied out once in the input's
+own memory order.
 
 A graph-free convolution (no input tracked: every eval pass) whose kernel
 spans exactly three strides (k = 3s) and whose patch row K = k*k*C is at
@@ -58,13 +63,26 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .rng import SplitMix64, derive_seed
 
-# bytes of patch matrix that the im2col forward, and again its vjp, builds
-# at once; each runs its GEMMs over groups of images that fit.  At full size
-# the primary capsules' patches take 10.6 MB an image, so a group is 12
-# images; conv1 at 32 images (20 MB) and every desk-size convolution
-# are one group.  With 6-image groups (64 MiB) the primary GEMM ran 20%
-# slower than with one
+# bytes of patch matrix that the im2col forward builds at once; it runs its
+# GEMMs over groups of images that fit, and its vjp over the same groups
+# (in blocks within VJP_PATCH_BYTES).  At full size the primary capsules'
+# patches take 10.6 MB an image, so a group is 12 images; conv1 at 32
+# images (20 MB) and every desk-size convolution are one group.  With
+# 6-image groups (64 MiB) the primary GEMM ran 20% slower than with one
 PATCH_BYTES = 128 << 20
+# bytes of patch columns that the im2col vjp gathers at once.  It works
+# through each image group's patches in blocks of kernel rows: s rows (one
+# kernel-offset row of the fold), or a multiple of s that fits.  At the
+# full-size primary capsules and 8 images (one train step at 4 pairs) s
+# rows take 28.3 MB and the whole patch matrix 84.9 MB.  Per budget, on a
+# 2-vCPU AVX-512 host with 2 BLAS threads (median of 4 scans of 10 calls,
+# tracemalloc peak of a call, gk, gb and gx bitwise equal throughout):
+#   32 MiB  3 blocks  119.4 ms  104.4 MB   64 MiB  2 blocks  118.9 ms  132.7 MB
+#   48 MiB  3 blocks  118.9 ms  104.4 MB   96 MiB  1 block   117.7 ms  161.0 MB
+# At 48 MiB conv1 (20 MB at 32 images) and every desk-scale convolution
+# stay one block, the GEMMs they ran before: the largest, criterion 7's
+# primary capsules at 32 images, takes 42.5 MB
+VJP_PATCH_BYTES = 48 << 20
 # rows of the patch matrix per forward GEMM.  The more rows a tall, thin
 # GEMM (conv1's, K = 81) gets, the more of its per-thread packing buffers
 # OpenBLAS touches: 16 MB and 25 ms for 32 full-size images (30,752 rows)
@@ -187,11 +205,13 @@ def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int,
 
 def _gather(cols: np.ndarray, lo: int, hi: int,
             buf: np.ndarray) -> np.ndarray:
-    """The patches of images [lo, hi) as the first rows of buf, one row
-    (kh, kw, C) per output pixel."""
-    n, ho, wo, kh, kw, c = cols[lo:hi].shape
-    rows = buf[:n * ho * wo]
-    np.copyto(rows.reshape(n, ho, wo, kh, kw, c), cols[lo:hi])
+    """The patches of images [lo, hi) of a 6-d patch view, or of a block
+    of its kernel rows, as a matrix at the start of the flat buffer buf:
+    one row (kh, kw, C) per output pixel."""
+    part = cols[lo:hi]
+    n, ho, wo, kh, kw, c = part.shape
+    rows = buf[:part.size].reshape(n * ho * wo, kh * kw * c)
+    np.copyto(rows.reshape(part.shape), part)
     return rows
 
 
@@ -297,7 +317,7 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
     # [rows, K] @ [K, O] GEMMs per group of images into its own rows of
     # the output, GEMM_ROWS rows at a time; every group gathers into the
     # one buffer
-    patches = np.empty((group_rows, kmat.shape[1]))
+    patches = np.empty(group_rows * kmat.shape[1])
     out = np.empty((n * hw, o))
     for lo, hi in groups:
         rows, dst = _gather(cols, lo, hi, patches), out[lo * hw:hi * hw]
@@ -323,26 +343,37 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
         # rows split as (Ho + ka, s): kernel offset u = s*a + r of output
         # row i lands in row block i + a at phase r
         gx6 = np.zeros((n, ho + ka, s, wo + ka, s, c)) if need_gx else None
-        patches = np.empty((group_rows, kmat.shape[1]))
+        # blocks of kernel-offset rows a, s kernel rows each, whose patch
+        # columns fit VJP_PATCH_BYTES; a block's patches are kernel rows
+        # [s*a0, s*a1) of every patch, kw*C contiguous elements a row
+        run = kw * c
+        blocks = byte_chunks(ka, group_rows * s * run * 8, VJP_PATCH_BYTES)
+        patches = np.empty(group_rows * min(kh, s * blocks[0][1]) * run)
         for lo, hi in groups:
-            rows = _gather(cols, lo, hi, patches)
             g_grp = g2[lo * hw:hi * hw]
-            if lo == 0:
-                np.matmul(g_grp.T, rows, out=gk)
-            else:
-                gk += g_grp.T @ rows
-            if not need_gx:
-                continue
-            # the patch cotangent, in place of the patches
-            pc = np.matmul(g_grp, kmat, out=rows).reshape(
-                hi - lo, ho, wo, kh, kw, c)
-            for a in range(ka):
-                rl = min(s, kh - s * a)
-                for b in range(ka):
-                    ql = min(s, kw - s * b)
-                    gx6[lo:hi, a:a + ho, :rl, b:b + wo, :ql] += \
-                        pc[:, :, :, s * a:s * a + rl,
-                           s * b:s * b + ql].transpose(0, 1, 3, 2, 4, 5)
+            for a0, a1 in blocks:
+                u0, u1 = s * a0, min(kh, s * a1)
+                rows = _gather(cols[:, :, :, u0:u1], lo, hi, patches)
+                # neither GEMM's reduction axis depends on the block, so
+                # every block's columns are bitwise the whole GEMM's
+                k0, k1 = u0 * run, u1 * run
+                if lo == 0:
+                    np.matmul(g_grp.T, rows, out=gk[:, k0:k1])
+                else:
+                    gk[:, k0:k1] += g_grp.T @ rows
+                if not need_gx:
+                    continue
+                # the block's patch cotangent, in place of its patches
+                pc = np.matmul(g_grp, kmat[:, k0:k1], out=rows).reshape(
+                    hi - lo, ho, wo, u1 - u0, kw, c)
+                for a in range(a0, a1):
+                    rl = min(s, kh - s * a)
+                    r0 = s * (a - a0)
+                    for b in range(ka):
+                        ql = min(s, kw - s * b)
+                        gx6[lo:hi, a:a + ho, :rl, b:b + wo, :ql] += \
+                            pc[:, :, :, r0:r0 + rl,
+                               s * b:s * b + ql].transpose(0, 1, 3, 2, 4, 5)
         del patches
         if not need_gx:
             return (None, gk.reshape(kshape), gb)

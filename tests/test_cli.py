@@ -48,6 +48,47 @@ def test_train_kfold_reports_the_summary_mean(tmp_path, capsys):
     assert "fold2" not in out
 
 
+def _epoch_lines(err):
+    """The per-epoch progress lines of stderr, as dicts of their fields."""
+    out = []
+    for line in err.splitlines():
+        words = line.split()
+        fields = dict(w.split("=") for w in words if "=" in w)
+        fields["epoch"] = words[words.index("epoch") + 1]
+        if words[0] == "fold":
+            fields["fold"] = words[1]
+        out.append(fields)
+    return out
+
+
+def test_train_prints_one_line_per_epoch_to_stderr(tmp_path, capsys):
+    run = tmp_path / "run"
+    rc = cli.main(_train_args(run, "--epochs", "3"))
+    assert rc == 0
+    captured = capsys.readouterr()
+    lines = _epoch_lines(captured.err)
+    assert "val_loss=" not in captured.out
+    metrics = (run / "metrics.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(metrics) == 3
+    for fields, row in zip(lines, metrics):
+        epoch, train, test, _, wall_ms = row.split(",")
+        assert fields["epoch"] == epoch and fields["wall_ms"] == wall_ms
+        assert fields["train_loss"] == f"{float(train):.6g}"
+        assert fields["test_loss"] == f"{float(test):.6g}"
+        assert float(fields["val_loss"]) >= 0.0
+        # 4 training pairs in the epoch's wall time, which wall_ms rounds
+        assert abs(4000.0 / float(fields["pairs/s"]) - int(wall_ms)) < 0.51
+
+
+def test_train_kfold_prints_each_folds_epochs(tmp_path, capsys):
+    rc = cli.main(_train_args(tmp_path / "run", "--epochs", "2",
+                              "--kfold_k", "3"))
+    assert rc == 0
+    lines = _epoch_lines(capsys.readouterr().err)
+    assert [(f["fold"], f["epoch"]) for f in lines] == [
+        (str(i), str(e)) for i in range(3) for e in (1, 2)]
+
+
 def test_train_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dataset = synthetic\nepochs = 9\n" + "\n".join(

@@ -524,6 +524,30 @@ def test_gridsearch_run(tmp_path):
     assert not any("m2_manhattan" in l for l in lines)
 
 
+def test_gridsearch_kfold_rows_are_the_summary_means(tmp_path, monkeypatch):
+    # with kfold_k >= 2 a gridsearch.csv row is its combination's k-fold
+    # result: the mean row of its summary.csv, and the folds' mean final
+    # train loss; not the last fold's last metrics row
+    monkeypatch.setattr(hz, "GRID_MARGINS", (0.2,))
+    cfg = micro_cfg(tmp_path / "gs", epochs=1, pairs_per_epoch=4,
+                    batch_size=4, eval_pairs=4, kfold_k=3)
+    rows = hz.gridsearch_run(cfg)
+    lines = open(os.path.join(cfg.output_dir,
+                              "gridsearch.csv")).read().splitlines()[1:]
+    assert len(lines) == len(rows) == 3
+    for line in lines:
+        m, metric, train, test, acc = line.split(",")
+        sub = os.path.join(cfg.output_dir,
+                           f"gs_m{float(m):g}_{metric}".replace(".", "p"))
+        summary = open(os.path.join(sub, "summary.csv")).read().splitlines()
+        assert summary[4] == f"mean,{test},{acc}"
+        last = [hz.read_metrics(os.path.join(sub, f"fold{i}",
+                                             "metrics.csv"))[-1]
+                for i in range(3)]
+        assert float(train) == float(np.mean([r["train_loss"]
+                                              for r in last]))
+
+
 # ---------------------------------------------------------------------------
 # plots
 

@@ -313,7 +313,8 @@ def test_conv_forward_holds_one_group_of_patches(monkeypatch):
 
 @pytest.fixture
 def patch_groups(monkeypatch):
-    """The image groups of each convolution forward run while it is used."""
+    """The chunks of every byte_chunks call in layers while it is used: a
+    forward's image groups, a vjp's blocks of kernel-offset rows."""
     real, seen = layers.byte_chunks, []
 
     def spy(*args):
@@ -362,11 +363,14 @@ DESK = dict(conv_channels=32, primary_types=8, primary_d=8, face_caps=16,
             face_d=8, routing_iters=2, input_size=64)
 
 
-@pytest.mark.parametrize("kind,cfg", [
+DESK_MODELS = [
     ("scn", DESK),                                   # desk and criterion 8
     ("standard", dict(input_size=64)),               # criterion 8
     ("scn", dict(DESK, routing_iters=4, input_size=100)),  # criterion 7
-])
+]
+
+
+@pytest.mark.parametrize("kind,cfg", DESK_MODELS)
 def test_desk_convs_form_one_patch_group(patch_groups, kind, cfg):
     # a GEMM split over images need not match the whole-batch GEMM in the
     # last bits, so the desk models, at an eval chunk of 32 images, must
@@ -410,6 +414,102 @@ def test_full_size_conv1_forms_one_patch_group(patch_groups):
     x = SplitMix64(18).uniform(32 * 100 * 100).reshape(32, 100, 100, 1)
     layers.conv2d_forward(Tensor(x), p)
     assert patch_groups == [[(0, 32)]]
+
+
+def ragged_input(n):
+    """n [23, 23, 64] maps and a 7x7 stride-2 convolution to 96 channels,
+    whose last of ceil(7/2) = 4 offset rows holds one kernel row; with its
+    patch bytes per image."""
+    p = make_conv(64, 96, 7, 2, 24)
+    x = SplitMix64(23).uniform(n * 23 * 23 * 64, -1, 1)
+    return Tensor(x.reshape(n, 23, 23, 64)), p, 9 * 9 * 7 * 7 * 64 * 8
+
+
+def taped_vjp(x, p):
+    """The vjp of conv2d_forward's tape node for x, with the kernel and
+    bias tracked, and a cotangent of the output's shape."""
+    p.kernel.requires_grad = p.bias.requires_grad = True
+    with ad.Graph() as graph:
+        out = layers.conv2d_forward(x, p)
+        vjp = graph.nodes[-1][3]
+    return vjp, SplitMix64(21).uniform(out.size, -1, 1).reshape(out.shape)
+
+
+@pytest.mark.parametrize("tracked", [True, False])
+@pytest.mark.parametrize("make,per_group,offset_rows,want", [
+    (full_primary_input, None, 1, [(0, 1), (1, 2), (2, 3)]),
+    (full_primary_input, 2, 1, [(0, 1), (1, 2), (2, 3)]),
+    (ragged_input, None, 1, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    (ragged_input, 2, 2, [(0, 2), (2, 4)]),
+])
+def test_conv_vjp_in_kernel_row_blocks_is_bitwise_one_block(
+        monkeypatch, patch_groups, make, per_group, offset_rows, want,
+        tracked):
+    # 3 images, in one group or in groups of 2 and 1, in blocks of one or
+    # two offset rows (s kernel rows each) against one block
+    x, p, image_bytes = make(3)
+    if per_group is not None:
+        monkeypatch.setattr(layers, "PATCH_BYTES",
+                            per_group * image_bytes + 7)
+    vjp, g = taped_vjp(Tensor(x.data, requires_grad=tracked), p)
+    monkeypatch.setattr(layers, "VJP_PATCH_BYTES", 1 << 40)
+    whole = vjp(g)
+    assert len(patch_groups[-1]) == 1
+    # the patch columns of one offset row in a group
+    _, _, kw, c = p.kernel.shape
+    row_bytes = ((per_group or 3) * g.shape[1] * g.shape[2]
+                 * p.stride * kw * c * 8)
+    monkeypatch.setattr(layers, "VJP_PATCH_BYTES", offset_rows * row_bytes)
+    got = vjp(g)
+    assert patch_groups[-1] == want
+    assert (got[0] is None) == (whole[0] is None) == (not tracked)
+    for a, b in zip(got, whole):
+        if a is not None:
+            assert a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
+def test_conv_vjp_holds_one_block_of_patches(monkeypatch, patch_groups):
+    # at 4 full-size primary-capsule images in blocks of s kernel rows, the
+    # vjp's transient is the kernel gradient, gx, its fold buffer gx6 and
+    # one block of patch columns (14.2 MB); the whole patch matrix (42.5
+    # MB) would pass the bound by 27 MB
+    x, p, image_bytes = full_primary_input(4)
+    vjp, g = taped_vjp(Tensor(x.data, requires_grad=True), p)
+    monkeypatch.setattr(layers, "VJP_PATCH_BYTES", 1)
+    vjp(g)  # warm numpy's own caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        gx, gk, _ = vjp(g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert patch_groups[-1] == [(0, 1), (1, 2), (2, 3)]
+    gx6 = 4 * (8 + 3) * 3 * (8 + 3) * 3 * 256 * 8  # [N, Ho+3, 3, Wo+3, 3, C]
+    block = 4 * image_bytes // 3
+    assert peak < gk.nbytes + gx.nbytes + gx6 + block + (1 << 20)
+
+
+@pytest.mark.parametrize("kind,cfg", DESK_MODELS)
+def test_desk_train_steps_run_one_kernel_row_block(patch_groups, kind, cfg):
+    # at the default batch of 16 pairs, every desk convolution's forward
+    # forms one image group and its vjp one block: the GEMMs of the whole
+    # patch matrix
+    encoder = {"scn": models.ScnEncoder, "standard": models.StandardEncoder}
+    enc = encoder[kind](0, **cfg)
+    s = cfg["input_size"]
+    images = Tensor(SplitMix64(25).uniform(32 * s * s).reshape(32, 1, s, s))
+    with ad.Graph():
+        ad.backward(ad.sum_(enc.encode(images, training=True)))
+    # both kernels span 3 offset rows: 9x9 at stride 3, 5x5 at stride 2
+    assert patch_groups == [[(0, 32)]] * 2 + [[(0, 3)]] * 2
+
+
+def test_full_size_conv1_vjp_runs_one_block(patch_groups):
+    x, p, _ = full_conv1_input(32)
+    vjp, g = taped_vjp(x, p)
+    vjp(g)
+    assert patch_groups[-1] == [(0, 3)]
 
 
 # ---------------------------------------------------------------------------
