@@ -100,10 +100,15 @@ class RoutingState:
     are built from them on first read: b as a [N, n_lower, n_upper] view
     of the joined groups, each c_history entry as a fresh C-contiguous
     [N, n_lower, n_upper] copy.  A pass that nothing audits copies nothing.
+
+    steps is None unless dynamic_route was asked to keep its saved forward
+    steps (keep_steps): then it holds ((lo, hi), steps) per group of
+    samples, the values _route_terms reads.
     """
 
-    def __init__(self, groups: list):
+    def __init__(self, groups: list, steps: list | None = None):
         self.groups = groups
+        self.steps = steps
 
     @cached_property
     def b(self) -> np.ndarray:
@@ -117,7 +122,8 @@ class RoutingState:
                 for parts in steps]
 
 
-def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
+def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
+                  keep_steps: bool = False):
     """Route predictions u_hat [N, n_lower, n_upper, d] to parent capsules.
 
     Log priors start at zero; each iteration softmaxes them over the parent
@@ -129,21 +135,22 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
     in rather than computed.  The gradient flows through every iteration,
     couplings included.
 
-    The whole recurrence is one tape node.  Its forward works on the
-    [N, n_upper, n_lower, d] view of u_hat, so the coupled sum and the
-    agreement are batched matrix-vector products and no [N, lower, upper, d]
-    temporary is made.  capsule_layer_forward lays u_hat out in that order,
-    so there the view is contiguous memory.  The vjp replays the iterations
-    in reverse: the cotangent of each s_j pulls back through the couplings'
-    softmax into the log priors, whose cotangent is the agreement's
-    cotangent one iteration earlier.  Every term of the cotangent of u_hat
-    is a coupling-like coefficient [N, n_upper, n_lower] times a vector
-    [N, n_upper, d]; all 2*iterations - 1 of them are summed by one batched
-    matmul per group (below).  Each forward step saves its couplings, the
-    vjps of their softmax and of the activation, and its output v: the
-    vjps are numpy closures from the kernels that the softmax, tanh and
-    squash primitives wrap, so the vjp builds no graph and runs no
-    backward of its own.
+    For a tracked u_hat the whole recurrence is one tape node.  Its forward
+    works on the [N, n_upper, n_lower, d] view of u_hat, so the coupled sum
+    and the agreement are batched matrix-vector products and no [N, lower,
+    upper, d] temporary is made.  capsule_layer_forward lays u_hat out in
+    that order, so there the view is contiguous memory.  Each forward step
+    saves its couplings, the vjps of their softmax and of the activation,
+    and its output v: the vjps are numpy closures from the kernels that the
+    softmax, tanh and squash primitives wrap, so no vjp builds a graph or
+    runs a backward of its own.  The vjp turns the saved steps into the
+    terms of the cotangent of u_hat with _route_terms, and sums the terms
+    of each group of samples with one batched matmul.
+
+    With keep_steps the state's steps hold the saved steps of every group
+    ((lo, hi), steps) even for a constant u_hat, which then makes no node:
+    the tracked capsule layer routes its u_hat this way and differentiates
+    routing inside its own node (capsule_layer_forward).
 
     Forward and vjp run the recurrence over groups of samples, each holding
     at most ROUTE_BYTES of u_hat (one sample, if a sample is larger).  So
@@ -159,22 +166,22 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
     if u_hat.data.ndim != 4:
         raise ShapeError(f"u_hat must be rank 4 [N, lower, upper, d], got "
                          f"{list(u_hat.shape)}")
-    n, n_lower, n_upper, _ = u_hat.shape
+    n, n_lower, n_upper, d = u_hat.shape
     if activation_kind not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {activation_kind!r}")
     act = squash_kernel if activation_kind == "squash" else ad.tanh_kernel
 
     ut = u_hat.data.transpose(0, 2, 1, 3)  # [N, upper, lower, d] view
-    # per group, one (c, softmax vjp, activation vjp, v) per step
-    saved = [] if ad.tracked(u_hat) else None
-    if saved is not None:
+    tracked = ad.tracked(u_hat)
+    # per group, ((lo, hi), one (c, softmax vjp, activation vjp, v) per step)
+    saved = [] if tracked or keep_steps else None
+    if tracked:
         # the vjp reads ut 2*(iterations-1) more times, and the products run
         # about twice as fast on contiguous memory; this copies nothing for
         # the capsule layer's u_hat, only for one laid out another way
         ut = np.ascontiguousarray(ut)
-    groups = byte_chunks(n, ut[:1].nbytes, ROUTE_BYTES)
     vs, states = [], []
-    for lo, hi in groups:
+    for lo, hi in byte_chunks(n, ut[:1].nbytes, ROUTE_BYTES):
         u_g, steps, cs = ut[lo:hi], [], []
         b = np.zeros((hi - lo, n_upper, n_lower))
         for it in range(iterations):
@@ -190,36 +197,55 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
         vs.append(v)
         states.append((b, cs))
         if saved is not None:
-            saved.append(steps)
+            saved.append(((lo, hi), steps))
 
     def vjp(g):
         gu = np.empty_like(u_hat.data)  # same memory order as u_hat
-        for (lo, hi), steps in zip(groups, saved):
-            u_g, coefs, vecs = ut[lo:hi], [], []
-            gv, gb = g[lo:hi], None  # gb: cotangent of the next log priors
-            for it in reversed(range(iterations)):
-                c_it, c_vjp, v_vjp, v_it = steps[it]
-                if it < iterations - 1:
-                    # the agreement v . u_hat was added to b, so its
-                    # cotangent is gb
-                    gv = np.matmul(gb[:, :, None, :], u_g)[:, :, 0, :]
-                    coefs.append(gb)
-                    vecs.append(v_it)
-                gs = v_vjp(gv)
-                coefs.append(c_it)
-                vecs.append(gs)
-                if it == 0:
-                    break
-                gc = np.matmul(u_g, gs[:, :, :, None])[:, :, :, 0]
-                gsoft = c_vjp(gc)
-                gb = gsoft if gb is None else gb + gsoft
-            np.matmul(np.stack(coefs, axis=2).swapaxes(2, 3),
-                      np.stack(vecs, axis=2),
+        terms = 2 * iterations - 1
+        for (lo, hi), steps in saved:
+            coefs = np.empty((hi - lo, n_upper, terms, n_lower))
+            vecs = np.empty((hi - lo, n_upper, terms, d))
+            _route_terms(ut[lo:hi], steps, g[lo:hi], coefs, vecs)
+            np.matmul(coefs.swapaxes(2, 3), vecs,
                       out=gu[lo:hi].transpose(0, 2, 1, 3))
         return (gu,)
 
     out = ad._emit("dynamic_route", _joined(vs), [u_hat], vjp)
-    return out, RoutingState(states)
+    return out, RoutingState(states, saved if keep_steps else None)
+
+
+def _route_terms(u_g: np.ndarray, steps: list, gv: np.ndarray,
+                 coefs: np.ndarray, vecs: np.ndarray) -> None:
+    """The reverse routing recurrence of one group of samples.
+
+    u_g [g, n_upper, n_lower, d] is the group's u_hat in routing's layout,
+    steps its saved forward steps, and gv [g, n_upper, d] the cotangent of
+    its v.  The cotangent of each s_j pulls back through the couplings'
+    softmax into the log priors, whose cotangent is the agreement's
+    cotangent one iteration earlier.  Every term of the cotangent of u_hat
+    is a coupling-like coefficient [g, n_upper, n_lower] times a vector
+    [g, n_upper, d]; this writes the T = 2*iterations - 1 terms, last
+    iteration first, into coefs [g, n_upper, T, n_lower] and vecs [g,
+    n_upper, T, d], so that the cotangent of u_hat_ij is sum_t coefs[...,
+    t, i] * vecs[..., t, :], one [lower, T] @ [T, d] product per sample
+    and parent.
+    """
+    t, gb = 0, None  # gb: cotangent of the next iteration's log priors
+    for it in reversed(range(len(steps))):
+        c_it, c_vjp, v_vjp, v_it = steps[it]
+        if gb is not None:
+            # the agreement v . u_hat was added to b, so its cotangent is gb
+            gv = np.matmul(gb[:, :, None, :], u_g)[:, :, 0, :]
+            coefs[:, :, t], vecs[:, :, t] = gb, v_it
+            t += 1
+        gs = v_vjp(gv)
+        coefs[:, :, t], vecs[:, :, t] = c_it, gs
+        t += 1
+        if it == 0:
+            break
+        gc = np.matmul(u_g, gs[:, :, :, None])[:, :, :, 0]
+        gsoft = c_vjp(gc)
+        gb = gsoft if gb is None else gb + gsoft
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -329,12 +355,24 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
     first.  An exception in any group reaches the caller.  Nothing mixes
     samples, so the groups compute the rows the whole batch would (bit for
     bit from two samples a group up; a one-sample GEMM may round
-    differently).  A tracked pass is one group of the whole batch on the
-    calling thread: the tape holds one capsule_transform node and one
-    dynamic_route node.
-    The transform's vjp gathers the cotangent of u_hat block by block and
-    runs two GEMMs: the gradient of W, written in W's storage order, and
-    the pose cotangent, returned in the poses' own memory order.
+    differently).
+
+    A tracked pass is one group of the whole batch on the calling thread,
+    and one capsule_layer tape node for transform and routing together.
+    It routes u_hat as a constant with keep_steps, so routing makes no
+    node of its own, and its node keeps u_hat and routing's saved steps.
+    The vjp runs the reverse recurrence (_route_terms) into the coefficient
+    and vector stacks of the whole batch, then releases u_hat and the
+    steps.  It forms the cotangent of u_hat in chunks of lower capsules
+    whose cotangent fits ROUTE_BYTES, each written straight into the [lc,
+    N, upper*d_out] layout of the transform's GEMMs, and runs the two GEMMs
+    on each block of BLOCK lower capsules of the chunk: the gradient of W,
+    written in W's storage order, and the pose cotangent, returned in the
+    poses' own memory order.  So the vjp never holds the whole cotangent
+    of u_hat, nor u_hat once that cotangent's terms exist.  Every sum runs
+    in the order of dynamic_route's own vjp followed by a separate
+    transform node's GEMMs, so the gradients are bitwise those of the two
+    nodes (the tests' reference).
     """
     n_lower, d_in, n_upper, d_out = p.W.shape
     if poses.data.ndim != 3 or poses.shape[1:] != (n_lower, d_in):
@@ -355,27 +393,37 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
            for _ in range(workers)]
     bufs = [np.empty((lc, groups[0][1], n_upper * d_out))  # one GEMM block
             for _ in range(workers)]
+    kept = []  # tracked: [u_hat, routing's saved steps], until the vjp
 
     def vjp(g):  # tracked, so one group: the whole batch
+        uh, steps = kept
+        kept.clear()
+        terms = 2 * iterations - 1
+        coefs = np.empty((n, n_upper, terms, n_lower))
+        vecs = np.empty((n, n_upper, terms, d_out))
+        for (lo, hi), group_steps in steps:
+            _route_terms(uh[lo:hi], group_steps, g[lo:hi], coefs[lo:hi],
+                         vecs[lo:hi])
+        del uh, steps, group_steps  # the terms replace them
         gu = np.empty_like(u)
-        gw = np.empty_like(w)  # C-contiguous, as w is
-        g_in = np.empty((n, n_upper, lc, d_out))
-        g_blk = np.empty((lc, n, n_upper * d_out))
+        gw = np.empty_like(w).reshape(w_m.shape)  # C-contiguous, as w is
         gu_blk = np.empty((lc, n, d_in))
-        for lo, hi in blocks:
-            k = hi - lo
-            # read the block in g's own memory order, then transpose it in
-            # cache: gathering g straight into g_blk reads it at a stride
-            # and costs about three times as much
-            np.copyto(g_in[:, :, :k], g[:, lo:hi].transpose(0, 2, 1, 3))
-            g_blk[:k].reshape(k, n, n_upper, d_out)[...] = \
-                g_in[:, :, :k].transpose(2, 0, 1, 3)
-            np.matmul(u_t[lo:hi].transpose(0, 2, 1), g_blk[:k],
-                      out=gw.reshape(w_m.shape)[lo:hi])
-            np.matmul(g_blk[:k], w_m[lo:hi].transpose(0, 2, 1),
-                      out=gu_blk[:k])
-            gu[:, lo:hi] = gu_blk[:k].transpose(1, 0, 2)
-        return gu, gw
+        chunks = byte_chunks(n_lower, n * n_upper * d_out * w.itemsize,
+                             ROUTE_BYTES)
+        chunk = np.empty((chunks[0][1], n, n_upper, d_out))
+        for l0, l1 in chunks:
+            # [lower, N, upper, d_out]: each block of it is a g_blk
+            g_chunk = chunk[:l1 - l0]
+            np.matmul(coefs[..., l0:l1].swapaxes(2, 3), vecs,
+                      out=g_chunk.transpose(1, 2, 0, 3))
+            for lo in range(l0, l1, lc):
+                hi = min(lo + lc, l1)
+                g_blk = g_chunk[lo - l0:hi - l0].reshape(hi - lo, n, -1)
+                np.matmul(u_t[lo:hi].transpose(0, 2, 1), g_blk, out=gw[lo:hi])
+                np.matmul(g_blk, w_m[lo:hi].transpose(0, 2, 1),
+                          out=gu_blk[:hi - lo])
+                gu[:, lo:hi] = gu_blk[:hi - lo].transpose(1, 0, 2)
+        return gu, gw.reshape(w.shape)
 
     vs, states = [None] * len(groups), [None] * len(groups)
     todo = iter(range(len(groups)))  # each next() hands out one group
@@ -389,12 +437,14 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
                                  out=blk[:hi - lo])
                 uh_g[:, :, lo:hi] = prod.reshape(hi - lo, s1 - s0, n_upper,
                                                  d_out).transpose(1, 2, 0, 3)
-            u_hat = ad._emit("capsule_transform", uh_g.transpose(0, 2, 1, 3),
-                             [poses, p.W], vjp)
-            vs[i], state = dynamic_route(u_hat, iterations, p.activation_kind)
+            vs[i], state = dynamic_route(Tensor(uh_g.transpose(0, 2, 1, 3)),
+                                         iterations, p.activation_kind,
+                                         tracked)
+            if tracked:
+                kept[:] = uh_g, state.steps
             if return_state:
                 states[i] = state.groups
-            del u_hat, state  # before this worker routes its next group
+            del state  # before this worker routes its next group
 
     if workers == 1:
         work(0)
@@ -407,7 +457,11 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
             work(0)
         for f in others:
             f.result()  # raises what the worker raised
-    v = vs[0] if len(vs) == 1 else Tensor(np.concatenate([v.data for v in vs]))
+    if tracked:
+        v = ad._emit("capsule_layer", vs[0].data, [poses, p.W], vjp)
+    else:
+        v = vs[0] if len(vs) == 1 else Tensor(np.concatenate(
+            [v.data for v in vs]))
     if return_state:
         return v, RoutingState([grp for part in states for grp in part])
     return v

@@ -14,18 +14,20 @@ kh*kw*C] matrix and runs GEMMs of at most GEMM_ROWS rows into its rows of a
 single [N*Ho*Wo, O] output, adding the bias to each block as it lands.
 Every split of the rows that the tests check, by image group or by
 GEMM_ROWS, leaves each output row bitwise as the whole-batch GEMM computes
-it; PATCH_BYTES is still set where only the full-size primary capsules
-split into groups.  The vjp does not hold a group's whole patch matrix.
-It gathers the patch columns of one block of kernel rows at a time, within
-VJP_PATCH_BYTES, into a buffer of its own, and runs two GEMMs per block:
-the kernel gradient, whose columns for those rows land in the kernel's
-storage order, and, for a tracked input, the patch cotangent of those
-columns, in place of the patches.  Neither GEMM reduces over the columns,
-so the blocks leave every gradient bitwise that of one block.  Each
-block's cotangent is folded back into an [N, H, W, C] buffer with one add
-per s x s block of kernel offsets, ceil(k/s)^2 adds in all and in the same
-order at any block size, and the buffer is copied out once in the input's
-own memory order.
+it; only the full-size primary capsules split into groups.  The vjp takes
+no image groups.  It gathers the batch's whole patch matrix into a buffer
+of its own when it fits VJP_PATCH_BYTES (every desk-scale convolution and
+conv1), and otherwise the patch columns of one kernel row at a time (the
+full-size primary capsules).  It runs two GEMMs per gather: the kernel
+gradient, whose columns for those rows land in the kernel's storage
+order, and, for a tracked input, the patch cotangent of those columns, in
+place of the patches.  Neither GEMM reduces over the columns, so single
+rows leave every gradient bitwise that of the whole matrix.  Each
+gather's cotangent is folded back into an [N, H, W, C] buffer with one add
+per kernel-offset row and column block of s offsets that it holds, so
+every element sums its terms in the same order however the rows are
+split.  Once the patch buffer is freed, the fold buffer is copied out into
+gx, in the input's own memory order.
 
 A graph-free convolution (no input tracked: every eval pass) whose kernel
 spans exactly three strides (k = 3s) and whose patch row K = k*k*C is at
@@ -64,30 +66,36 @@ from .autodiff import ShapeError, Tensor
 from .rng import SplitMix64, derive_seed
 
 # bytes of patch matrix that the im2col forward builds at once; it runs its
-# GEMMs over groups of images that fit, and its vjp over the same groups
-# (in blocks within VJP_PATCH_BYTES).  At full size the primary capsules'
-# patches take 10.6 MB an image, so a group is 12 images; conv1 at 32
-# images (20 MB) and every desk-size convolution are one group.  With
-# 6-image groups (64 MiB) the primary GEMM ran 20% slower than with one
-PATCH_BYTES = 128 << 20
-# bytes of patch columns that the im2col vjp gathers at once.  It works
-# through each image group's patches in blocks of kernel rows: s rows (one
-# kernel-offset row of the fold), or a multiple of s that fits.  At the
-# full-size primary capsules and 8 images (one train step at 4 pairs) s
-# rows take 28.3 MB and the whole patch matrix 84.9 MB.  Per budget, on a
-# 2-vCPU AVX-512 host with 2 BLAS threads (median of 4 scans of 10 calls,
-# tracemalloc peak of a call, gk, gb and gx bitwise equal throughout):
-#   32 MiB  3 blocks  119.4 ms  104.4 MB   64 MiB  2 blocks  118.9 ms  132.7 MB
-#   48 MiB  3 blocks  118.9 ms  104.4 MB   96 MiB  1 block   117.7 ms  161.0 MB
-# At 48 MiB conv1 (20 MB at 32 images) and every desk-scale convolution
-# stay one block, the GEMMs they ran before: the largest, criterion 7's
-# primary capsules at 32 images, takes 42.5 MB
+# GEMMs over groups of images that fit.  At full size the primary capsules'
+# patches take 10.6 MB an image, so a group is 6 images; conv1 at 32
+# images (20 MB) and every desk-size convolution are one group.  A train
+# step of 4 pairs (8 images) forms groups of 6 and 2 images in a 63.7 MB
+# buffer, not one 84.9 MB buffer: between the weights' copies and
+# AMSGrad's moments the full_train benchmark's heap keeps a free region of
+# about 84 MB for the step, where the larger buffer did not fit and was
+# placed at the heap's top.  The forward took 97 ms against 102 (medians
+# of 8 alternating runs of 10 calls, 2 BLAS threads, the spreads overlap)
+PATCH_BYTES = 64 << 20
+# bytes of patch columns that the im2col vjp gathers at once: the batch's
+# whole patch matrix if its offset rows (s kernel rows each) fit, else one
+# kernel row.  At 48 MiB conv1 (20 MB at 32 images) and every desk-scale
+# convolution gather the whole matrix: the largest, criterion 7's primary
+# capsules at 32 images, takes 42.5 MB.  The full-size primary capsules at
+# 8 images (one train step at 4 pairs) take 84.9 MB whole, 28.3 MB per
+# offset row and 9.4 MB per kernel row.  Their vjp by gather, on a 2-vCPU
+# AVX-512 host with 2 BLAS threads (median and range of 8 alternating
+# runs, each the median of 4 scans of 10 calls; tracemalloc peak of a call
+# above its start; gk, gb and gx bitwise equal throughout):
+#   whole matrix, gx made at copy-out   150 ms (130-166)  145.3 MB
+#   offset rows, gx held throughout     159 ms (130-179)  104.4 MB
+#   kernel rows, gx made at copy-out    157 ms (142-167)   76.1 MB
+# The VM's spread is wider than the gaps in time, so memory sets the rule
 VJP_PATCH_BYTES = 48 << 20
 # rows of the patch matrix per forward GEMM.  The more rows a tall, thin
 # GEMM (conv1's, K = 81) gets, the more of its per-thread packing buffers
 # OpenBLAS touches: 16 MB and 25 ms for 32 full-size images (30,752 rows)
 # in one call, 0.8 MB and 21 ms in 1,024-row blocks.  The primary
-# capsules' groups (768 rows at full size) stay whole: in 256-row blocks
+# capsules' groups (384 rows at full size) stay whole: in 256-row blocks
 # their GEMM ran 20% slower
 GEMM_ROWS = 1024
 # patch row length K = k*k*C from which a graph-free convolution with
@@ -334,52 +342,53 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
         g2 = g.reshape(-1, o)
         gb = g2.sum(axis=0)
         gk = np.empty_like(kmat)
-        # gx, returned in the input's own memory order, is allocated before
-        # the temporary buffers: in the other order the heap kept both, and
-        # desk_train's peak RSS rose by about 2 MB
-        gx = np.empty_like(x.data) if need_gx else None
         ka = -(-kh // s)  # blocks of s kernel offsets along each kernel axis
         # the input gradient, [n, Hb, Wb, C] with Hb = s*(Ho + ka) >= H
         # rows split as (Ho + ka, s): kernel offset u = s*a + r of output
         # row i lands in row block i + a at phase r
         gx6 = np.zeros((n, ho + ka, s, wo + ka, s, c)) if need_gx else None
-        # blocks of kernel-offset rows a, s kernel rows each, whose patch
-        # columns fit VJP_PATCH_BYTES; a block's patches are kernel rows
-        # [s*a0, s*a1) of every patch, kw*C contiguous elements a row
+        # the whole patch matrix of the batch when its offset rows (s kernel
+        # rows each) fit VJP_PATCH_BYTES in one block, else one kernel row
+        # at a time; a gather of kernel rows [u0, u1) takes those rows of
+        # every patch, kw*C contiguous elements a row.  The forward's image
+        # groups play no part: every gather spans the batch, so the kernel
+        # gradient is one GEMM over all output pixels
         run = kw * c
-        blocks = byte_chunks(ka, group_rows * s * run * 8, VJP_PATCH_BYTES)
-        patches = np.empty(group_rows * min(kh, s * blocks[0][1]) * run)
-        for lo, hi in groups:
-            g_grp = g2[lo * hw:hi * hw]
-            for a0, a1 in blocks:
-                u0, u1 = s * a0, min(kh, s * a1)
-                rows = _gather(cols[:, :, :, u0:u1], lo, hi, patches)
-                # neither GEMM's reduction axis depends on the block, so
-                # every block's columns are bitwise the whole GEMM's
-                k0, k1 = u0 * run, u1 * run
-                if lo == 0:
-                    np.matmul(g_grp.T, rows, out=gk[:, k0:k1])
-                else:
-                    gk[:, k0:k1] += g_grp.T @ rows
-                if not need_gx:
-                    continue
-                # the block's patch cotangent, in place of its patches
-                pc = np.matmul(g_grp, kmat[:, k0:k1], out=rows).reshape(
-                    hi - lo, ho, wo, u1 - u0, kw, c)
-                for a in range(a0, a1):
-                    rl = min(s, kh - s * a)
-                    r0 = s * (a - a0)
-                    for b in range(ka):
-                        ql = min(s, kw - s * b)
-                        gx6[lo:hi, a:a + ho, :rl, b:b + wo, :ql] += \
-                            pc[:, :, :, r0:r0 + rl,
-                               s * b:s * b + ql].transpose(0, 1, 3, 2, 4, 5)
-        del patches
+        whole = len(byte_chunks(ka, n * hw * s * run * 8,
+                                VJP_PATCH_BYTES)) == 1
+        step = kh if whole else 1
+        patches = np.empty(n * hw * step * run)
+        for u0 in range(0, kh, step):
+            u1 = u0 + step
+            rows = _gather(cols[:, :, :, u0:u1], 0, n, patches)
+            # neither GEMM's reduction axis depends on the kernel rows
+            # gathered, so every gather's columns are bitwise the whole
+            # GEMM's
+            k0, k1 = u0 * run, u1 * run
+            np.matmul(g2.T, rows, out=gk[:, k0:k1])
+            if not need_gx:
+                continue
+            # the patch cotangent of these rows, in place of the patches
+            pc = np.matmul(g2, kmat[:, k0:k1], out=rows).reshape(
+                n, ho, wo, u1 - u0, kw, c)
+            # one add per offset row a and column block b, over the phases
+            # of a that lie in [u0, u1): each element of gx6 sums its terms
+            # in (a, b) order however the rows are split
+            for a in range(u0 // s, -(-u1 // s)):
+                r0, r1 = max(u0, s * a), min(u1, s * a + s)
+                for b in range(ka):
+                    ql = min(s, kw - s * b)
+                    gx6[:, a:a + ho, r0 - s * a:r1 - s * a, b:b + wo,
+                        :ql] += pc[:, :, :, r0 - u0:r1 - u0,
+                                   s * b:s * b + ql].transpose(
+                                       0, 1, 3, 2, 4, 5)
+        patches = rows = pc = None  # rows and pc are views of patches
         if not need_gx:
             return (None, gk.reshape(kshape), gb)
-        # the reductions of the layers below sum in memory order, so the
-        # input's layout keeps their gradients independent of how gx was
-        # accumulated
+        # allocated once the patches are freed.  The reductions of the
+        # layers below sum in memory order, so the input's layout keeps
+        # their gradients independent of how gx was accumulated
+        gx = np.empty_like(x.data)
         gx[...] = gx6.reshape(n, s * (ho + ka), s * (wo + ka), c)[:, :h, :w]
         return (gx, gk.reshape(kshape), gb)
 

@@ -623,32 +623,73 @@ def _poses_and_layer(case, seed):
     return poses, p
 
 
+def reference_transform(poses: Tensor, w: Tensor) -> Tensor:
+    """u_hat [N, lower, upper, d_out] of a tracked capsule layer as its own
+    capsule_transform tape node: the transform and its vjp as the layer ran
+    them when transform and routing were two nodes.  It is the oracle of
+    the one-node layer's backward, with dynamic_route's own node."""
+    n_lower, d_in, n_upper, d_out = w.shape
+    u, wd = poses.data, w.data
+    n, lc = u.shape[0], min(caps.BLOCK, n_lower)
+    u_t = u.transpose(1, 0, 2)
+    w_m = wd.reshape(n_lower, d_in, n_upper * d_out)
+    blocks = [(lo, min(lo + lc, n_lower)) for lo in range(0, n_lower, lc)]
+    uh = np.empty((n, n_upper, n_lower, d_out))
+    buf = np.empty((lc, n, n_upper * d_out))
+    for lo, hi in blocks:
+        prod = np.matmul(u_t[lo:hi], w_m[lo:hi], out=buf[:hi - lo])
+        uh[:, :, lo:hi] = prod.reshape(hi - lo, n, n_upper,
+                                       d_out).transpose(1, 2, 0, 3)
+
+    def vjp(g):
+        gu = np.empty_like(u)
+        gw = np.empty_like(wd)
+        g_in = np.empty((n, n_upper, lc, d_out))
+        g_blk = np.empty((lc, n, n_upper * d_out))
+        gu_blk = np.empty((lc, n, d_in))
+        for lo, hi in blocks:
+            k = hi - lo
+            np.copyto(g_in[:, :, :k], g[:, lo:hi].transpose(0, 2, 1, 3))
+            g_blk[:k].reshape(k, n, n_upper, d_out)[...] = \
+                g_in[:, :, :k].transpose(2, 0, 1, 3)
+            np.matmul(u_t[lo:hi].transpose(0, 2, 1), g_blk[:k],
+                      out=gw.reshape(w_m.shape)[lo:hi])
+            np.matmul(g_blk[:k], w_m[lo:hi].transpose(0, 2, 1),
+                      out=gu_blk[:k])
+            gu[:, lo:hi] = gu_blk[:k].transpose(1, 0, 2)
+        return gu, gw
+
+    return ad._emit("capsule_transform", uh.transpose(0, 2, 1, 3),
+                    [poses, w], vjp)
+
+
+def reference_layer(poses, p, iterations, return_state=False):
+    """capsule_layer_forward as two tape nodes: reference_transform, then
+    dynamic_route's own node."""
+    v, state = caps.dynamic_route(reference_transform(poses, p.W),
+                                  iterations, p.activation_kind)
+    return (v, state) if return_state else v
+
+
 @pytest.mark.parametrize("case", TRANSFORM_CASES)
 def test_capsule_transform_matches_einsum_oracle(case, monkeypatch):
-    # routing replaced by a fixed linear read-out, so the cotangent of u_hat
-    # is a known array r and the node is checked on its own
+    # the reference transform with a fixed linear read-out in place of
+    # routing, so the cotangent of u_hat is a known array r and the node is
+    # checked on its own; the layer routes the same u_hat, bitwise, in the
+    # same layout
     poses_np, p = _poses_and_layer(case, 150)
     n_lower, n, n_upper, d_in, d_out = case
     r = SplitMix64(151).normal(n * n_lower * n_upper * d_out).reshape(
         n, n_lower, n_upper, d_out)
-    seen = []
-
-    def read_out(u_hat, iterations, kind):
-        seen.append(u_hat)
-        return ad.sum_(ad.mul(u_hat, Tensor(r)), axis=1), None
-
-    monkeypatch.setattr(caps, "dynamic_route", read_out)
     poses = Tensor(poses_np, requires_grad=True)
     with ad.Graph() as g:
-        out = caps.capsule_layer_forward(poses, p, 2)
-        assert [node[0] for node in g.nodes][0] == "capsule_transform"
-        ad.backward(ad.sum_(out))
+        u_hat = reference_transform(poses, p.W)
+        assert [node[0] for node in g.nodes] == ["capsule_transform"]
+        ad.backward(ad.sum_(ad.mul(u_hat, Tensor(r))))
     w = p.W.data
-    (u_hat,) = seen
     np.testing.assert_allclose(
         u_hat.data, np.einsum("nli,liuo->nluo", poses_np, w),
         rtol=0, atol=1e-10)
-    assert u_hat.data.transpose(0, 2, 1, 3).flags.c_contiguous
     np.testing.assert_allclose(poses.grad,
                                np.einsum("nluo,liuo->nli", r, w),
                                rtol=0, atol=1e-10)
@@ -657,6 +698,20 @@ def test_capsule_transform_matches_einsum_oracle(case, monkeypatch):
                                np.einsum("nli,nluo->liuo", poses_np, r),
                                rtol=0, atol=1e-10)
     assert p.W.grad.flags.c_contiguous
+
+    seen = []
+    real_route = caps.dynamic_route
+
+    def spy(u, *args):
+        seen.append(u)
+        return real_route(u, *args)
+
+    monkeypatch.setattr(caps, "dynamic_route", spy)
+    with ad.Graph():
+        caps.capsule_layer_forward(Tensor(poses_np, requires_grad=True), p, 2)
+    (routed,) = seen
+    assert routed.data.transpose(0, 2, 1, 3).flags.c_contiguous
+    assert np.array_equal(routed.data, u_hat.data)
 
 
 @pytest.mark.parametrize("case", TRANSFORM_CASES)
@@ -686,8 +741,7 @@ def test_capsule_layer_matches_einsum_and_tape_routing_oracle(case,
     poses = Tensor(poses_np, requires_grad=True)
     with ad.Graph() as g:
         v = caps.capsule_layer_forward(poses, p, 3)
-        assert [node[0] for node in g.nodes] == ["capsule_transform",
-                                                 "dynamic_route"]
+        assert [node[0] for node in g.nodes] == ["capsule_layer"]
         ad.backward(ad.sum_(ad.mul(v, gv)))
     assert seen[0].data.transpose(0, 2, 1, 3).flags.c_contiguous
     np.testing.assert_allclose(v.data, v_ref.data, rtol=0, atol=1e-10)
@@ -697,6 +751,123 @@ def test_capsule_layer_matches_einsum_and_tape_routing_oracle(case,
     np.testing.assert_allclose(
         p.W.grad, np.einsum("nli,nluo->liuo", poses_np, u_ref.grad),
         rtol=0, atol=1e-10)
+
+
+# (N, n_lower, n_upper, d_in, d_out): a desk train batch (criterion 8's
+# face layer at 8 pairs) and the full-size face layer at one pair
+ONE_NODE_SHAPES = [(16, 128, 16, 8, 8), (2, 2048, 32, 8, 16)]
+
+
+@pytest.mark.parametrize("shape", ONE_NODE_SHAPES, ids=["desk", "full"])
+@pytest.mark.parametrize("act,iterations,chunked", [
+    ("squash", 1, False), ("tanh", 2, True), ("squash", 3, True),
+    ("tanh", 4, False), ("squash", 4, True), ("tanh", 1, True),
+])
+def test_one_node_layer_is_bitwise_the_two_node_reference(
+        shape, act, iterations, chunked, monkeypatch):
+    # the cotangent of u_hat formed in chunks of lower capsules and handed
+    # block by block to the transform's GEMMs sums every term in the order
+    # of dynamic_route's node followed by the transform's
+    n, n_lower, n_upper, d_in, d_out = shape
+    p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out, act,
+                                   180 + iterations)
+    gv = Tensor(SplitMix64(181).normal(n * n_upper * d_out)
+                .reshape(n, n_upper, d_out))
+    lower_bytes = n * n_upper * d_out * 8  # one lower capsule's cotangent
+    # the whole cotangent in one chunk, or chunks of 3 BLOCKs and a bit:
+    # the chunk edges cut blocks, and the last chunk is ragged
+    monkeypatch.setattr(caps, "ROUTE_BYTES", lower_bytes * (
+        3 * caps.BLOCK + 5 if chunked else n_lower))
+    chunks = caps.byte_chunks(n_lower, lower_bytes, caps.ROUTE_BYTES)
+    assert (len(chunks) > 1) == chunked
+    got = []
+    for layer in (caps.capsule_layer_forward, reference_layer):
+        p.W.grad = None
+        poses = Tensor(poses_np.copy(), requires_grad=True)
+        with ad.Graph() as g:
+            v = layer(poses, p, iterations)
+            nodes = [node[0] for node in g.nodes]
+            ad.backward(ad.sum_(ad.mul(v, gv)))
+        got.append((nodes, v.data, poses.grad, p.W.grad))
+    (nodes, v, gp, gw), (ref_nodes, v_ref, gp_ref, gw_ref) = got
+    assert nodes == ["capsule_layer"]
+    assert ref_nodes == ["capsule_transform", "dynamic_route"]
+    assert v.tobytes() == v_ref.tobytes()
+    assert gp.strides == gp_ref.strides and gp.tobytes() == gp_ref.tobytes()
+    assert gw.flags.c_contiguous and gw.tobytes() == gw_ref.tobytes()
+
+
+@pytest.mark.parametrize("route_bytes", [caps.ROUTE_BYTES, 64 << 10])
+def test_train_steps_match_the_two_node_reference_bitwise(route_bytes,
+                                                          monkeypatch):
+    # three desk train steps, the face layer's cotangent in one chunk or
+    # in chunks of 4 lower capsules: the same losses and weights as the
+    # layer made of the reference transform and dynamic_route's node
+    from siamcaps import harness as hz
+    from siamcaps import models
+    from siamcaps.data import PairBatch
+    from siamcaps.optim import OptimState
+    cfg = hz.RunConfig(conv_channels=32, primary_types=8, primary_d=8,
+                       face_caps=16, face_d=8, routing_iters=2,
+                       input_size=64).finalize()
+    size = (8, 1, cfg.input_size, cfg.input_size)
+    batches = [PairBatch(Tensor(rand_uhat(size, 3 * k + 1, 1.0)),
+                         Tensor(rand_uhat(size, 3 * k + 2, 1.0)),
+                         np.array([0.0, 1.0] * 4)) for k in range(3)]
+    monkeypatch.setattr(caps, "ROUTE_BYTES", route_bytes)
+    runs = []
+    for layer in (caps.capsule_layer_forward, reference_layer):
+        monkeypatch.setattr(models, "capsule_layer_forward", layer)
+        enc, state = hz.build_run_encoder(cfg), OptimState()
+        losses = [hz._train_step(enc, state, b, cfg, None) for b in batches]
+        runs.append((losses, [t.data.copy()
+                              for _, t in enc.named_parameters()]))
+    (losses, weights), (ref_losses, ref_weights) = runs
+    assert losses == ref_losses
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(weights, ref_weights))
+
+
+@pytest.mark.parametrize("shape,route_bytes", [
+    ((32, 256, 8, 4, 16), 1 << 20),
+    ((8, 2048, 32, 8, 16), caps.ROUTE_BYTES),
+], ids=["u_hat-heavy", "full"])
+def test_layer_backward_holds_no_second_u_hat(shape, route_bytes,
+                                              monkeypatch):
+    # the layer's vjp holds the coefficient and vector stacks, plus either
+    # u_hat (while the reverse recurrence reads it) or the gradient of W
+    # and one chunk of the cotangent of u_hat (once u_hat is released),
+    # never both, and no array of u_hat's size: in the first shape the
+    # bound above the backward's start is below u_hat's size.  The second
+    # is the full-size face layer at 8 images, one train step at 4 pairs
+    import tracemalloc
+    n, n_lower, n_upper, d_in, d_out = shape
+    iterations = 3
+    p, poses_np = _layer_and_poses(n, n_lower, n_upper, d_in, d_out,
+                                   "squash", 185)
+    monkeypatch.setattr(caps, "ROUTE_BYTES", route_bytes)
+    gv = Tensor(SplitMix64(186).normal(n * n_upper * d_out)
+                .reshape(n, n_upper, d_out))
+    u_hat = n * n_upper * n_lower * d_out * 8
+    stacks = n * n_upper * (2 * iterations - 1) * (n_lower + d_out) * 8
+    chunk = min(route_bytes, u_hat)
+    # above the backward's start, which holds u_hat
+    bound = stacks + max(0, p.W.data.nbytes + chunk - u_hat) + (2 << 20)
+    if n_lower == 256:
+        assert bound < u_hat
+    poses = Tensor(poses_np, requires_grad=True)
+    tracemalloc.start()
+    try:
+        with ad.Graph():
+            loss = ad.sum_(ad.mul(caps.capsule_layer_forward(
+                poses, p, iterations), gv))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def _layer_and_poses(n, n_lower, n_upper, d_in, d_out, act, seed):
@@ -745,8 +916,7 @@ def test_streamed_layer_equals_whole_batch(act, monkeypatch):
     poses = Tensor(poses_np, requires_grad=True)
     with ad.Graph() as g:
         v_tracked = caps.capsule_layer_forward(poses, p, 3)
-        assert [node[0] for node in g.nodes] == ["capsule_transform",
-                                                 "dynamic_route"]
+        assert [node[0] for node in g.nodes] == ["capsule_layer"]
     assert seen == [n]
     np.testing.assert_allclose(v_tracked.data, v_whole.data, rtol=0,
                                atol=tol)
@@ -871,8 +1041,7 @@ def test_tracked_layer_routes_on_the_calling_thread(monkeypatch):
     calls = _route_spy(monkeypatch)
     with ad.Graph() as g:
         caps.capsule_layer_forward(Tensor(poses_np, requires_grad=True), p, 3)
-        assert [node[0] for node in g.nodes] == ["capsule_transform",
-                                                 "dynamic_route"]
+        assert [node[0] for node in g.nodes] == ["capsule_layer"]
     assert calls == [(threading.get_ident(), n)]
 
 

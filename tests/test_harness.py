@@ -246,6 +246,32 @@ def test_every_gradient_contiguous_after_desk_step(monkeypatch):
         assert g is not None and g.flags.c_contiguous, name
 
 
+def test_full_size_train_step_traced_peak():
+    # the paper's 13,729,044-parameter encoder at 4 pairs, a step after the
+    # first (AMSGrad's moments exist): the step's traced high point above
+    # its start is the primary convolution vjp's copy-out of gx (176 MB);
+    # with the capsule layer as two tape nodes and the convolution vjp in
+    # blocks of s kernel rows it was that vjp's 205 MB
+    import tracemalloc
+    cfg = hz.RunConfig(routing_iters=4).finalize()
+    enc = hz.build_run_encoder(cfg)
+    r = np.random.default_rng(5)
+    size = (4, 1, cfg.input_size, cfg.input_size)
+    batch = PairBatch(Tensor(r.uniform(size=size)),
+                      Tensor(r.uniform(size=size)),
+                      np.array([0.0, 1.0] * 2))
+    state = hz.OptimState()
+    hz._train_step(enc, state, batch, cfg, None)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        hz._train_step(enc, state, batch, cfg, None)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 185e6
+
+
 def test_determinism_bitwise_except_wall_ms(tmp_path):
     a = hz.train_run(micro_cfg(tmp_path / "a"))
     b = hz.train_run(micro_cfg(tmp_path / "b"))

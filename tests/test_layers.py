@@ -435,48 +435,72 @@ def taped_vjp(x, p):
     return vjp, SplitMix64(21).uniform(out.size, -1, 1).reshape(out.shape)
 
 
+@pytest.fixture
+def gathered_rows(monkeypatch):
+    """The kernel rows of every patch gather in layers while it is used:
+    kh for a whole patch matrix, 1 for a single kernel row."""
+    real, seen = layers._gather, []
+
+    def spy(cols, *args):
+        seen.append(cols.shape[3])
+        return real(cols, *args)
+
+    monkeypatch.setattr(layers, "_gather", spy)
+    return seen
+
+
 @pytest.mark.parametrize("tracked", [True, False])
 @pytest.mark.parametrize("make,per_group,offset_rows,want", [
-    (full_primary_input, None, 1, [(0, 1), (1, 2), (2, 3)]),
-    (full_primary_input, 2, 1, [(0, 1), (1, 2), (2, 3)]),
-    (ragged_input, None, 1, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-    (ragged_input, 2, 2, [(0, 2), (2, 4)]),
+    (full_primary_input, None, 1, [1] * 9),
+    (full_primary_input, 2, 1, [1] * 9),
+    (ragged_input, None, 1, [1] * 7),
+    (ragged_input, 2, 2, [1] * 7),
 ])
 def test_conv_vjp_in_kernel_row_blocks_is_bitwise_one_block(
-        monkeypatch, patch_groups, make, per_group, offset_rows, want,
-        tracked):
-    # 3 images, in one group or in groups of 2 and 1, in blocks of one or
-    # two offset rows (s kernel rows each) against one block
+        monkeypatch, patch_groups, gathered_rows, make, per_group,
+        offset_rows, want, tracked):
+    # 3 images, under a budget of one or two offset rows (s kernel rows
+    # each) that does not hold the whole patch matrix: one gather per
+    # kernel row, against one gather of the whole matrix.  With the
+    # forward in image groups of 2 and 1 the vjp still spans the batch,
+    # bitwise as after a forward in one group
     x, p, image_bytes = make(3)
+    vjp_one, g = taped_vjp(Tensor(x.data, requires_grad=tracked), p)
+    assert patch_groups[-1] == [(0, 3)]
     if per_group is not None:
         monkeypatch.setattr(layers, "PATCH_BYTES",
                             per_group * image_bytes + 7)
-    vjp, g = taped_vjp(Tensor(x.data, requires_grad=tracked), p)
+    vjp, _ = taped_vjp(Tensor(x.data, requires_grad=tracked), p)
+    assert len(patch_groups[-1]) == (1 if per_group is None else 2)
+    kh = p.kernel.shape[1]
     monkeypatch.setattr(layers, "VJP_PATCH_BYTES", 1 << 40)
-    whole = vjp(g)
-    assert len(patch_groups[-1]) == 1
-    # the patch columns of one offset row in a group
+    gathered_rows.clear()
+    whole = vjp_one(g)
+    assert gathered_rows == [kh]
+    # the patch columns of one offset row of the batch
     _, _, kw, c = p.kernel.shape
-    row_bytes = ((per_group or 3) * g.shape[1] * g.shape[2]
-                 * p.stride * kw * c * 8)
+    row_bytes = 3 * g.shape[1] * g.shape[2] * p.stride * kw * c * 8
     monkeypatch.setattr(layers, "VJP_PATCH_BYTES", offset_rows * row_bytes)
+    gathered_rows.clear()
     got = vjp(g)
-    assert patch_groups[-1] == want
+    assert gathered_rows == want
     assert (got[0] is None) == (whole[0] is None) == (not tracked)
     for a, b in zip(got, whole):
         if a is not None:
             assert a.strides == b.strides and a.tobytes() == b.tobytes()
 
 
-def test_conv_vjp_holds_one_block_of_patches(monkeypatch, patch_groups):
-    # at 4 full-size primary-capsule images in blocks of s kernel rows, the
-    # vjp's transient is the kernel gradient, gx, its fold buffer gx6 and
-    # one block of patch columns (14.2 MB); the whole patch matrix (42.5
-    # MB) would pass the bound by 27 MB
+def test_conv_vjp_holds_one_block_of_patches(monkeypatch, gathered_rows):
+    # at 4 full-size primary-capsule images, one kernel row at a time, the
+    # vjp's transient is the kernel gradient, its fold buffer gx6 and one
+    # kernel row of patch columns (4.7 MB), then gx in place of that row at
+    # the copy-out.  Three kernel rows at a time with gx held throughout
+    # would pass the bound by 13 MB
     x, p, image_bytes = full_primary_input(4)
     vjp, g = taped_vjp(Tensor(x.data, requires_grad=True), p)
     monkeypatch.setattr(layers, "VJP_PATCH_BYTES", 1)
     vjp(g)  # warm numpy's own caches
+    gathered_rows.clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -484,10 +508,10 @@ def test_conv_vjp_holds_one_block_of_patches(monkeypatch, patch_groups):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert patch_groups[-1] == [(0, 1), (1, 2), (2, 3)]
+    assert gathered_rows == [1] * 9
     gx6 = 4 * (8 + 3) * 3 * (8 + 3) * 3 * 256 * 8  # [N, Ho+3, 3, Wo+3, 3, C]
-    block = 4 * image_bytes // 3
-    assert peak < gk.nbytes + gx.nbytes + gx6 + block + (1 << 20)
+    row = 4 * image_bytes // 9
+    assert peak < gk.nbytes + gx6 + max(row, gx.nbytes) + (1 << 20)
 
 
 @pytest.mark.parametrize("kind,cfg", DESK_MODELS)
