@@ -309,6 +309,13 @@ def eval_loss_value(d: np.ndarray, labels: np.ndarray,
 
 def _train_step(encoder, state, batch, cfg: RunConfig,
                 rng: SplitMix64) -> float:
+    # AMSGrad's moments (330 MB at full size) outlive every step, so a
+    # fresh state's are made before its first forward: in the heap they
+    # then lie below every step's transients, rather than above the first
+    # step's freed ones with a hole below them that a later step's largest
+    # buffer may miss by a few MB
+    for name, p in encoder.named_parameters():
+        state.ensure(name, p.data.shape)
     buffers = [(b, b.copy()) for _, b in encoder.named_buffers()]
     with ad.Graph():
         d = pair_distances(encoder, batch, cfg, training=True, rng=rng)

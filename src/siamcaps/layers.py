@@ -14,20 +14,20 @@ kh*kw*C] matrix and runs GEMMs of at most GEMM_ROWS rows into its rows of a
 single [N*Ho*Wo, O] output, adding the bias to each block as it lands.
 Every split of the rows that the tests check, by image group or by
 GEMM_ROWS, leaves each output row bitwise as the whole-batch GEMM computes
-it; only the full-size primary capsules split into groups.  The vjp takes
-no image groups.  It gathers the batch's whole patch matrix into a buffer
-of its own when it fits VJP_PATCH_BYTES (every desk-scale convolution and
-conv1), and otherwise the patch columns of one kernel row at a time (the
-full-size primary capsules).  It runs two GEMMs per gather: the kernel
-gradient, whose columns for those rows land in the kernel's storage
-order, and, for a tracked input, the patch cotangent of those columns, in
-place of the patches.  Neither GEMM reduces over the columns, so single
-rows leave every gradient bitwise that of the whole matrix.  Each
-gather's cotangent is folded back into an [N, H, W, C] buffer with one add
-per kernel-offset row and column block of s offsets that it holds, so
-every element sums its terms in the same order however the rows are
-split.  Once the patch buffer is freed, the fold buffer is copied out into
-gx, in the input's own memory order.
+it; only the full-size primary capsules split into groups.  The vjp works
+through the same image groups.  It gathers a group's whole patch matrix
+into a buffer of its own when it fits VJP_PATCH_BYTES (every desk-scale
+convolution and conv1), and otherwise the patch columns of one kernel row
+of the group at a time (the full-size primary capsules).  It runs two
+GEMMs per gather: the kernel gradient, whose columns for those rows land
+in the kernel's storage order, and, for a tracked input, the patch
+cotangent of those columns, in place of the patches.  Neither GEMM
+reduces over the columns, so single rows leave every gradient bitwise
+that of the whole matrix.  Each gather's cotangent is folded back into an
+[N, H, W, C] buffer with one add per kernel-offset row and column block
+of s offsets that it holds, so every element sums its terms in the same
+order however the rows are split.  Once the patch buffer is freed, the
+fold buffer is copied out into gx, in the input's own memory order.
 
 A graph-free convolution (no input tracked: every eval pass) whose kernel
 spans exactly three strides (k = 3s) and whose patch row K = k*k*C is at
@@ -66,26 +66,26 @@ from .autodiff import ShapeError, Tensor
 from .rng import SplitMix64, derive_seed
 
 # bytes of patch matrix that the im2col forward builds at once; it runs its
-# GEMMs over groups of images that fit.  At full size the primary capsules'
-# patches take 10.6 MB an image, so a group is 6 images; conv1 at 32
-# images (20 MB) and every desk-size convolution are one group.  A train
-# step of 4 pairs (8 images) forms groups of 6 and 2 images in a 63.7 MB
-# buffer, not one 84.9 MB buffer: between the weights' copies and
-# AMSGrad's moments the full_train benchmark's heap keeps a free region of
-# about 84 MB for the step, where the larger buffer did not fit and was
-# placed at the heap's top.  The forward took 97 ms against 102 (medians
-# of 8 alternating runs of 10 calls, 2 BLAS threads, the spreads overlap)
-PATCH_BYTES = 64 << 20
-# bytes of patch columns that the im2col vjp gathers at once: the batch's
-# whole patch matrix if its offset rows (s kernel rows each) fit, else one
-# kernel row.  At 48 MiB conv1 (20 MB at 32 images) and every desk-scale
-# convolution gather the whole matrix: the largest, criterion 7's primary
-# capsules at 32 images, takes 42.5 MB.  The full-size primary capsules at
-# 8 images (one train step at 4 pairs) take 84.9 MB whole, 28.3 MB per
-# offset row and 9.4 MB per kernel row.  Their vjp by gather, on a 2-vCPU
-# AVX-512 host with 2 BLAS threads (median and range of 8 alternating
-# runs, each the median of 4 scans of 10 calls; tracemalloc peak of a call
-# above its start; gk, gb and gx bitwise equal throughout):
+# GEMMs over groups of images that fit, and its vjp over the same groups
+# (see VJP_PATCH_BYTES).  At full size the primary capsules' patches take
+# 10.6 MB an image, so a group is 12 images; conv1 at 32 images (20 MB)
+# and every desk-size convolution are one group.  With 6-image groups
+# (64 MiB) the primary GEMM ran 20% slower than with one
+PATCH_BYTES = 128 << 20
+# bytes of patch columns that the im2col vjp gathers at once.  It works
+# through the forward's image groups, and gathers a group's whole patch
+# matrix when it fits, else one kernel row of the group's patches at a
+# time, so a gather never holds more than VJP_PATCH_BYTES or one kernel row
+# of a PATCH_BYTES group.  At 48 MiB conv1 (20 MB at 32 images) and every
+# desk-scale convolution gather the whole matrix: the largest, criterion
+# 7's primary capsules at 32 images, takes 42.5 MB.  The full-size primary
+# capsules at 8 images (one train step at 4 pairs, one group) take 84.9 MB
+# whole, 28.3 MB per offset row (s kernel rows) and 9.4 MB per kernel row;
+# at 32 images (16 pairs, groups of 12, 12 and 8) a kernel row takes at
+# most 14.2 MB.  Their vjp at 8 images by gather, on a 2-vCPU AVX-512
+# host with 2 BLAS threads (median and range of 8 alternating runs, each
+# the median of 4 scans of 10 calls; tracemalloc peak of a call above its
+# start; gk, gb and gx bitwise equal throughout):
 #   whole matrix, gx made at copy-out   150 ms (130-166)  145.3 MB
 #   offset rows, gx held throughout     159 ms (130-179)  104.4 MB
 #   kernel rows, gx made at copy-out    157 ms (142-167)   76.1 MB
@@ -95,7 +95,7 @@ VJP_PATCH_BYTES = 48 << 20
 # GEMM (conv1's, K = 81) gets, the more of its per-thread packing buffers
 # OpenBLAS touches: 16 MB and 25 ms for 32 full-size images (30,752 rows)
 # in one call, 0.8 MB and 21 ms in 1,024-row blocks.  The primary
-# capsules' groups (384 rows at full size) stay whole: in 256-row blocks
+# capsules' groups (768 rows at full size) stay whole: in 256-row blocks
 # their GEMM ran 20% slower
 GEMM_ROWS = 1024
 # patch row length K = k*k*C from which a graph-free convolution with
@@ -347,41 +347,44 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
         # rows split as (Ho + ka, s): kernel offset u = s*a + r of output
         # row i lands in row block i + a at phase r
         gx6 = np.zeros((n, ho + ka, s, wo + ka, s, c)) if need_gx else None
-        # the whole patch matrix of the batch when its offset rows (s kernel
-        # rows each) fit VJP_PATCH_BYTES in one block, else one kernel row
+        # per image group of the forward, the group's whole patch matrix
+        # when its ka offset rows (s kernel rows each, as the fold lays
+        # them out) fit VJP_PATCH_BYTES in one block, else one kernel row
         # at a time; a gather of kernel rows [u0, u1) takes those rows of
-        # every patch, kw*C contiguous elements a row.  The forward's image
-        # groups play no part: every gather spans the batch, so the kernel
-        # gradient is one GEMM over all output pixels
+        # every patch, kw*C contiguous elements a row
         run = kw * c
-        whole = len(byte_chunks(ka, n * hw * s * run * 8,
-                                VJP_PATCH_BYTES)) == 1
-        step = kh if whole else 1
-        patches = np.empty(n * hw * step * run)
-        for u0 in range(0, kh, step):
-            u1 = u0 + step
-            rows = _gather(cols[:, :, :, u0:u1], 0, n, patches)
-            # neither GEMM's reduction axis depends on the kernel rows
-            # gathered, so every gather's columns are bitwise the whole
-            # GEMM's
-            k0, k1 = u0 * run, u1 * run
-            np.matmul(g2.T, rows, out=gk[:, k0:k1])
-            if not need_gx:
-                continue
-            # the patch cotangent of these rows, in place of the patches
-            pc = np.matmul(g2, kmat[:, k0:k1], out=rows).reshape(
-                n, ho, wo, u1 - u0, kw, c)
-            # one add per offset row a and column block b, over the phases
-            # of a that lie in [u0, u1): each element of gx6 sums its terms
-            # in (a, b) order however the rows are split
-            for a in range(u0 // s, -(-u1 // s)):
-                r0, r1 = max(u0, s * a), min(u1, s * a + s)
-                for b in range(ka):
-                    ql = min(s, kw - s * b)
-                    gx6[:, a:a + ho, r0 - s * a:r1 - s * a, b:b + wo,
-                        :ql] += pc[:, :, :, r0 - u0:r1 - u0,
-                                   s * b:s * b + ql].transpose(
-                                       0, 1, 3, 2, 4, 5)
+        blocks = byte_chunks(ka, group_rows * s * run * 8, VJP_PATCH_BYTES)
+        step = kh if len(blocks) == 1 else 1
+        patches = np.empty(group_rows * step * run)
+        for lo, hi in groups:
+            g_grp = g2[lo * hw:hi * hw]
+            for u0 in range(0, kh, step):
+                u1 = u0 + step
+                rows = _gather(cols[:, :, :, u0:u1], lo, hi, patches)
+                # neither GEMM's reduction axis depends on the kernel rows
+                # gathered, so every gather's columns are bitwise the
+                # whole group's GEMM's
+                k0, k1 = u0 * run, u1 * run
+                if lo == 0:
+                    np.matmul(g_grp.T, rows, out=gk[:, k0:k1])
+                else:
+                    gk[:, k0:k1] += g_grp.T @ rows
+                if not need_gx:
+                    continue
+                # the patch cotangent of these rows, in place of the patches
+                pc = np.matmul(g_grp, kmat[:, k0:k1], out=rows).reshape(
+                    hi - lo, ho, wo, u1 - u0, kw, c)
+                # one add per offset row a and column block b, over the
+                # phases of a that lie in [u0, u1): each element of gx6
+                # sums its terms in (a, b) order however the rows are split
+                for a in range(u0 // s, -(-u1 // s)):
+                    r0, r1 = max(u0, s * a), min(u1, s * a + s)
+                    for b in range(ka):
+                        ql = min(s, kw - s * b)
+                        gx6[lo:hi, a:a + ho, r0 - s * a:r1 - s * a,
+                            b:b + wo, :ql] += pc[
+                                :, :, :, r0 - u0:r1 - u0,
+                                s * b:s * b + ql].transpose(0, 1, 3, 2, 4, 5)
         patches = rows = pc = None  # rows and pc are views of patches
         if not need_gx:
             return (None, gk.reshape(kshape), gb)

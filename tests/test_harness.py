@@ -246,6 +246,44 @@ def test_every_gradient_contiguous_after_desk_step(monkeypatch):
         assert g is not None and g.flags.c_contiguous, name
 
 
+def test_fresh_state_moments_exist_before_the_first_forward(monkeypatch):
+    # a fresh OptimState gets every parameter's zeroed moments before the
+    # step's forward, so they lie below the step's transients in the heap;
+    # the update then finds them and the step's loss is the lazy one's
+    cfg = hz.RunConfig(conv_channels=32, primary_types=8, primary_d=8,
+                       face_caps=16, face_d=8, routing_iters=2,
+                       input_size=64).finalize()
+    r = np.random.default_rng(6)
+    size = (4, 1, cfg.input_size, cfg.input_size)
+    batch = PairBatch(Tensor(r.uniform(size=size)),
+                      Tensor(r.uniform(size=size)),
+                      np.array([0.0, 1.0] * 2))
+    enc, state = hz.build_run_encoder(cfg), hz.OptimState()
+    real, seen = hz.pair_distances, []
+
+    def spy(*args, **kwargs):
+        seen.append([{k: (a.shape, a.any()) for k, a in d.items()}
+                     for d in (state.m, state.v, state.v_hat)])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "pair_distances", spy)
+    loss = hz._train_step(enc, state, batch, cfg, None)
+    assert seen == [[{name: (p.shape, False)
+                      for name, p in enc.named_parameters()}] * 3]
+    monkeypatch.setattr(hz, "pair_distances", real)
+    lazy = hz.build_run_encoder(cfg)
+    with ad.Graph():
+        d = hz.pair_distances(lazy, batch, cfg, training=True, rng=None)
+        want = hz._loss_of(d, batch.labels, cfg)
+        ad.backward(want)
+        hz.amsgrad_step(lazy.named_parameters(), hz.OptimState(),
+                        alpha=cfg.alpha, flat_lr=cfg.flat_lr)
+    assert loss == want.item()
+    for (_, p), (_, q) in zip(enc.named_parameters(),
+                              lazy.named_parameters()):
+        assert p.data.tobytes() == q.data.tobytes()
+
+
 def test_full_size_train_step_traced_peak():
     # the paper's 13,729,044-parameter encoder at 4 pairs, a step after the
     # first (AMSGrad's moments exist): the step's traced high point above

@@ -437,13 +437,14 @@ def taped_vjp(x, p):
 
 @pytest.fixture
 def gathered_rows(monkeypatch):
-    """The kernel rows of every patch gather in layers while it is used:
-    kh for a whole patch matrix, 1 for a single kernel row."""
+    """(images, kernel rows) of every patch gather in layers while it is
+    used: kh rows for a group's whole patch matrix, 1 for a single kernel
+    row."""
     real, seen = layers._gather, []
 
-    def spy(cols, *args):
-        seen.append(cols.shape[3])
-        return real(cols, *args)
+    def spy(cols, lo, hi, buf):
+        seen.append((hi - lo, cols.shape[3]))
+        return real(cols, lo, hi, buf)
 
     monkeypatch.setattr(layers, "_gather", spy)
     return seen
@@ -451,35 +452,34 @@ def gathered_rows(monkeypatch):
 
 @pytest.mark.parametrize("tracked", [True, False])
 @pytest.mark.parametrize("make,per_group,offset_rows,want", [
-    (full_primary_input, None, 1, [1] * 9),
-    (full_primary_input, 2, 1, [1] * 9),
-    (ragged_input, None, 1, [1] * 7),
-    (ragged_input, 2, 2, [1] * 7),
+    (full_primary_input, None, 1, [(3, 1)] * 9),
+    (full_primary_input, 2, 1, [(2, 1)] * 9 + [(1, 1)] * 9),
+    (ragged_input, None, 1, [(3, 1)] * 7),
+    (ragged_input, 2, 2, [(2, 1)] * 7 + [(1, 1)] * 7),
 ])
 def test_conv_vjp_in_kernel_row_blocks_is_bitwise_one_block(
         monkeypatch, patch_groups, gathered_rows, make, per_group,
         offset_rows, want, tracked):
-    # 3 images, under a budget of one or two offset rows (s kernel rows
-    # each) that does not hold the whole patch matrix: one gather per
-    # kernel row, against one gather of the whole matrix.  With the
-    # forward in image groups of 2 and 1 the vjp still spans the batch,
-    # bitwise as after a forward in one group
+    # 3 images, in one group or in groups of 2 and 1, under a budget of
+    # one or two offset rows (s kernel rows each) of a group that does not
+    # hold its whole patch matrix: one gather per group and kernel row,
+    # against one gather of each group's whole matrix
     x, p, image_bytes = make(3)
-    vjp_one, g = taped_vjp(Tensor(x.data, requires_grad=tracked), p)
-    assert patch_groups[-1] == [(0, 3)]
     if per_group is not None:
         monkeypatch.setattr(layers, "PATCH_BYTES",
                             per_group * image_bytes + 7)
-    vjp, _ = taped_vjp(Tensor(x.data, requires_grad=tracked), p)
-    assert len(patch_groups[-1]) == (1 if per_group is None else 2)
+    vjp, g = taped_vjp(Tensor(x.data, requires_grad=tracked), p)
+    groups = patch_groups[-1]
+    assert len(groups) == (1 if per_group is None else 2)
     kh = p.kernel.shape[1]
     monkeypatch.setattr(layers, "VJP_PATCH_BYTES", 1 << 40)
     gathered_rows.clear()
-    whole = vjp_one(g)
-    assert gathered_rows == [kh]
-    # the patch columns of one offset row of the batch
+    whole = vjp(g)
+    assert gathered_rows == [(hi - lo, kh) for lo, hi in groups]
+    # the patch columns of one offset row in a group
     _, _, kw, c = p.kernel.shape
-    row_bytes = 3 * g.shape[1] * g.shape[2] * p.stride * kw * c * 8
+    row_bytes = ((per_group or 3) * g.shape[1] * g.shape[2]
+                 * p.stride * kw * c * 8)
     monkeypatch.setattr(layers, "VJP_PATCH_BYTES", offset_rows * row_bytes)
     gathered_rows.clear()
     got = vjp(g)
@@ -508,7 +508,7 @@ def test_conv_vjp_holds_one_block_of_patches(monkeypatch, gathered_rows):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert gathered_rows == [1] * 9
+    assert gathered_rows == [(4, 1)] * 9
     gx6 = 4 * (8 + 3) * 3 * (8 + 3) * 3 * 256 * 8  # [N, Ho+3, 3, Wo+3, 3, C]
     row = 4 * image_bytes // 9
     assert peak < gk.nbytes + gx6 + max(row, gx.nbytes) + (1 << 20)
