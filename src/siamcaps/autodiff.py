@@ -71,8 +71,8 @@ class Graph:
 
     nodes[i] = (op name, output node id, input node ids, vjp callable).
     Inputs always precede their node, so reverse iteration is a valid
-    backward order.  backward empties nodes and sets swept; a graph
-    supports one backward.
+    backward order.  backward empties nodes and leaves and sets swept; a
+    graph supports one backward.
     """
 
     def __init__(self):
@@ -145,13 +145,33 @@ def _emit(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     return out
 
 
-def backward(loss: Tensor) -> None:
+def _store_grad(leaf: Tensor, grad: np.ndarray) -> None:
+    leaf.grad = grad
+
+
+def backward(loss: Tensor,
+             on_grad: Optional[Callable[[Tensor, np.ndarray], None]] = None
+             ) -> None:
     """Gradients of a scalar loss w.r.t. every requires_grad leaf.
 
-    Sets .grad (a numpy array) on each leaf; returns nothing.
-    Leaves never reached by the sweep get zeros of their own shape.  Each
-    node is popped as its vjp runs, so a second backward on the same graph
-    raises ValueError.
+    Hands each leaf its gradient (a numpy array) exactly once, through
+    on_grad(leaf, grad); returns nothing.  The default on_grad sets
+    leaf.grad.  A leaf's gradient is handed out as soon as no node left on
+    the tape can add to it: each leaf counts the nodes that read it, a node
+    counts as done once popped, whether its vjp ran or it was skipped for
+    having no cotangent, and the leaf's gradient goes out when its last
+    reader is done, zeros if none of them sent it one.  Leaves that no node
+    reads get theirs (zeros, unless the leaf is the loss) after the sweep.
+    So on_grad may apply a gradient while the sweep goes on, and the whole
+    set of gradients need never exist at once: backward drops its own
+    reference to each array when on_grad returns.  No node left on the
+    tape reads a leaf when on_grad is called for it, so on_grad may write
+    the leaf's data.
+
+    Each node is popped as its vjp runs, so a second backward on the same
+    graph raises ValueError.  Once every gradient is handed out the graph
+    drops its leaves, so a parameter does not keep its last graph (which
+    points back at it) alive in a reference cycle.
     """
     if loss.shape != (1,):
         raise ShapeError(f"backward needs a scalar loss of shape [1], got "
@@ -163,20 +183,44 @@ def backward(loss: Tensor) -> None:
         raise ValueError("graph tape already consumed by backward; build a "
                          "new Graph for another pass")
     g.swept = True
+    on_grad = on_grad or _store_grad
+    leaf_of = {leaf.node_id: leaf for leaf in g.leaves}
+    readers = dict.fromkeys(leaf_of, 0)  # per leaf, nodes left that read it
+    for _, _, input_ids, _ in g.nodes:
+        for nid in input_ids:
+            if nid in readers:
+                readers[nid] += 1
+    unread = [leaf for leaf in g.leaves if not readers[leaf.node_id]]
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones(1)}
     while g.nodes:
         _, out_id, input_ids, vjp = g.nodes.pop()
         gout = grads.pop(out_id, None)
-        if gout is None:
+        if gout is not None:
+            _accumulate(grads, input_ids, vjp(gout))
+        del vjp, gout  # the node's saved arrays go before any update
+        for nid in input_ids:
+            if nid in readers:
+                readers[nid] -= 1
+                if not readers[nid]:
+                    _hand_out(leaf_of[nid], grads, on_grad)
+    for leaf in unread:
+        _hand_out(leaf, grads, on_grad)
+    g.leaves = []
+
+
+def _accumulate(grads: dict, input_ids: list, cotangents) -> None:
+    """Add a vjp's cotangents into grads; they die with this frame, so no
+    loop variable keeps one alive after it is handed out."""
+    for nid, ginp in zip(input_ids, cotangents):
+        if nid is None or ginp is None:
             continue
-        for nid, ginp in zip(input_ids, vjp(gout)):
-            if nid is None or ginp is None:
-                continue
-            acc = grads.get(nid)
-            grads[nid] = ginp if acc is None else acc + ginp
-    for leaf in g.leaves:
-        ga = grads.get(leaf.node_id)
-        leaf.grad = np.zeros_like(leaf.data) if ga is None else ga
+        acc = grads.get(nid)
+        grads[nid] = ginp if acc is None else acc + ginp
+
+
+def _hand_out(leaf: Tensor, grads: dict, on_grad) -> None:
+    grad = grads.pop(leaf.node_id, None)
+    on_grad(leaf, np.zeros_like(leaf.data) if grad is None else grad)
 
 
 # ---------------------------------------------------------------------------

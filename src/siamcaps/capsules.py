@@ -228,11 +228,13 @@ def _route_terms(u_g: np.ndarray, steps: list, gv: np.ndarray,
     iteration first, into coefs [g, n_upper, T, n_lower] and vecs [g,
     n_upper, T, d], so that the cotangent of u_hat_ij is sum_t coefs[...,
     t, i] * vecs[..., t, :], one [lower, T] @ [T, d] product per sample
-    and parent.
+    and parent.  It pops each step off steps as it reads it, so a step's
+    saved arrays go as soon as its terms are written, and steps is empty
+    on return.
     """
     t, gb = 0, None  # gb: cotangent of the next iteration's log priors
     for it in reversed(range(len(steps))):
-        c_it, c_vjp, v_vjp, v_it = steps[it]
+        c_it, c_vjp, v_vjp, v_it = steps.pop()
         if gb is not None:
             # the agreement v . u_hat was added to b, so its cotangent is gb
             gv = np.matmul(gb[:, :, None, :], u_g)[:, :, 0, :]
@@ -361,15 +363,20 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
     and one capsule_layer tape node for transform and routing together.
     It routes u_hat as a constant with keep_steps, so routing makes no
     node of its own, and its node keeps u_hat and routing's saved steps.
-    The vjp runs the reverse recurrence (_route_terms) into the coefficient
-    and vector stacks of the whole batch, then releases u_hat and the
-    steps.  It forms the cotangent of u_hat in chunks of lower capsules
-    whose cotangent fits ROUTE_BYTES, each written straight into the [lc,
-    N, upper*d_out] layout of the transform's GEMMs, and runs the two GEMMs
-    on each block of BLOCK lower capsules of the chunk: the gradient of W,
+    The vjp runs the reverse recurrence (_route_terms) one routing group
+    at a time, each into coefficient and vector stacks of its own, and
+    drops each saved step as soon as its terms exist, so the steps shrink
+    while the stacks grow; then it releases u_hat.  It forms
+    the cotangent of u_hat in chunks of lower capsules whose cotangent
+    fits ROUTE_BYTES, each written straight into the [lc, N, upper*d_out]
+    layout of the transform's GEMMs by one batched matmul per routing
+    group into that group's rows of the chunk, and runs the two GEMMs on
+    each block of BLOCK lower capsules of the chunk: the gradient of W,
     written in W's storage order, and the pose cotangent, returned in the
     poses' own memory order.  So the vjp never holds the whole cotangent
-    of u_hat, nor u_hat once that cotangent's terms exist.  Every sum runs
+    of u_hat, nor u_hat once that cotangent's terms exist.  Each (sample,
+    parent) product of the terms is independent of the others, so the
+    per-group products are bitwise the whole batch's.  Every sum runs
     in the order of dynamic_route's own vjp followed by a separate
     transform node's GEMMs, so the gradients are bitwise those of the two
     nodes (the tests' reference).
@@ -399,12 +406,13 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
         uh, steps = kept
         kept.clear()
         terms = 2 * iterations - 1
-        coefs = np.empty((n, n_upper, terms, n_lower))
-        vecs = np.empty((n, n_upper, terms, d_out))
-        for (lo, hi), group_steps in steps:
-            _route_terms(uh[lo:hi], group_steps, g[lo:hi], coefs[lo:hi],
-                         vecs[lo:hi])
-        del uh, steps, group_steps  # the terms replace them
+        stacks = []  # per routing group: ((s0, s1), coefs, vecs)
+        for (s0, s1), group_steps in steps:
+            coefs = np.empty((s1 - s0, n_upper, terms, n_lower))
+            vecs = np.empty((s1 - s0, n_upper, terms, d_out))
+            _route_terms(uh[s0:s1], group_steps, g[s0:s1], coefs, vecs)
+            stacks.append(((s0, s1), coefs, vecs))
+        del uh  # the terms replace it
         gu = np.empty_like(u)
         gw = np.empty_like(w).reshape(w_m.shape)  # C-contiguous, as w is
         gu_blk = np.empty((lc, n, d_in))
@@ -414,8 +422,9 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
         for l0, l1 in chunks:
             # [lower, N, upper, d_out]: each block of it is a g_blk
             g_chunk = chunk[:l1 - l0]
-            np.matmul(coefs[..., l0:l1].swapaxes(2, 3), vecs,
-                      out=g_chunk.transpose(1, 2, 0, 3))
+            for (s0, s1), coefs, vecs in stacks:
+                np.matmul(coefs[..., l0:l1].swapaxes(2, 3), vecs,
+                          out=g_chunk[:, s0:s1].transpose(1, 2, 0, 3))
             for lo in range(l0, l1, lc):
                 hi = min(lo + lc, l1)
                 g_blk = g_chunk[lo - l0:hi - l0].reshape(hi - lo, n, -1)

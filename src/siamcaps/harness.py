@@ -36,7 +36,10 @@ from .data import (FaceDataset, SplitSpec, kfold, load_att, load_lfw,
 from .models import (METRICS, NORMALIZE_AT, ScnEncoder, StandardEncoder,
                      contrastive_loss, double_margin_loss, distance,
                      predict_match, sweep_threshold, valid_margin)
-from .optim import OptimState, amsgrad_step
+# no step here calls amsgrad_step; it stays importable by this module's
+# name, where bench/spans.py times it
+from .optim import (OptimState, amsgrad_step, amsgrad_update, check_layout,
+                    step_rate)
 from .rng import SplitMix64, derive_seed
 
 MODELS = ("scn", "sdropcapnet", "standard")
@@ -309,13 +312,24 @@ def eval_loss_value(d: np.ndarray, labels: np.ndarray,
 
 def _train_step(encoder, state, batch, cfg: RunConfig,
                 rng: SplitMix64) -> float:
+    """One AMSGrad step on a batch of pairs; returns its loss.
+
+    Each parameter is updated as soon as backward has finished its
+    gradient (optim.amsgrad_update), and that gradient is dropped then, so
+    the step never holds the whole gradient set.  Layouts are checked and
+    a non-finite loss refused before backward, so neither moves a weight,
+    a moment, t or a batchnorm buffer.
+    """
     # AMSGrad's moments (330 MB at full size) outlive every step, so a
     # fresh state's are made before its first forward: in the heap they
     # then lie below every step's transients, rather than above the first
     # step's freed ones with a hole below them that a later step's largest
     # buffer may miss by a few MB
-    for name, p in encoder.named_parameters():
+    params = encoder.named_parameters()
+    for name, p in params:
         state.ensure(name, p.data.shape)
+        check_layout(name, p, state)
+    names = {id(p): name for name, p in params}
     buffers = [(b, b.copy()) for _, b in encoder.named_buffers()]
     with ad.Graph():
         d = pair_distances(encoder, batch, cfg, training=True, rng=rng)
@@ -327,9 +341,10 @@ def _train_step(encoder, state, batch, cfg: RunConfig,
             raise FloatingPointError(
                 f"non-finite training loss {value!r}; weights and optimizer "
                 f"state left unchanged")
-        ad.backward(loss)
-        amsgrad_step(encoder.named_parameters(), state, alpha=cfg.alpha,
-                     flat_lr=cfg.flat_lr)
+        state.t += 1
+        alpha_t = step_rate(cfg.alpha, state.t, cfg.flat_lr)
+        ad.backward(loss, lambda p, g: amsgrad_update(names[id(p)], p, g,
+                                                       state, alpha_t))
     encoder.clamp_dropout_p()
     return value
 

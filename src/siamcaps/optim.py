@@ -14,10 +14,20 @@ passes per block through cache: over the 13.7M full-size parameters on a
 2-vCPU AVX-512 host it took 131 ms, where streaming its 9 array passes
 (988 MB) at that host's 17 GB/s would take about 58 ms.  The elementwise
 operations are those of the whole-array formula in the same order, so the
-result is bitwise the same.  A step is all-or-nothing: every parameter is checked before t or
-any weight moves.  Once a parameter is updated its .grad is set to None, so
-a step's gradients (110 MB at full size) are not held through the next
-forward and backward; a rejected step leaves every .grad in place.
+result is bitwise the same.
+
+amsgrad_update applies one parameter's update, and a train step calls it
+from backward as each gradient is finished (harness._train_step), so a
+step's gradients (110 MB at full size) never exist at once: each is
+dropped once its parameter is updated.  Such a step is not all-or-nothing.
+Before its backward it checks every layout (check_layout) and refuses a
+non-finite loss, so neither moves t, a weight or a moment; afterwards a
+gradient of the wrong shape raises before its own parameter moves, but
+parameters updated earlier in the sweep, and t, stay moved.
+amsgrad_step applies a whole set of populated .grad at once and is
+all-or-nothing: every gradient shape and layout is checked before t or
+any weight moves, and a rejected step leaves every .grad in place; each
+.grad it applies is then set to None.
 """
 
 from __future__ import annotations
@@ -50,54 +60,85 @@ class OptimState:
             self.v_hat[name] = np.zeros(shape)
 
 
+def check_layout(name: str, p, state: OptimState) -> None:
+    """Raise ValueError unless p's weights and existing moments are
+    C-contiguous arrays of p's shape.
+
+    The update writes through reshaped views; reshaping a non-contiguous
+    array can copy it, and the update would be lost.
+    """
+    arrays = [p.data] + [d[name] for d in (state.m, state.v, state.v_hat)
+                         if name in d]
+    if not all(a.flags.c_contiguous and a.shape == p.data.shape
+               for a in arrays):
+        raise ValueError(f"parameter {name!r}: weights and AMSGrad "
+                         f"moments must be C-contiguous arrays of shape "
+                         f"{p.data.shape}")
+
+
+def _check_grad(name: str, p, grad: np.ndarray) -> None:
+    if grad.shape != p.data.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match "
+                         f"parameter {name!r} shape {p.data.shape}")
+
+
+def step_rate(alpha: float, t: int, flat_lr: bool = False) -> float:
+    """The base rate of step t: alpha, or alpha/sqrt(t) unless flat_lr."""
+    return alpha if flat_lr else alpha / np.sqrt(t)
+
+
+def amsgrad_update(name: str, p, grad: np.ndarray, state: OptimState,
+                   alpha_t: float) -> None:
+    """Apply one AMSGrad update with gradient grad to parameter p in place.
+
+    m <- t1*m + (1-t1)*g;  v <- t2*v + (1-t2)*g^2;  v_hat <- max(v_hat, v);
+    w <- w - alpha_t * m / (sqrt(v_hat) + eps),
+    with t1, t2, eps = THETA1, THETA2, EPS.  The caller has advanced state.t
+    and checked p's layout (check_layout); a grad of the wrong shape raises
+    ValueError before p or its moments move.
+    """
+    _check_grad(name, p, grad)
+    state.ensure(name, p.data.shape)
+    w, m, v, v_hat, g = (a.reshape(-1) for a in (
+        p.data, state.m[name], state.v[name], state.v_hat[name],
+        np.ascontiguousarray(grad)))
+    buf = np.empty(min(BLOCK, g.size))
+    buf2 = np.empty(buf.size)
+    for lo in range(0, g.size, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        gb, mb, vb, vhb = g[blk], m[blk], v[blk], v_hat[blk]
+        tmp, den = buf[:gb.size], buf2[:gb.size]
+        np.multiply(gb, 1.0 - THETA1, out=tmp)
+        mb *= THETA1
+        mb += tmp
+        np.square(gb, out=tmp)
+        tmp *= 1.0 - THETA2
+        vb *= THETA2
+        vb += tmp
+        np.maximum(vhb, vb, out=vhb)
+        np.multiply(mb, alpha_t, out=tmp)
+        np.sqrt(vhb, out=den)
+        den += EPS
+        tmp /= den
+        w[blk] -= tmp
+
+
 def amsgrad_step(params: list, state: OptimState, alpha: float,
                  flat_lr: bool = False) -> None:
     """One update over [(name, Tensor)] pairs whose .grad is populated;
     each .grad it applies is set to None.
 
-    m <- t1*m + (1-t1)*g;  v <- t2*v + (1-t2)*g^2;  v_hat <- max(v_hat, v);
-    w <- w - alpha_t * m / (sqrt(v_hat) + eps),  alpha_t = alpha/sqrt(t),
-    with t1, t2, eps = THETA1, THETA2, EPS and the step counter t starting
-    at 1.
+    Checks every gradient's shape and every layout before t or any weight
+    moves, then advances the step counter t (starting at 1) and applies
+    amsgrad_update to each parameter at the rate step_rate(alpha, t,
+    flat_lr).
     """
     params = [(name, p) for name, p in params if p.grad is not None]
     for name, p in params:
-        if p.grad.shape != p.data.shape:
-            raise ValueError(f"gradient shape {p.grad.shape} does not match "
-                             f"parameter {name!r} shape {p.data.shape}")
-        # the update writes through reshaped views; reshaping a
-        # non-contiguous array can copy it, and the update would be lost
-        arrays = [p.data] + [d[name] for d in (state.m, state.v, state.v_hat)
-                             if name in d]
-        if not all(a.flags.c_contiguous and a.shape == p.data.shape
-                   for a in arrays):
-            raise ValueError(f"parameter {name!r}: weights and AMSGrad "
-                             f"moments must be C-contiguous arrays of shape "
-                             f"{p.data.shape}")
+        _check_grad(name, p, p.grad)
+        check_layout(name, p, state)
     state.t += 1
-    alpha_t = alpha if flat_lr else alpha / np.sqrt(state.t)
-    buf = np.empty(BLOCK)
-    buf2 = np.empty(BLOCK)
+    alpha_t = step_rate(alpha, state.t, flat_lr)
     for name, p in params:
-        state.ensure(name, p.data.shape)
-        w, m, v, v_hat, g = (a.reshape(-1) for a in (
-            p.data, state.m[name], state.v[name], state.v_hat[name],
-            np.ascontiguousarray(p.grad)))
-        for lo in range(0, g.size, BLOCK):
-            blk = slice(lo, lo + BLOCK)
-            gb, mb, vb, vhb = g[blk], m[blk], v[blk], v_hat[blk]
-            tmp, den = buf[:gb.size], buf2[:gb.size]
-            np.multiply(gb, 1.0 - THETA1, out=tmp)
-            mb *= THETA1
-            mb += tmp
-            np.square(gb, out=tmp)
-            tmp *= 1.0 - THETA2
-            vb *= THETA2
-            vb += tmp
-            np.maximum(vhb, vb, out=vhb)
-            np.multiply(mb, alpha_t, out=tmp)
-            np.sqrt(vhb, out=den)
-            den += EPS
-            tmp /= den
-            w[blk] -= tmp
+        amsgrad_update(name, p, p.grad, state, alpha_t)
         p.grad = None

@@ -196,6 +196,81 @@ def test_second_backward_on_same_graph_raises():
     np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
 
+def handed_out(g):
+    """An on_grad for graph g that records (leaf, gradient, the number of
+    nodes left on g's tape that read the leaf) per call."""
+    calls = []
+
+    def on_grad(leaf, grad):
+        readers = sum(ids.count(leaf.node_id) for _, _, ids, _ in g.nodes)
+        calls.append((leaf, grad, readers))
+
+    return calls, on_grad
+
+
+def test_on_grad_sums_a_leaf_read_by_two_nodes_after_both():
+    x = Tensor([0.3, -0.7], requires_grad=True)
+    y = Tensor([2.0, 3.0], requires_grad=True)
+    with Graph() as g:
+        h = ad.add(ad.square(x), ad.tanh(x))
+        loss = ad.sum_(ad.mul(h, y))
+        calls, on_grad = handed_out(g)
+        backward(loss, on_grad)
+    # y's only reader is the last node, so y goes first, while the two
+    # nodes that read x are still on the tape
+    assert [leaf for leaf, _, _ in calls] == [y, x]
+    assert [readers for _, _, readers in calls] == [0, 0]
+    (_, gy, _), (_, gx, _) = calls
+    np.testing.assert_allclose(gy, x.data ** 2 + np.tanh(x.data), atol=1e-15)
+    np.testing.assert_allclose(
+        gx, y.data * (2.0 * x.data + 1.0 - np.tanh(x.data) ** 2), atol=1e-15)
+    assert x.grad is None and y.grad is None
+
+
+def test_on_grad_gives_zeros_behind_a_node_without_cotangent():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    z = Tensor([[0.5, 1.5]], requires_grad=True)
+    with Graph() as g:
+        ad.tanh(ad.square(z))  # on the tape, but the loss never reads it
+        loss = ad.sum_(ad.square(x))
+        calls, on_grad = handed_out(g)
+        backward(loss, on_grad)
+    assert [leaf for leaf, _, _ in calls] == [x, z]
+    np.testing.assert_allclose(calls[0][1], [2.0, 4.0], atol=1e-15)
+    assert np.array_equal(calls[1][1], np.zeros((1, 2)))
+    assert x.grad is None and z.grad is None
+
+
+def test_on_grad_gives_an_unreached_leaf_zeros_at_the_end():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = Tensor([[3.0, 4.0]], requires_grad=True)
+    with Graph() as g:
+        g.adopt(y)
+        loss = ad.sum_(ad.square(x))
+        calls, on_grad = handed_out(g)
+        backward(loss, on_grad)
+        assert g.nodes == []
+    assert [leaf for leaf, _, _ in calls] == [x, y]
+    assert np.array_equal(calls[1][1], np.zeros((1, 2)))
+    assert x.grad is None and y.grad is None
+
+
+def test_backward_drops_the_graphs_leaves():
+    # a leaf points at its graph; once the graph no longer points back, a
+    # dropped leaf goes by refcount alone
+    x = Tensor([0.3, -0.7], requires_grad=True)
+    gc.disable()
+    try:
+        with Graph() as g:
+            backward(ad.sum_(ad.square(x)))
+        assert g.leaves == [] and x.graph is g
+        ref = weakref.ref(x.data)
+        del x
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_forward_only_outside_graph():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = ad.mul(x, x)

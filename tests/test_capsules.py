@@ -305,9 +305,9 @@ def test_train_step_runs_one_backward_and_no_nested_graph(budget,
         events.append("graph")
         real_init(self)
 
-    def backward(loss):
+    def backward(loss, on_grad=None):
         events.append("backward")
-        real_backward(loss)
+        real_backward(loss, on_grad)
         events.append("swept")
 
     monkeypatch.setattr(caps, "ROUTE_BYTES", budget)

@@ -2,7 +2,9 @@
 evaluation outputs, grid search, and SVG plots (micro-scale runs)."""
 
 import dataclasses
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,22 @@ from siamcaps import harness as hz
 from siamcaps.autodiff import Tensor
 from siamcaps.checkpoint import CheckpointError, load_checkpoint
 from siamcaps.data import PairBatch, synth_dataset
+from siamcaps.rng import SplitMix64, derive_seed
+
+
+def desk_cfg(**kw):
+    """Criterion 8's desk model."""
+    return hz.RunConfig(conv_channels=32, primary_types=8, primary_d=8,
+                        face_caps=16, face_d=8, routing_iters=2,
+                        input_size=64, **kw).finalize()
+
+
+def desk_batch(cfg, seed, pairs=8):
+    r = np.random.default_rng(seed)
+    size = (pairs, 1, cfg.input_size, cfg.input_size)
+    return PairBatch(Tensor(r.uniform(size=size)),
+                     Tensor(r.uniform(size=size)),
+                     np.array([0.0, 1.0] * (pairs // 2)))
 
 
 def micro_cfg(out_dir, **kw):
@@ -222,7 +240,7 @@ def test_nan_activation_stops_the_step(tmp_path):
 def test_every_gradient_contiguous_after_desk_step(monkeypatch):
     # the criterion-8 desk model: no parameter gradient is a strided view,
     # so the optimizer copies none of them.  The gradients are read where
-    # the optimizer reads them: it releases each one it applies
+    # the optimizer reads them, each once, in backward's order
     cfg = hz.RunConfig(conv_channels=32, primary_types=8, primary_d=8,
                        face_caps=16, face_d=8, routing_iters=2,
                        input_size=64).finalize()
@@ -232,18 +250,97 @@ def test_every_gradient_contiguous_after_desk_step(monkeypatch):
     batch = PairBatch(Tensor(r.uniform(size=size)),
                       Tensor(r.uniform(size=size)),
                       np.array([0.0, 1.0] * 4))
-    real, seen = hz.amsgrad_step, []
+    real, seen = hz.amsgrad_update, []
 
-    def spy(params, *args, **kwargs):
-        seen.extend((name, p.grad) for name, p in params)
-        return real(params, *args, **kwargs)
+    def spy(name, p, grad, *args, **kwargs):
+        seen.append((name, grad))
+        return real(name, p, grad, *args, **kwargs)
 
-    monkeypatch.setattr(hz, "amsgrad_step", spy)
+    monkeypatch.setattr(hz, "amsgrad_update", spy)
     hz._train_step(enc, hz.OptimState(), batch, cfg, None)
-    assert [name for name, _ in seen] == \
-        [name for name, _ in enc.named_parameters()]
+    assert sorted(name for name, _ in seen) == \
+        sorted(name for name, _ in enc.named_parameters())
     for name, g in seen:
         assert g is not None and g.flags.c_contiguous, name
+
+
+def reference_step(encoder, state, batch, cfg, rng):
+    """A train step as a whole backward that sets every .grad, followed by
+    amsgrad_step over them."""
+    for name, p in encoder.named_parameters():
+        state.ensure(name, p.data.shape)
+    with ad.Graph():
+        d = hz.pair_distances(encoder, batch, cfg, training=True, rng=rng)
+        loss = hz._loss_of(d, batch.labels, cfg)
+        ad.backward(loss)
+        hz.amsgrad_step(encoder.named_parameters(), state, alpha=cfg.alpha,
+                        flat_lr=cfg.flat_lr)
+    encoder.clamp_dropout_p()
+    return loss.item()
+
+
+@pytest.mark.parametrize("model", ["scn", "sdropcapnet", "standard"])
+def test_fused_updates_are_bitwise_backward_then_amsgrad_step(model):
+    # updating each parameter inside backward changes no bit of 3 steps:
+    # sdropcapnet's later nodes read dropout_p through reshape views, which
+    # backward has swept before it hands out dropout_p's gradient
+    cfg = desk_cfg(model=model)
+    runs = []
+    for step in (hz._train_step, reference_step):
+        enc, state = hz.build_run_encoder(cfg), hz.OptimState()
+        losses = [step(enc, state, desk_batch(cfg, 20 + k), cfg,
+                       SplitMix64(derive_seed(7, 500, 1, k)))
+                  for k in range(3)]
+        runs.append((losses, enc, state))
+    (losses, enc, state), (want_losses, want_enc, want_state) = runs
+    assert losses == want_losses
+    assert state.t == want_state.t == 3
+    for (name, p), (_, q) in zip(enc.named_parameters(),
+                                 want_enc.named_parameters()):
+        assert p.data.tobytes() == q.data.tobytes(), name
+        for d, want in zip((state.m, state.v, state.v_hat),
+                           (want_state.m, want_state.v, want_state.v_hat)):
+            assert d[name].tobytes() == want[name].tobytes(), name
+    for (name, b), (_, c) in zip(enc.named_buffers(),
+                                 want_enc.named_buffers()):
+        assert b.tobytes() == c.tobytes(), name
+
+
+def test_strided_moment_stops_the_step_before_anything_moves():
+    cfg = desk_cfg()
+    enc, state = hz.build_run_encoder(cfg), hz.OptimState()
+    batch = desk_batch(cfg, 8)
+    hz._train_step(enc, state, batch, cfg, None)  # moments worth keeping
+    state.v["face/W"] = np.asfortranarray(state.v["face/W"])
+    weights = [p.data.copy() for _, p in enc.named_parameters()]
+    buffers = [b.copy() for _, b in enc.named_buffers()]
+    moments = [{k: a.copy() for k, a in d.items()}
+               for d in (state.m, state.v, state.v_hat)]
+    with pytest.raises(ValueError, match="'face/W'.*C-contiguous"):
+        hz._train_step(enc, state, batch, cfg, None)
+    assert state.t == 1
+    for (_, p), w in zip(enc.named_parameters(), weights):
+        assert p.data.tobytes() == w.tobytes()
+    for d, want in zip((state.m, state.v, state.v_hat), moments):
+        assert all(d[k].tobytes() == want[k].tobytes() for k in want)
+    for (_, b), want in zip(enc.named_buffers(), buffers):
+        assert b.tobytes() == want.tobytes()
+
+
+def test_dropped_encoder_is_freed_without_gc():
+    # backward drops its graph's leaves, so the parameters and the step's
+    # graph form no cycle and a dropped encoder goes by refcount alone, as
+    # each fold's encoder of a k-fold run does
+    cfg = desk_cfg()
+    enc = hz.build_run_encoder(cfg)
+    ref = weakref.ref(enc.face.W.data)
+    gc.disable()
+    try:
+        hz._train_step(enc, hz.OptimState(), desk_batch(cfg, 9), cfg, None)
+        del enc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_fresh_state_moments_exist_before_the_first_forward(monkeypatch):
@@ -284,12 +381,16 @@ def test_fresh_state_moments_exist_before_the_first_forward(monkeypatch):
         assert p.data.tobytes() == q.data.tobytes()
 
 
-def test_full_size_train_step_traced_peak():
+def test_full_size_train_step_traced_peak(monkeypatch):
     # the paper's 13,729,044-parameter encoder at 4 pairs, a step after the
     # first (AMSGrad's moments exist): the step's traced high point above
-    # its start is the primary convolution vjp's copy-out of gx (176 MB);
-    # with the capsule layer as two tape nodes and the convolution vjp in
-    # blocks of s kernel rows it was that vjp's 205 MB
+    # its start is the capsule layer vjp's second phase (142 MB: the
+    # routing groups' coefficient stacks, W's gradient and one chunk); the
+    # forward reaches 125 MB.  While backward kept every gradient for one
+    # update at the end, it was the primary convolution vjp's copy-out of
+    # gx (176 MB), with W's 67 MB gradient waiting.  The step is traced in
+    # windows, the forward and each vjp and the glue between them, so a
+    # failure names where the high point went
     import tracemalloc
     cfg = hz.RunConfig(routing_iters=4).finalize()
     enc = hz.build_run_encoder(cfg)
@@ -300,14 +401,36 @@ def test_full_size_train_step_traced_peak():
                       np.array([0.0, 1.0] * 2))
     state = hz.OptimState()
     hz._train_step(enc, state, batch, cfg, None)
+    highs, counts, real_emit = [], {}, ad._emit
+
+    def close(window):
+        highs.append((window, tracemalloc.get_traced_memory()[1] - start))
+        tracemalloc.reset_peak()
+
+    def emit(op, out_data, inputs, vjp):
+        counts[op] = counts.get(op, 0) + 1
+        name = f"{op}#{counts[op]} vjp"
+
+        def traced(g):
+            close(f"up to {name}")
+            try:
+                return vjp(g)
+            finally:
+                close(name)
+
+        return real_emit(op, out_data, inputs, traced)
+
+    monkeypatch.setattr(ad, "_emit", emit)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         hz._train_step(enc, state, batch, cfg, None)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        close("rest of the step")
     finally:
         tracemalloc.stop()
-    assert peak < 185e6
+    peak = max(high for _, high in highs)
+    assert peak < 150e6, "\n".join(f"{window}: {high / 1e6:.1f} MB"
+                                    for window, high in highs)
 
 
 def test_determinism_bitwise_except_wall_ms(tmp_path):
