@@ -101,8 +101,8 @@ class RoutingState:
     of the joined groups, each c_history entry as a fresh C-contiguous
     [N, n_lower, n_upper] copy.  A pass that nothing audits copies nothing.
 
-    steps is None unless dynamic_route was asked to keep its saved forward
-    steps (keep_steps): then it holds ((lo, hi), steps) per group of
+    steps is None unless a graph was recording when dynamic_route ran:
+    then it holds its saved forward steps, ((lo, hi), steps) per group of
     samples, the values _route_terms reads.
     """
 
@@ -122,8 +122,7 @@ class RoutingState:
                 for parts in steps]
 
 
-def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
-                  keep_steps: bool = False):
+def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str):
     """Route predictions u_hat [N, n_lower, n_upper, d] to parent capsules.
 
     Log priors start at zero; each iteration softmaxes them over the parent
@@ -139,18 +138,18 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     works on the [N, n_upper, n_lower, d] view of u_hat, so the coupled sum
     and the agreement are batched matrix-vector products and no [N, lower,
     upper, d] temporary is made.  capsule_layer_forward lays u_hat out in
-    that order, so there the view is contiguous memory.  Each forward step
-    saves its couplings, the vjps of their softmax and of the activation,
-    and its output v: the vjps are numpy closures from the kernels that the
-    softmax, tanh and squash primitives wrap, so no vjp builds a graph or
-    runs a backward of its own.  The vjp turns the saved steps into the
-    terms of the cotangent of u_hat with _route_terms, and sums the terms
-    of each group of samples with one batched matmul.
-
-    With keep_steps the state's steps hold the saved steps of every group
-    ((lo, hi), steps) even for a constant u_hat, which then makes no node:
-    the tracked capsule layer routes its u_hat this way and differentiates
-    routing inside its own node (capsule_layer_forward).
+    that order, so there the view is contiguous memory.  While a graph is
+    recording, each forward step saves its couplings, the vjps of their
+    softmax and of the activation, and its output v, and the state's steps
+    hold them, ((lo, hi), steps) per group: the vjps are numpy closures
+    from the kernels that the softmax, tanh and squash primitives wrap, so
+    no vjp builds a graph or runs a backward of its own.  The vjp turns
+    the saved steps into the terms of the cotangent of u_hat with
+    _route_terms, and sums the terms of each group of samples with one
+    batched matmul.  A constant u_hat makes no node, but its steps are
+    saved all the same: the tracked capsule layer routes its u_hat as a
+    constant and differentiates routing inside its own node
+    (capsule_layer_forward).
 
     Forward and vjp run the recurrence over groups of samples, each holding
     at most ROUTE_BYTES of u_hat (one sample, if a sample is larger).  So
@@ -174,7 +173,7 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
     ut = u_hat.data.transpose(0, 2, 1, 3)  # [N, upper, lower, d] view
     tracked = ad.tracked(u_hat)
     # per group, ((lo, hi), one (c, softmax vjp, activation vjp, v) per step)
-    saved = [] if tracked or keep_steps else None
+    saved = None if ad.active_graph() is None else []
     if tracked:
         # the vjp reads ut 2*(iterations-1) more times, and the products run
         # about twice as fast on contiguous memory; this copies nothing for
@@ -201,21 +200,17 @@ def dynamic_route(u_hat: Tensor, iterations: int, activation_kind: str,
 
     def vjp(g):
         gu = np.empty_like(u_hat.data)  # same memory order as u_hat
-        terms = 2 * iterations - 1
         for (lo, hi), steps in saved:
-            coefs = np.empty((hi - lo, n_upper, terms, n_lower))
-            vecs = np.empty((hi - lo, n_upper, terms, d))
-            _route_terms(ut[lo:hi], steps, g[lo:hi], coefs, vecs)
+            coefs, vecs = _route_terms(ut[lo:hi], steps, g[lo:hi])
             np.matmul(coefs.swapaxes(2, 3), vecs,
                       out=gu[lo:hi].transpose(0, 2, 1, 3))
         return (gu,)
 
     out = ad._emit("dynamic_route", _joined(vs), [u_hat], vjp)
-    return out, RoutingState(states, saved if keep_steps else None)
+    return out, RoutingState(states, saved)
 
 
-def _route_terms(u_g: np.ndarray, steps: list, gv: np.ndarray,
-                 coefs: np.ndarray, vecs: np.ndarray) -> None:
+def _route_terms(u_g: np.ndarray, steps: list, gv: np.ndarray) -> tuple:
     """The reverse routing recurrence of one group of samples.
 
     u_g [g, n_upper, n_lower, d] is the group's u_hat in routing's layout,
@@ -224,14 +219,18 @@ def _route_terms(u_g: np.ndarray, steps: list, gv: np.ndarray,
     softmax into the log priors, whose cotangent is the agreement's
     cotangent one iteration earlier.  Every term of the cotangent of u_hat
     is a coupling-like coefficient [g, n_upper, n_lower] times a vector
-    [g, n_upper, d]; this writes the T = 2*iterations - 1 terms, last
-    iteration first, into coefs [g, n_upper, T, n_lower] and vecs [g,
-    n_upper, T, d], so that the cotangent of u_hat_ij is sum_t coefs[...,
-    t, i] * vecs[..., t, :], one [lower, T] @ [T, d] product per sample
-    and parent.  It pops each step off steps as it reads it, so a step's
-    saved arrays go as soon as its terms are written, and steps is empty
-    on return.
+    [g, n_upper, d]; this returns the T = 2*iterations - 1 terms, last
+    iteration first, as the stacks (coefs [g, n_upper, T, n_lower], vecs
+    [g, n_upper, T, d]), so that the cotangent of u_hat_ij is sum_t
+    coefs[..., t, i] * vecs[..., t, :], one [lower, T] @ [T, d] product
+    per sample and parent.  It pops each step off steps as it reads it, so
+    a step's saved arrays go as soon as its terms are written, and steps
+    is empty on return.
     """
+    g, n_upper, n_lower, d = u_g.shape
+    terms = 2 * len(steps) - 1
+    coefs = np.empty((g, n_upper, terms, n_lower))
+    vecs = np.empty((g, n_upper, terms, d))
     t, gb = 0, None  # gb: cotangent of the next iteration's log priors
     for it in reversed(range(len(steps))):
         c_it, c_vjp, v_vjp, v_it = steps.pop()
@@ -248,6 +247,7 @@ def _route_terms(u_g: np.ndarray, steps: list, gv: np.ndarray,
         gc = np.matmul(u_g, gs[:, :, :, None])[:, :, :, 0]
         gsoft = c_vjp(gc)
         gb = gsoft if gb is None else gb + gsoft
+    return coefs, vecs
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -361,12 +361,13 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
 
     A tracked pass is one group of the whole batch on the calling thread,
     and one capsule_layer tape node for transform and routing together.
-    It routes u_hat as a constant with keep_steps, so routing makes no
-    node of its own, and its node keeps u_hat and routing's saved steps.
+    It routes u_hat as a constant, so routing makes no node of its own
+    but saves its steps (a graph is recording), and the layer's node
+    keeps u_hat and routing's saved steps.
     The vjp runs the reverse recurrence (_route_terms) one routing group
-    at a time, each into coefficient and vector stacks of its own, and
-    drops each saved step as soon as its terms exist, so the steps shrink
-    while the stacks grow; then it releases u_hat.  It forms
+    at a time, each returning coefficient and vector stacks of its own,
+    and drops each saved step as soon as its terms exist, so the steps
+    shrink while the stacks grow; then it releases u_hat.  It forms
     the cotangent of u_hat in chunks of lower capsules whose cotangent
     fits ROUTE_BYTES, each written straight into the [lc, N, upper*d_out]
     layout of the transform's GEMMs by one batched matmul per routing
@@ -405,13 +406,9 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
     def vjp(g):  # tracked, so one group: the whole batch
         uh, steps = kept
         kept.clear()
-        terms = 2 * iterations - 1
-        stacks = []  # per routing group: ((s0, s1), coefs, vecs)
-        for (s0, s1), group_steps in steps:
-            coefs = np.empty((s1 - s0, n_upper, terms, n_lower))
-            vecs = np.empty((s1 - s0, n_upper, terms, d_out))
-            _route_terms(uh[s0:s1], group_steps, g[s0:s1], coefs, vecs)
-            stacks.append(((s0, s1), coefs, vecs))
+        # per routing group: ((s0, s1), coefs, vecs)
+        stacks = [((s0, s1), *_route_terms(uh[s0:s1], group_steps, g[s0:s1]))
+                  for (s0, s1), group_steps in steps]
         del uh  # the terms replace it
         gu = np.empty_like(u)
         gw = np.empty_like(w).reshape(w_m.shape)  # C-contiguous, as w is
@@ -447,8 +444,7 @@ def capsule_layer_forward(poses: Tensor, p: CapsuleLayerParams,
                 uh_g[:, :, lo:hi] = prod.reshape(hi - lo, s1 - s0, n_upper,
                                                  d_out).transpose(1, 2, 0, 3)
             vs[i], state = dynamic_route(Tensor(uh_g.transpose(0, 2, 1, 3)),
-                                         iterations, p.activation_kind,
-                                         tracked)
+                                         iterations, p.activation_kind)
             if tracked:
                 kept[:] = uh_g, state.steps
             if return_state:

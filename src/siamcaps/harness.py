@@ -38,8 +38,7 @@ from .models import (METRICS, NORMALIZE_AT, ScnEncoder, StandardEncoder,
                      predict_match, sweep_threshold, valid_margin)
 # no step here calls amsgrad_step; it stays importable by this module's
 # name, where bench/spans.py times it
-from .optim import (OptimState, amsgrad_step, amsgrad_update, check_layout,
-                    step_rate)
+from .optim import OptimState, amsgrad_step
 from .rng import SplitMix64, derive_seed
 
 MODELS = ("scn", "sdropcapnet", "standard")
@@ -314,11 +313,12 @@ def _train_step(encoder, state, batch, cfg: RunConfig,
                 rng: SplitMix64) -> float:
     """One AMSGrad step on a batch of pairs; returns its loss.
 
-    Each parameter is updated as soon as backward has finished its
-    gradient (optim.amsgrad_update), and that gradient is dropped then, so
-    the step never holds the whole gradient set.  Layouts are checked and
-    a non-finite loss refused before backward, so neither moves a weight,
-    a moment, t or a batchnorm buffer.
+    backward hands each parameter's gradient, as soon as it is finished,
+    to the update of OptimState.begin_step, and that gradient is dropped
+    then, so the step never holds the whole gradient set.  The state is
+    prepared (layouts checked, missing moments made) and a non-finite loss
+    refused before backward, so neither moves a weight, a moment, t or a
+    batchnorm buffer.
     """
     # AMSGrad's moments (330 MB at full size) outlive every step, so a
     # fresh state's are made before its first forward: in the heap they
@@ -326,10 +326,7 @@ def _train_step(encoder, state, batch, cfg: RunConfig,
     # step's freed ones with a hole below them that a later step's largest
     # buffer may miss by a few MB
     params = encoder.named_parameters()
-    for name, p in params:
-        state.ensure(name, p.data.shape)
-        check_layout(name, p, state)
-    names = {id(p): name for name, p in params}
+    state.prepare(params)
     buffers = [(b, b.copy()) for _, b in encoder.named_buffers()]
     with ad.Graph():
         d = pair_distances(encoder, batch, cfg, training=True, rng=rng)
@@ -341,10 +338,7 @@ def _train_step(encoder, state, batch, cfg: RunConfig,
             raise FloatingPointError(
                 f"non-finite training loss {value!r}; weights and optimizer "
                 f"state left unchanged")
-        state.t += 1
-        alpha_t = step_rate(cfg.alpha, state.t, cfg.flat_lr)
-        ad.backward(loss, lambda p, g: amsgrad_update(names[id(p)], p, g,
-                                                       state, alpha_t))
+        ad.backward(loss, state.begin_step(params, cfg.alpha, cfg.flat_lr))
     encoder.clamp_dropout_p()
     return value
 

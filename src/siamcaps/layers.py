@@ -24,9 +24,9 @@ in the kernel's storage order, and, for a tracked input, the patch
 cotangent of those columns, in place of the patches.  Neither GEMM
 reduces over the columns, so single rows leave every gradient bitwise
 that of the whole matrix.  Each gather's cotangent is folded back into an
-[N, H, W, C] buffer with one add per kernel-offset row and column block
-of s offsets that it holds, so every element sums its terms in the same
-order however the rows are split.  Once the patch buffer is freed, the
+[N, H, W, C] buffer one kernel row at a time, with one add per column
+block of s offsets, so every element sums its terms in the same order
+however the rows are split.  Once the patch buffer is freed, the
 fold buffer is copied out into gx, in the input's own memory order.
 
 A graph-free convolution (no input tracked: every eval pass) whose kernel
@@ -348,13 +348,11 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
         # row i lands in row block i + a at phase r
         gx6 = np.zeros((n, ho + ka, s, wo + ka, s, c)) if need_gx else None
         # per image group of the forward, the group's whole patch matrix
-        # when its ka offset rows (s kernel rows each, as the fold lays
-        # them out) fit VJP_PATCH_BYTES in one block, else one kernel row
-        # at a time; a gather of kernel rows [u0, u1) takes those rows of
-        # every patch, kw*C contiguous elements a row
+        # when it fits VJP_PATCH_BYTES, else one kernel row at a time; a
+        # gather of kernel rows [u0, u1) takes those rows of every patch,
+        # kw*C contiguous elements a row
         run = kw * c
-        blocks = byte_chunks(ka, group_rows * s * run * 8, VJP_PATCH_BYTES)
-        step = kh if len(blocks) == 1 else 1
+        step = kh if group_rows * kh * run * 8 <= VJP_PATCH_BYTES else 1
         patches = np.empty(group_rows * step * run)
         for lo, hi in groups:
             g_grp = g2[lo * hw:hi * hw]
@@ -374,17 +372,15 @@ def conv2d_forward(x: Tensor, p: Conv2dParams) -> Tensor:
                 # the patch cotangent of these rows, in place of the patches
                 pc = np.matmul(g_grp, kmat[:, k0:k1], out=rows).reshape(
                     hi - lo, ho, wo, u1 - u0, kw, c)
-                # one add per offset row a and column block b, over the
-                # phases of a that lie in [u0, u1): each element of gx6
-                # sums its terms in (a, b) order however the rows are split
-                for a in range(u0 // s, -(-u1 // s)):
-                    r0, r1 = max(u0, s * a), min(u1, s * a + s)
+                # one add per kernel row u = s*a + r and column block b:
+                # an element of gx6 lies at one phase r, so it sums its
+                # terms in (a, b) order however the rows are split
+                for u in range(u0, u1):
+                    a, r = divmod(u, s)
                     for b in range(ka):
                         ql = min(s, kw - s * b)
-                        gx6[lo:hi, a:a + ho, r0 - s * a:r1 - s * a,
-                            b:b + wo, :ql] += pc[
-                                :, :, :, r0 - u0:r1 - u0,
-                                s * b:s * b + ql].transpose(0, 1, 3, 2, 4, 5)
+                        gx6[lo:hi, a:a + ho, r, b:b + wo, :ql] += pc[
+                            :, :, :, u - u0, s * b:s * b + ql]
         patches = rows = pc = None  # rows and pc are views of patches
         if not need_gx:
             return (None, gk.reshape(kshape), gb)

@@ -16,18 +16,22 @@ passes per block through cache: over the 13.7M full-size parameters on a
 operations are those of the whole-array formula in the same order, so the
 result is bitwise the same.
 
-amsgrad_update applies one parameter's update, and a train step calls it
-from backward as each gradient is finished (harness._train_step), so a
-step's gradients (110 MB at full size) never exist at once: each is
-dropped once its parameter is updated.  Such a step is not all-or-nothing.
-Before its backward it checks every layout (check_layout) and refuses a
-non-finite loss, so neither moves t, a weight or a moment; afterwards a
-gradient of the wrong shape raises before its own parameter moves, but
-parameters updated earlier in the sweep, and t, stay moved.
-amsgrad_step applies a whole set of populated .grad at once and is
-all-or-nothing: every gradient shape and layout is checked before t or
-any weight moves, and a rejected step leaves every .grad in place; each
-.grad it applies is then set to None.
+A step has one protocol, owned by OptimState: prepare(params) checks the
+layout of every parameter and then makes the moments it lacks, and
+begin_step advances t and returns the per-parameter update, which applies
+amsgrad_update at step t's rate.  A train step (harness._train_step)
+prepares before its forward and hands the update to backward as its
+on_grad, so each parameter is updated as soon as its gradient is finished
+and that gradient is dropped then: a step's gradients (110 MB at full
+size) never exist at once.  Such a step is not all-or-nothing.  Before
+its backward it checks every layout and refuses a non-finite loss, so
+neither moves t, a weight or a moment; afterwards a gradient of the wrong
+shape raises before its own parameter moves, but parameters updated
+earlier in the sweep, and t, stay moved.  amsgrad_step applies a whole
+set of populated .grad at once and is all-or-nothing: every gradient
+shape and layout is checked before t or any weight moves, and a rejected
+step leaves every .grad in place; each .grad it applies is then set to
+None.
 """
 
 from __future__ import annotations
@@ -53,27 +57,40 @@ class OptimState:
         self.v_hat: dict[str, np.ndarray] = {}
         self.t: int = 0
 
-    def ensure(self, name: str, shape: tuple) -> None:
-        if name not in self.m:
-            self.m[name] = np.zeros(shape)
-            self.v[name] = np.zeros(shape)
-            self.v_hat[name] = np.zeros(shape)
+    def prepare(self, params: list) -> None:
+        """Check every [(name, Tensor)] pair's layout, then make the
+        moments that are missing, all zeros, in the order of params.
 
+        Raises ValueError, before any moment is made, unless each
+        parameter's weights and existing moments are C-contiguous arrays
+        of its shape: the update writes through reshaped views; reshaping
+        a non-contiguous array can copy it, and the update would be lost.
+        """
+        for name, p in params:
+            arrays = [p.data] + [d[name] for d in (self.m, self.v,
+                                                   self.v_hat) if name in d]
+            if not all(a.flags.c_contiguous and a.shape == p.data.shape
+                       for a in arrays):
+                raise ValueError(f"parameter {name!r}: weights and AMSGrad "
+                                 f"moments must be C-contiguous arrays of "
+                                 f"shape {p.data.shape}")
+        for name, p in params:
+            if name not in self.m:
+                for d in (self.m, self.v, self.v_hat):
+                    d[name] = np.zeros(p.data.shape)
 
-def check_layout(name: str, p, state: OptimState) -> None:
-    """Raise ValueError unless p's weights and existing moments are
-    C-contiguous arrays of p's shape.
+    def begin_step(self, params: list, alpha: float, flat_lr: bool = False):
+        """Advance t and return update(p, grad), which applies
+        amsgrad_update to parameter p of the prepared [(name, Tensor)]
+        pairs at step t's rate: alpha, or alpha/sqrt(t) unless flat_lr."""
+        self.t += 1
+        alpha_t = alpha if flat_lr else alpha / np.sqrt(self.t)
+        names = {id(p): name for name, p in params}
 
-    The update writes through reshaped views; reshaping a non-contiguous
-    array can copy it, and the update would be lost.
-    """
-    arrays = [p.data] + [d[name] for d in (state.m, state.v, state.v_hat)
-                         if name in d]
-    if not all(a.flags.c_contiguous and a.shape == p.data.shape
-               for a in arrays):
-        raise ValueError(f"parameter {name!r}: weights and AMSGrad "
-                         f"moments must be C-contiguous arrays of shape "
-                         f"{p.data.shape}")
+        def update(p, grad: np.ndarray) -> None:
+            amsgrad_update(names[id(p)], p, grad, self, alpha_t)
+
+        return update
 
 
 def _check_grad(name: str, p, grad: np.ndarray) -> None:
@@ -82,23 +99,17 @@ def _check_grad(name: str, p, grad: np.ndarray) -> None:
                          f"parameter {name!r} shape {p.data.shape}")
 
 
-def step_rate(alpha: float, t: int, flat_lr: bool = False) -> float:
-    """The base rate of step t: alpha, or alpha/sqrt(t) unless flat_lr."""
-    return alpha if flat_lr else alpha / np.sqrt(t)
-
-
 def amsgrad_update(name: str, p, grad: np.ndarray, state: OptimState,
                    alpha_t: float) -> None:
     """Apply one AMSGrad update with gradient grad to parameter p in place.
 
     m <- t1*m + (1-t1)*g;  v <- t2*v + (1-t2)*g^2;  v_hat <- max(v_hat, v);
     w <- w - alpha_t * m / (sqrt(v_hat) + eps),
-    with t1, t2, eps = THETA1, THETA2, EPS.  The caller has advanced state.t
-    and checked p's layout (check_layout); a grad of the wrong shape raises
-    ValueError before p or its moments move.
+    with t1, t2, eps = THETA1, THETA2, EPS.  The caller has prepared p
+    (OptimState.prepare) and advanced state.t (OptimState.begin_step); a
+    grad of the wrong shape raises ValueError before p or its moments move.
     """
     _check_grad(name, p, grad)
-    state.ensure(name, p.data.shape)
     w, m, v, v_hat, g = (a.reshape(-1) for a in (
         p.data, state.m[name], state.v[name], state.v_hat[name],
         np.ascontiguousarray(grad)))
@@ -129,16 +140,14 @@ def amsgrad_step(params: list, state: OptimState, alpha: float,
     each .grad it applies is set to None.
 
     Checks every gradient's shape and every layout before t or any weight
-    moves, then advances the step counter t (starting at 1) and applies
-    amsgrad_update to each parameter at the rate step_rate(alpha, t,
-    flat_lr).
+    moves (OptimState.prepare), then advances the step counter t
+    (starting at 1) and applies each update of OptimState.begin_step.
     """
     params = [(name, p) for name, p in params if p.grad is not None]
     for name, p in params:
         _check_grad(name, p, p.grad)
-        check_layout(name, p, state)
-    state.t += 1
-    alpha_t = step_rate(alpha, state.t, flat_lr)
-    for name, p in params:
-        amsgrad_update(name, p, p.grad, state, alpha_t)
+    state.prepare(params)
+    update = state.begin_step(params, alpha, flat_lr)
+    for _, p in params:
+        update(p, p.grad)
         p.grad = None

@@ -159,6 +159,22 @@ def test_route_matches_reference():
             np.testing.assert_allclose(c_got, c_ref, atol=1e-12)
 
 
+def test_route_keeps_its_steps_only_while_a_graph_records(monkeypatch):
+    # one entry per routing group, each with one saved step per iteration,
+    # for a constant and a tracked u_hat alike; outside a graph, none
+    u = rand_uhat((5, 4, 3, 2), 72)
+    monkeypatch.setattr(caps, "ROUTE_BYTES", 2 * u[0].nbytes)
+    _, state = caps.dynamic_route(Tensor(u), 3, "squash")
+    assert state.steps is None
+    for requires_grad in (False, True):
+        with ad.Graph():
+            _, state = caps.dynamic_route(
+                Tensor(u, requires_grad=requires_grad), 3, "squash")
+        assert [group for group, _ in state.steps] == [(0, 2), (2, 4),
+                                                       (4, 5)]
+        assert [len(steps) for _, steps in state.steps] == [3] * 3
+
+
 def test_coupling_rows_sum_to_one():
     for seed in range(5):
         u_hat = Tensor(rand_uhat((2, 6, 5, 4), 80 + seed, 2.0))

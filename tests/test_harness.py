@@ -11,6 +11,7 @@ import pytest
 
 from siamcaps import autodiff as ad
 from siamcaps import harness as hz
+from siamcaps import optim
 from siamcaps.autodiff import Tensor
 from siamcaps.checkpoint import CheckpointError, load_checkpoint
 from siamcaps.data import PairBatch, synth_dataset
@@ -250,13 +251,13 @@ def test_every_gradient_contiguous_after_desk_step(monkeypatch):
     batch = PairBatch(Tensor(r.uniform(size=size)),
                       Tensor(r.uniform(size=size)),
                       np.array([0.0, 1.0] * 4))
-    real, seen = hz.amsgrad_update, []
+    real, seen = optim.amsgrad_update, []
 
     def spy(name, p, grad, *args, **kwargs):
         seen.append((name, grad))
         return real(name, p, grad, *args, **kwargs)
 
-    monkeypatch.setattr(hz, "amsgrad_update", spy)
+    monkeypatch.setattr(optim, "amsgrad_update", spy)
     hz._train_step(enc, hz.OptimState(), batch, cfg, None)
     assert sorted(name for name, _ in seen) == \
         sorted(name for name, _ in enc.named_parameters())
@@ -267,8 +268,7 @@ def test_every_gradient_contiguous_after_desk_step(monkeypatch):
 def reference_step(encoder, state, batch, cfg, rng):
     """A train step as a whole backward that sets every .grad, followed by
     amsgrad_step over them."""
-    for name, p in encoder.named_parameters():
-        state.ensure(name, p.data.shape)
+    state.prepare(encoder.named_parameters())
     with ad.Graph():
         d = hz.pair_distances(encoder, batch, cfg, training=True, rng=rng)
         loss = hz._loss_of(d, batch.labels, cfg)

@@ -313,8 +313,8 @@ def test_conv_forward_holds_one_group_of_patches(monkeypatch):
 
 @pytest.fixture
 def patch_groups(monkeypatch):
-    """The chunks of every byte_chunks call in layers while it is used: a
-    forward's image groups, a vjp's blocks of kernel-offset rows."""
+    """The chunks of every byte_chunks call in layers while it is used:
+    each im2col forward's image groups."""
     real, seen = layers.byte_chunks, []
 
     def spy(*args):
@@ -515,25 +515,28 @@ def test_conv_vjp_holds_one_block_of_patches(monkeypatch, gathered_rows):
 
 
 @pytest.mark.parametrize("kind,cfg", DESK_MODELS)
-def test_desk_train_steps_run_one_kernel_row_block(patch_groups, kind, cfg):
+def test_desk_train_steps_run_one_kernel_row_block(gathered_rows, kind, cfg):
     # at the default batch of 16 pairs, every desk convolution's forward
-    # forms one image group and its vjp one block: the GEMMs of the whole
-    # patch matrix
+    # gathers one image group and its vjp the group's whole patch matrix:
+    # the GEMMs of the whole matrix
     encoder = {"scn": models.ScnEncoder, "standard": models.StandardEncoder}
     enc = encoder[kind](0, **cfg)
     s = cfg["input_size"]
     images = Tensor(SplitMix64(25).uniform(32 * s * s).reshape(32, 1, s, s))
     with ad.Graph():
         ad.backward(ad.sum_(enc.encode(images, training=True)))
-    # both kernels span 3 offset rows: 9x9 at stride 3, 5x5 at stride 2
-    assert patch_groups == [[(0, 32)]] * 2 + [[(0, 3)]] * 2
+    # the forward gathers conv1 (9x9), then the second convolution (9x9
+    # primary capsules, or Standard's 5x5 conv2); backward in reverse
+    kh = 5 if kind == "standard" else 9
+    assert gathered_rows == [(32, 9), (32, kh), (32, kh), (32, 9)]
 
 
-def test_full_size_conv1_vjp_runs_one_block(patch_groups):
+def test_full_size_conv1_vjp_runs_one_block(gathered_rows):
     x, p, _ = full_conv1_input(32)
     vjp, g = taped_vjp(x, p)
+    gathered_rows.clear()
     vjp(g)
-    assert patch_groups[-1] == [(0, 3)]
+    assert gathered_rows == [(32, 9)]
 
 
 # ---------------------------------------------------------------------------

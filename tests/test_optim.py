@@ -39,7 +39,7 @@ def amsgrad_whole_array_ref(params, state, alpha, theta1=0.9, theta2=0.999,
         g = p.grad
         if g is None:
             continue
-        state.ensure(name, p.data.shape)
+        state.prepare([(name, p)])
         m, v, v_hat = state.m[name], state.v[name], state.v_hat[name]
         m *= theta1
         m += (1.0 - theta1) * g
@@ -245,11 +245,23 @@ def test_non_contiguous_weights_or_moments_rejected():
         q = Tensor(np.zeros((4, 6)), requires_grad=True)
         q.grad = np.ones((4, 6))
         state = OptimState()
-        state.ensure("q", (4, 6))
+        state.prepare([("q", q)])
         getattr(state, moment)["q"] = np.zeros((6, 4)).T
         with pytest.raises(ValueError, match="'q'.*contiguous"):
             amsgrad_step([("q", q)], state, alpha=0.01)
         assert np.all(q.data == 0.0)
+
+
+def test_prepare_makes_no_moment_when_a_layout_is_bad():
+    # every layout is checked before the first moment is made, so a fresh
+    # parameter listed before a strided one gets none
+    fresh = Tensor(np.zeros(5), requires_grad=True)
+    strided = Tensor(np.zeros((6, 4)).T, requires_grad=True)
+    state = OptimState()
+    with pytest.raises(ValueError, match="'b'.*contiguous"):
+        state.prepare([("a", fresh), ("b", strided)])
+    assert state.m == state.v == state.v_hat == {}
+    assert state.t == 0
 
 
 @pytest.mark.parametrize("fault", ["grad shape", "strided moment"])
